@@ -106,7 +106,7 @@ class WeightedGraph:
         return self.weights[normalize_edge(u, v)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Labeling:
     """Vertex labels within [0, span]; validity is checked by verify_assignment."""
 

@@ -7,10 +7,12 @@ the brute-force guard is raised through its documented parameter to cover
 the sampled label spaces.
 """
 
+import contextlib
 import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ndchan import (
     DistanceConstraints,
@@ -33,10 +35,12 @@ from ndchan import (
     trivial_upper_bound,
     vc_partition,
     verify_assignment,
+    walk_to_labeling,
 )
 from ndchan.decomposition import TypeGraph
 from ndchan.errors import GuardExceeded
 from ndchan.ilp import EQ, LE, Constraint, IlpModel, solve_feasibility
+from ndchan import solver
 from ndchan.oracle import brute_force_ca, brute_force_nd
 from ndchan.solver import SolveStats, connectivity_violation, _component_instances
 from helpers import (
@@ -187,6 +191,61 @@ def test_criterion_2_vc_route_oracle_equivalence(vc_route_records):
     )
 
 
+@contextlib.contextmanager
+def _engine(name):
+    """Route every component probe to one engine: "walk" for the walk
+    search, "ilp" for solve_flow and the Euler walk."""
+    limit = {"walk": float("inf"), "ilp": 0}[name]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "WALK_STATE_LIMIT", limit)
+        yield
+
+
+def _differential(wg, span, solve):
+    """Both engines and the oracle give one verdict, and each labeling
+    passes verify_assignment.  Returns whether the span is feasible."""
+    with _engine("walk"):
+        walk = solve()
+    with _engine("ilp"):
+        ilp = solve()
+    oracle = brute_force_ca(wg, span, guard=ORACLE_GUARD)
+    assert (walk is None) == (ilp is None) == (oracle is None), (wg.weights, span)
+    for labeling in (walk, ilp):
+        if labeling is not None:
+            assert verify_assignment(wg, labeling).ok
+    return oracle is not None
+
+
+def test_differential_engines_on_criterion_draws(uniform_route_records, vc_route_records):
+    feasible = 0
+    for rec in uniform_route_records:
+        feasible += _differential(
+            rec["wg"],
+            rec["span"],
+            lambda: solve_ca_uniform(rec["wg"], rec["partition"], rec["span"]),
+        )
+    for rec in vc_route_records:
+        feasible += _differential(
+            rec["wg"],
+            rec["span"],
+            lambda: solve_ca_vc(rec["wg"], rec["span"], max_digraph_nodes=DIGRAPH_GUARD),
+        )
+    _passed(
+        "differential (walk search, ILP, oracle)",
+        f"300 criterion 1 and 2 instances, {feasible} feasible",
+    )
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 10))
+@settings(max_examples=40, deadline=None)
+def test_differential_engines_on_random_uniform_instances(seed, span):
+    wg, partition = uniform_instance(
+        random.Random(seed), max_types=3, max_size=3, max_weight=3
+    )
+    assume(wg.graph.n <= 7)
+    _differential(wg, span, lambda: solve_ca_uniform(wg, partition, span))
+
+
 def test_criterion_3_labeling_pipeline_minimum_spans(labeling_fixture_records):
     anchors = {("P2", (2, 1)): 2, ("P3", (2, 1)): 3, ("P4", (2, 1)): 3, ("P5", (2, 1)): 4}
     for rec in labeling_fixture_records:
@@ -333,24 +392,35 @@ def test_criterion_8_lazy_cut_sanity():
     # the full loop terminates on both sides of the K3 threshold
     wg = WeightedGraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)])
     partition = nd_partition(wg.graph)
-    stats = SolveStats()
-    assert solve_ca_uniform(wg, partition, 3, stats=stats) is None
-    labeling = solve_ca_uniform(wg, partition, 4)
+    with _engine("ilp"):
+        assert solve_ca_uniform(wg, partition, 3) is None
+        labeling = solve_ca_uniform(wg, partition, 4)
     assert labeling is not None and verify_assignment(wg, labeling).ok
 
     # an instance whose first solutions come back disconnected, forcing the
-    # loop to add cuts before reaching a connected support
-    g6 = cycle_graph(6)
-    wg6 = labeling_to_ca(g6, DistanceConstraints((3, 2)))
-    stats6 = SolveStats()
-    labeling6 = solve_ca_uniform(wg6, nd_partition(g6), 6, stats=stats6)
-    assert labeling6 is not None and verify_assignment(wg6, labeling6).ok
-    assert stats6.cuts_added >= 1
+    # cut loop to add cuts before reaching a connected support; solve_flow is
+    # called directly because the solve entry points route small instances
+    # to the walk search, which has no cut loop
+    g3 = path_graph(3)
+    wg3 = labeling_to_ca(g3, DistanceConstraints((1,)))
+    partition3 = nd_partition(g3)
+    ok, tg3 = check_uniform(wg3, partition3)
+    assert ok
+    reduction3 = preprocess_reflexive(tg3, partition3)
+    digraph3 = build_shift_digraph(reduction3.type_graph, reduction3.type_graph.wmax)
+    stats3 = SolveStats()
+    multiset3 = solve_flow(digraph3, reduction3.type_graph, 1, stats=stats3)
+    assert multiset3 is not None
+    labeling3 = walk_to_labeling(
+        euler_walk(multiset3, digraph3), digraph3, reduction3, 1, g3.n
+    )
+    assert verify_assignment(wg3, labeling3).ok
+    assert stats3.cuts_added >= 1
     # cap violations raise rather than mislabel, so reaching this point means
     # every acceptance solve stayed within its iteration cap
     _passed(
         "criterion 8 (lazy-cut sanity)",
-        f"constructed violation cut + loop runs with {stats6.cuts_added} cuts",
+        f"constructed violation cut + loop runs with {stats3.cuts_added} cuts",
     )
 
 

@@ -212,6 +212,13 @@ class TestRelaxationTools:
         assert point is not None
         assert all(-1e-9 <= v <= 2 + 1e-9 for v in point)
 
+    def test_no_fast_extra_leaves_no_lp(self, request):
+        if not request.config.getoption("--no-fast-extra"):
+            pytest.skip("checks the --no-fast-extra configuration")
+        model = IlpModel(2, (2, 2), (Constraint.build([(0, 1), (1, 1)], EQ, 9),))
+        assert relaxation_point(model) is None
+        assert not refute_by_certificate(model)
+
     @given(st.integers(0, 9999))
     @settings(max_examples=60, deadline=None)
     def test_certificate_never_contradicts_a_solution(self, seed):

@@ -25,6 +25,7 @@ from ndchan import (
     walk_to_labeling,
 )
 from ndchan.decomposition import CLIQUE, INDEPENDENT, TypeGraph
+from ndchan import solver
 from ndchan.errors import InternalSolverError
 from ndchan.ilp import EQ, solve_feasibility
 from ndchan.oracle import brute_force_ca
@@ -285,6 +286,41 @@ class TestSolveCaUniform:
         solve_ca_uniform(wg, nd_partition(wg.graph), 4, stats=stats)
         assert stats.nd == 1 and stats.types == 1
         assert stats.digraph_nodes > 0
+
+
+class TestEngineRouter:
+    def test_state_bound(self):
+        # one clique type of size 3 with loop weight 2: windows (0,0), (1,0)
+        # and (0,1); five steps at span 4; counts 0..3
+        _, reduction, digraph = uniform_pipeline(k3_instance())
+        search = solver._WalkSearch(digraph, reduction.type_graph)
+        assert search.state_bound(4) == 3 * 5 * 4
+
+    def test_small_bound_takes_the_walk_search(self, monkeypatch):
+        def no_ilp(*args, **kwargs):
+            raise AssertionError("the ILP ran under the state limit")
+
+        monkeypatch.setattr(solver, "solve_flow", no_ilp)
+        wg = k3_instance()
+        assert solve_ca_uniform(wg, nd_partition(wg.graph), 3) is None
+        labeling = solve_ca_uniform(wg, nd_partition(wg.graph), 4)
+        assert verify_assignment(wg, labeling).ok
+
+    def test_bound_over_the_limit_takes_the_ilp(self, monkeypatch):
+        spans = []
+        original = solver.solve_flow
+
+        def recorded(d, tg, span, **kwargs):
+            spans.append(span)
+            return original(d, tg, span, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_flow", recorded)
+        monkeypatch.setattr(solver, "WALK_STATE_LIMIT", 0)
+        wg = k3_instance()
+        assert solve_ca_uniform(wg, nd_partition(wg.graph), 3) is None
+        labeling = solve_ca_uniform(wg, nd_partition(wg.graph), 4)
+        assert verify_assignment(wg, labeling).ok
+        assert spans == [3, 4]
 
 
 class TestSolveCaVc:
