@@ -11,6 +11,8 @@ are deterministic for a fixed model.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -383,6 +385,16 @@ def solve_feasibility(
         backtrack_to(root_mark)
         clear_pending()
         restart_limit *= 2
+
+
+@functools.cache
+def lp_tools_installed() -> bool:
+    """Whether numpy and scipy are there for relaxation_point and
+    refute_by_certificate; neither is imported to find out."""
+    try:
+        return all(importlib.util.find_spec(name) is not None for name in ("numpy", "scipy"))
+    except (ImportError, ValueError):
+        return False
 
 
 def relaxation_point(model: IlpModel):

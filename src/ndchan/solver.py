@@ -6,13 +6,13 @@ z = wmax.  Each span probe then looks for a closed walk of span + z + 1
 edges through the all-empty window whose per-type counts match the class
 sizes, with one of two exact engines:
 
-- the walk search (_WalkSearch), a depth-first search over (step, window,
-  per-type counts) with a memo of dead states, whenever its state bound is
-  at most WALK_STATE_LIMIT;
-- otherwise the flow ILP (solve_flow): an edge multiset by integer
-  feasibility (Kirchhoff balance + per-type occurrence counts + total walk
-  length, with connectivity enforced through lazily generated cuts), put
-  in order by an Euler walk.
+- first the walk search (_WalkSearch), a depth-first search over (step,
+  window, per-type counts) with a memo of dead states;
+- once that search would enter more than WALK_STATE_LIMIT states, and only
+  where numpy and scipy are installed, the flow ILP (solve_flow): an edge
+  multiset by integer feasibility (Kirchhoff balance + per-type occurrence
+  counts + total walk length, with connectivity enforced through lazily
+  generated cuts), put in order by an Euler walk.
 
 Either walk is decoded into vertex labels by walk_to_labeling, which checks
 its length, its end points and its per-type counts.
@@ -46,6 +46,7 @@ from .ilp import (
     Constraint,
     IlpModel,
     add_constraint,
+    lp_tools_installed,
     refute_by_certificate,
     relaxation_point,
     solve_feasibility,
@@ -734,17 +735,11 @@ class _WalkSearch:
             code_space *= size + 1
         self.code_space = code_space
         self.loop_weights = [tg.weights[(t, t)] for t in range(tg.node_count)]
-        capacity = [_window_capacity(w, tg.sizes) for w in d.windows]
-        self.usable_windows = sum(cap is not None for cap in capacity)
-        self._capacity = capacity
+        self._capacity = [_window_capacity(w, tg.sizes) for w in d.windows]
         self._successors = None
         # count code -> (mask of types at their class size, label positions
         # the remaining copies need at least); the same for every span
         self._count_info: dict[int, tuple[int, int]] = {}
-
-    def state_bound(self, span: int) -> int:
-        """Upper bound on the states one search can expand."""
-        return self.usable_windows * (span + 1) * self.code_space
 
     def _successor_table(self):
         """Per window within capacity: (next window, its new slice, count code
@@ -784,8 +779,13 @@ class _WalkSearch:
             info = self._count_info[code] = (full, need)
         return info
 
-    def search(self, span: int) -> Walk | None:
-        """The closed walk of a span-`span` labeling, or None when none exists."""
+    def search(self, span: int, max_states: int | None = None) -> Walk | None:
+        """The closed walk of a span-`span` labeling, or None when none exists.
+
+        Raises GuardExceeded instead of entering state max_states + 1, so
+        that no verdict rests on a partial search.  Every state is entered at
+        most once, so the memo never holds more than max_states.
+        """
         if self._successors is None:
             self._successors = self._successor_table()
         table = self._successors
@@ -797,6 +797,7 @@ class _WalkSearch:
         if info(0)[1] > steps:
             return None
 
+        budget = float("inf") if max_states is None else max_states
         dead: set[int] = set()
         path = [d.empty_index]
         codes = [0]
@@ -820,6 +821,9 @@ class _WalkSearch:
                 if ((k + 1) * stride + dst) * code_space + next_code in dead:
                     continue
                 cursor[-1] = i
+                budget -= 1
+                if budget < 0:
+                    raise GuardExceeded(f"walk search passed {max_states} states")
                 path.append(dst)
                 codes.append(next_code)
                 cursor.append(0)
@@ -838,12 +842,19 @@ class _WalkSearch:
         return Walk(tuple(path))
 
 
-# Largest state bound the walk search takes on; above it a probe goes to the
-# ILP.  It is a memory cap, not a speed crossover: the dead-state memo holds
-# at most this many ints (a search at bound 1.04e6 added 16 MB), the walk
-# search beat the ILP on every instance compared, and the benchmark corpora
-# stay below a bound of 1.1e5.
-WALK_STATE_LIMIT = 1_000_000
+# Most states one walk search may enter before its probe goes to the ILP,
+# set at the crossover measured on refutations, and applied only where the
+# ILP has its LP tools (lp_tools_installed).  The walk search enters about
+# 4e5 states a second (1e5 in 0.2-0.25 s) and keeps one int per dead state.
+# With scipy, refuting the span just under the least one took the ILP
+# 0.1-0.3 s on every instance tried (stars, K_{n,n}, K_{n,n,n}, K_{n,n,n,n}
+# and more classes under L(2,1) and L(3,2), up to 3e6 walk-search states).
+# Without scipy the same refutations took it 88-95 s (K20,20 under L(3,2),
+# K1,128 under L(2,1)) where the walk search took 0.1 s or less.  Feasible
+# probes are where the ILP is slow either way (55 s on K3,3,3,3 under
+# L(3,2)); the walk search found every feasible walk tried without a dead
+# end.
+WALK_STATE_LIMIT = 100_000
 
 
 class _ComponentPipeline:
@@ -862,14 +873,15 @@ class _ComponentPipeline:
     def solve(self, span: int, stats: SolveStats | None = None):
         """Labeling of the component at this span, or None when there is none.
 
-        The walk search runs when its state bound is at most
-        WALK_STATE_LIMIT; otherwise the flow ILP picks an edge multiset and
-        an Euler walk orders it.  Either walk is decoded and checked by
-        walk_to_labeling.
+        The walk search runs first.  Where the LP tools are installed and
+        it would enter more than WALK_STATE_LIMIT states, the flow ILP picks
+        an edge multiset instead and an Euler walk orders it.  Either walk
+        is decoded and checked by walk_to_labeling.
         """
-        if self.walk_search.state_bound(span) <= WALK_STATE_LIMIT:
-            walk = self.walk_search.search(span)
-        else:
+        limit = WALK_STATE_LIMIT if lp_tools_installed() else None
+        try:
+            walk = self.walk_search.search(span, limit)
+        except GuardExceeded:
             ms = solve_flow(self.digraph, self.reduction.type_graph, span, stats=stats)
             walk = None if ms is None else euler_walk(ms, self.digraph)
         if walk is None:

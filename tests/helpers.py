@@ -16,7 +16,19 @@ from ndchan import (
     NdPartition,
     WeightedGraph,
 )
+from ndchan import solver
 from ndchan.decomposition import CLIQUE, INDEPENDENT
+from ndchan.errors import GuardExceeded
+
+
+def send_probes_to_ilp(mp) -> None:
+    """Make every walk search give up at once through `mp` (a pytest
+    MonkeyPatch), so that each component probe goes to the flow ILP."""
+
+    def give_up(self, span, max_states=None):
+        raise GuardExceeded("walk search turned off")
+
+    mp.setattr(solver._WalkSearch, "search", give_up)
 
 
 def path_graph(n: int) -> Graph:

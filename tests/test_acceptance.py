@@ -50,6 +50,7 @@ from helpers import (
     lp_min_span_brute,
     path_graph,
     random_graph,
+    send_probes_to_ilp,
     sequence_conditions_hold,
     star_graph,
     uniform_instance,
@@ -194,23 +195,28 @@ def test_criterion_2_vc_route_oracle_equivalence(vc_route_records):
 @contextlib.contextmanager
 def _engine(name):
     """Route every component probe to one engine: "walk" for the walk
-    search, "ilp" for solve_flow and the Euler walk."""
-    limit = {"walk": float("inf"), "ilp": 0}[name]
+    search, "ilp" for solve_flow and the Euler walk, "switch" for the walk
+    search under a state limit of 3, so that most searches stop part way
+    and hand their probe to the ILP (with or without scipy)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "WALK_STATE_LIMIT", limit)
+        if name == "ilp":
+            send_probes_to_ilp(mp)
+        elif name == "walk":
+            mp.setattr(solver, "WALK_STATE_LIMIT", None)
+        else:
+            mp.setattr(solver, "WALK_STATE_LIMIT", 3)
+            mp.setattr(solver, "lp_tools_installed", lambda: True)
         yield
 
 
-def _differential(wg, span, solve):
-    """Both engines and the oracle give one verdict, and each labeling
+def _differential(wg, span, solve, engines=("walk", "ilp")):
+    """The engines and the oracle give one verdict, and each labeling
     passes verify_assignment.  Returns whether the span is feasible."""
-    with _engine("walk"):
-        walk = solve()
-    with _engine("ilp"):
-        ilp = solve()
     oracle = brute_force_ca(wg, span, guard=ORACLE_GUARD)
-    assert (walk is None) == (ilp is None) == (oracle is None), (wg.weights, span)
-    for labeling in (walk, ilp):
+    for name in engines:
+        with _engine(name):
+            labeling = solve()
+        assert (labeling is None) == (oracle is None), (name, wg.weights, span)
         if labeling is not None:
             assert verify_assignment(wg, labeling).ok
     return oracle is not None
@@ -243,7 +249,9 @@ def test_differential_engines_on_random_uniform_instances(seed, span):
         random.Random(seed), max_types=3, max_size=3, max_weight=3
     )
     assume(wg.graph.n <= 7)
-    _differential(wg, span, lambda: solve_ca_uniform(wg, partition, span))
+    _differential(
+        wg, span, lambda: solve_ca_uniform(wg, partition, span), ("walk", "ilp", "switch")
+    )
 
 
 def test_criterion_3_labeling_pipeline_minimum_spans(labeling_fixture_records):

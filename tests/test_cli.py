@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ndchan.cli import main
+from helpers import send_probes_to_ilp
 
 
 def write_instance(tmp_path, payload, name="instance.json"):
@@ -114,13 +115,16 @@ class TestSolve:
         assert code == 2
 
     def test_iteration_cap_env(self, tmp_path, capsys, monkeypatch):
+        # the cap bounds the ILP's cut loop, so the probe is sent to the ILP;
+        # P3 at span 1 needs cuts with and without scipy
+        send_probes_to_ilp(monkeypatch)
+        path = write_instance(tmp_path, '{"n":3,"edges":[[0,1,1],[1,2,1]]}')
+        code, _, _ = run(capsys, ["solve", "--instance", path, "--lambda", "1"])
+        assert code == 0
         monkeypatch.setenv("NDCHAN_ITER_CAP", "0")
-        path = write_instance(
-            tmp_path, '{"n":3,"edges":[[0,1,2],[0,2,2],[1,2,2]]}'
-        )
-        code, _, err = run(capsys, ["solve", "--instance", path, "--lambda", "4"])
-        # a zero cap trips the internal sanity error unless no cuts are needed
-        assert code in (0, 70)
+        code, _, err = run(capsys, ["solve", "--instance", path, "--lambda", "1"])
+        assert code == 70
+        assert "iteration cap of 0" in err
 
 
 class TestLabel:

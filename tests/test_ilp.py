@@ -12,7 +12,14 @@ from ndchan import (
     solve_feasibility,
 )
 from ndchan.errors import GuardExceeded
-from ndchan.ilp import EQ, LE, dump_model, refute_by_certificate, relaxation_point
+from ndchan.ilp import (
+    EQ,
+    LE,
+    dump_model,
+    lp_tools_installed,
+    refute_by_certificate,
+    relaxation_point,
+)
 
 
 def box_enumerate(model):
@@ -218,6 +225,7 @@ class TestRelaxationTools:
         model = IlpModel(2, (2, 2), (Constraint.build([(0, 1), (1, 1)], EQ, 9),))
         assert relaxation_point(model) is None
         assert not refute_by_certificate(model)
+        assert not lp_tools_installed()
 
     @given(st.integers(0, 9999))
     @settings(max_examples=60, deadline=None)

@@ -26,7 +26,7 @@ from ndchan import (
 )
 from ndchan.decomposition import CLIQUE, INDEPENDENT, TypeGraph
 from ndchan import solver
-from ndchan.errors import InternalSolverError
+from ndchan.errors import GuardExceeded, InternalSolverError
 from ndchan.ilp import EQ, solve_feasibility
 from ndchan.oracle import brute_force_ca
 from ndchan.solver import SolveStats, Walk
@@ -289,14 +289,18 @@ class TestSolveCaUniform:
 
 
 class TestEngineRouter:
-    def test_state_bound(self):
-        # one clique type of size 3 with loop weight 2: windows (0,0), (1,0)
-        # and (0,1); five steps at span 4; counts 0..3
+    def test_state_limit(self):
+        # one clique type of size 3 with loop weight 2: the span-4 walk
+        # enters five states without a dead end; at span 3 the three copies
+        # need five positions, which refutes it before any state is entered
         _, reduction, digraph = uniform_pipeline(k3_instance())
         search = solver._WalkSearch(digraph, reduction.type_graph)
-        assert search.state_bound(4) == 3 * 5 * 4
+        with pytest.raises(GuardExceeded):
+            search.search(4, 4)
+        assert search.search(4, 5) is not None
+        assert search.search(3, 0) is None
 
-    def test_small_bound_takes_the_walk_search(self, monkeypatch):
+    def test_small_search_takes_the_walk_search(self, monkeypatch):
         def no_ilp(*args, **kwargs):
             raise AssertionError("the ILP ran under the state limit")
 
@@ -306,7 +310,7 @@ class TestEngineRouter:
         labeling = solve_ca_uniform(wg, nd_partition(wg.graph), 4)
         assert verify_assignment(wg, labeling).ok
 
-    def test_bound_over_the_limit_takes_the_ilp(self, monkeypatch):
+    def test_search_over_the_limit_takes_the_ilp(self, monkeypatch):
         spans = []
         original = solver.solve_flow
 
@@ -315,12 +319,24 @@ class TestEngineRouter:
             return original(d, tg, span, **kwargs)
 
         monkeypatch.setattr(solver, "solve_flow", recorded)
-        monkeypatch.setattr(solver, "WALK_STATE_LIMIT", 0)
+        monkeypatch.setattr(solver, "WALK_STATE_LIMIT", 4)
+        monkeypatch.setattr(solver, "lp_tools_installed", lambda: True)
         wg = k3_instance()
         assert solve_ca_uniform(wg, nd_partition(wg.graph), 3) is None
         labeling = solve_ca_uniform(wg, nd_partition(wg.graph), 4)
         assert verify_assignment(wg, labeling).ok
-        assert spans == [3, 4]
+        assert spans == [4]
+
+    def test_no_limit_without_lp_tools(self, monkeypatch):
+        def no_ilp(*args, **kwargs):
+            raise AssertionError("the ILP ran without its LP tools")
+
+        monkeypatch.setattr(solver, "solve_flow", no_ilp)
+        monkeypatch.setattr(solver, "WALK_STATE_LIMIT", 4)
+        monkeypatch.setattr(solver, "lp_tools_installed", lambda: False)
+        wg = k3_instance()
+        labeling = solve_ca_uniform(wg, nd_partition(wg.graph), 4)
+        assert verify_assignment(wg, labeling).ok
 
 
 class TestSolveCaVc:
