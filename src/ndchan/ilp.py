@@ -4,9 +4,10 @@ The solver is a depth-first branch-and-bound with bounds-consistency
 propagation: every constraint keeps incrementally-maintained minimum and
 maximum activities, and each visit tightens the variable domains as far as
 the activity slack allows.  All arithmetic is exact Python integer
-arithmetic.  Branching picks the unfixed variable with the smallest domain
-(ties to the lowest index) and tries values in ascending order, so results
-are deterministic for a fixed model.
+arithmetic.  Branching picks the unfixed variable whose domain is smallest
+relative to the failure weight of its constraints (dom/wdeg; ties to the
+lowest index) and tries values in ascending order, or descending on
+request, so results are deterministic for a fixed model and options.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class Constraint:
             merged[var] = merged.get(var, 0) + coef
         cleaned = tuple(sorted((v, c) for v, c in merged.items() if c != 0))
         return cls(cleaned, relation, rhs)
-
-    @classmethod
-    def from_dense(cls, coeffs, relation: str, rhs: int) -> "Constraint":
-        return cls.build(list(enumerate(coeffs)), relation, rhs)
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,6 @@ def solve_feasibility(
     *,
     max_nodes: int | None = None,
     descending: bool = False,
-    shaving: bool = False,
-    restarts: bool = False,
-    priority: tuple[int, ...] | None = None,
     phase: tuple[int, ...] | None = None,
     selector=None,
     wide_ascending: int | None = None,
@@ -111,21 +105,16 @@ def solve_feasibility(
 
     max_nodes guards runaway searches; exceeding it raises GuardExceeded
     rather than returning a wrong answer.  descending=True flips the value
-    order to largest-first and shaving=True probes domain ends at the root;
-    both suit models dominated by small-rhs covering equalities.  restarts
-    abandons the tree on a doubling node schedule while keeping the learned
-    failure weights.  priority pins the branching order to the given
-    variable sequence (first unfixed wins; unlisted variables come last by
-    failure weight); selector goes further and picks the branch variable
-    dynamically from the current bounds (falling back to the default rule
-    when it returns None).  phase supplies preferred first values per
-    variable, e.g. a previous solution of a related model.  wide_ascending
-    keeps the descending order only for domains at most that wide and goes
-    ascending on wider ones, which suits models whose wide variables are
-    slack-like and get pinned by propagation anyway.  The defaults match
-    plain smallest-domain ascending search.  stats_out receives a node
-    count under "nodes" when provided.  None of the ordering options affect
-    which answers are possible, only the search order.
+    order to largest-first, which suits models dominated by small-rhs
+    covering equalities.  selector picks the branch variable dynamically
+    from the current bounds (falling back to dom/wdeg when it returns
+    None).  phase supplies preferred first values per variable, e.g. a
+    previous solution of a related model.  wide_ascending keeps the
+    descending order only for domains at most that wide and goes ascending
+    on wider ones, which suits models whose wide variables are slack-like
+    and get pinned by propagation anyway.  stats_out receives a node count
+    under "nodes" when provided.  None of the ordering options affect which
+    answers are possible, only the search order.
     """
     nvar = model.var_count
     lo = [0] * nvar
@@ -255,43 +244,10 @@ def solve_feasibility(
         if stats_out is not None:
             stats_out["nodes"] = stats_out.get("nodes", 0) + nodes
 
-    def shave() -> bool:
-        # root-level singleton consistency: probe each domain end, keep
-        # whatever the failed probes exclude
-        changed = True
-        while changed:
-            changed = False
-            for j in range(nvar):
-                if lo[j] == hi[j]:
-                    continue
-                mark = len(trail)
-                ok = set_bounds(j, hi[j], hi[j]) and propagate()
-                backtrack_to(mark)
-                clear_pending()
-                if not ok:
-                    if not (set_bounds(j, lo[j], hi[j] - 1) and propagate()):
-                        return False
-                    changed = True
-                    if lo[j] == hi[j]:
-                        continue
-                mark = len(trail)
-                ok = set_bounds(j, lo[j], lo[j]) and propagate()
-                backtrack_to(mark)
-                clear_pending()
-                if not ok:
-                    if not (set_bounds(j, lo[j] + 1, hi[j]) and propagate()):
-                        return False
-                    changed = True
-        return True
-
     for ci in range(ncon):
         in_pending[ci] = True
         pending.append(ci)
     if not propagate():
-        clear_pending()
-        record()
-        return None
-    if shaving and not shave():
         clear_pending()
         record()
         return None
@@ -301,10 +257,6 @@ def solve_feasibility(
             j = selector(lo, hi)
             if j is not None and hi[j] > lo[j]:
                 return j
-        if priority is not None:
-            for j in priority:
-                if hi[j] > lo[j]:
-                    return j
         # dom/wdeg: smallest domain relative to accumulated failure weight
         best_j = -1
         best_num = 0
@@ -336,55 +288,35 @@ def solve_feasibility(
                 values.insert(0, pv)
         return values
 
-    root_mark = len(trail)
-    restart_limit = 500 if restarts else None
+    stack: list[list] = []  # frames [var, value list, next index, trail mark]
     while True:
-        # one complete depth-first search, abandoned at the restart limit
-        # with the learned failure weights kept for the next attempt
-        local_nodes = 0
-        stack: list[list] = []  # frames [var, value list, next index, trail mark]
-        exhausted = False
-        while True:
-            j = select()
-            if j < 0:
-                return finish()
-            stack.append([j, value_order(j), 0, len(trail)])
-            descended = False
-            while stack:
-                frame = stack[-1]
-                backtrack_to(frame[3])
-                clear_pending()
-                fj, values, idx = frame[0], frame[1], frame[2]
-                if idx >= len(values):
-                    # parent frames already store their next untried value
-                    stack.pop()
-                    continue
-                v = values[idx]
-                frame[2] += 1
-                if v < lo[fj] or v > hi[fj]:
-                    continue
-                nodes += 1
-                local_nodes += 1
-                if max_nodes is not None and nodes > max_nodes:
-                    record()
-                    raise GuardExceeded(
-                        f"search node count exceeds guard of {max_nodes}"
-                    )
-                if set_bounds(fj, v, v) and propagate():
-                    descended = True
-                    break
-                clear_pending()
-            if not descended:
-                exhausted = True
+        j = select()
+        if j < 0:
+            return finish()
+        stack.append([j, value_order(j), 0, len(trail)])
+        while stack:
+            frame = stack[-1]
+            backtrack_to(frame[3])
+            clear_pending()
+            fj, values, idx, _ = frame
+            if idx >= len(values):
+                # parent frames already store their next untried value
+                stack.pop()
+                continue
+            v = values[idx]
+            frame[2] += 1
+            if v < lo[fj] or v > hi[fj]:
+                continue
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                record()
+                raise GuardExceeded(f"search node count exceeds guard of {max_nodes}")
+            if set_bounds(fj, v, v) and propagate():
                 break
-            if restart_limit is not None and local_nodes >= restart_limit:
-                break
-        if exhausted:
+            clear_pending()
+        else:
             record()
             return None
-        backtrack_to(root_mark)
-        clear_pending()
-        restart_limit *= 2
 
 
 @functools.cache

@@ -57,9 +57,6 @@ class ShiftDigraph:
             inc[dst].append(ei)
         return tuple(tuple(es) for es in inc)
 
-    def first_coordinate(self, node: int) -> int:
-        return self.windows[node][0]
-
     def window_code(self, node: int) -> int:
         """Fixed-width encoding, earlier positions in higher bits."""
         code = 0

@@ -173,30 +173,66 @@ def build_flow_model(d: ShiftDigraph, tg: TypeGraph, span: int):
     return model, d.edges
 
 
-def _component_cut(d: ShiftDigraph, offender: int, component, big_m: int) -> Constraint:
-    """Demand the offending edge only be used when the component boundary is."""
-    cut_terms = [(offender, 1)]
-    for ei, (a, b) in enumerate(d.edges):
-        if (a in component) != (b in component):
-            cut_terms.append((ei, -big_m))
-    return Constraint.build(cut_terms, LE, 0)
+def _detached_components(values, d: ShiftDigraph, big_m: int, capacity=None):
+    """Weakly connected components of the support of `values` that miss the
+    all-empty window, in union-find root order.
+
+    Each comes as (nodes, offenders): offenders are the component's support
+    edges in index order, each with its cut coefficient, which is big_m
+    shrunk to the source window's visit capacity when capacities are given
+    (the offender's provable maximum propagates much better than the
+    generic walk length).
+    """
+    support = [ei for ei, v in enumerate(values) if v > 0]
+    parent: dict[int, int] = {}
+
+    def find(x):
+        r = x
+        while parent[r] != r:
+            r = parent[r]
+        while parent[x] != r:
+            parent[x], x = r, parent[x]
+        return r
+
+    for ei in support:
+        a, b = d.edges[ei]
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    empty_root = find(d.empty_index) if d.empty_index in parent else None
+
+    nodes: dict[int, set[int]] = {}
+    for node in parent:
+        root = find(node)
+        if root != empty_root:
+            nodes.setdefault(root, set()).add(node)
+    offenders: dict[int, list[tuple[int, int]]] = {root: [] for root in nodes}
+    for ei in support:
+        src = d.edges[ei][0]
+        root = find(src)
+        if root in offenders:
+            m = big_m
+            if capacity is not None and capacity[src] >= 0:
+                m = min(m, max(1, capacity[src]))
+            offenders[root].append((ei, m))
+    return [(nodes[root], offenders[root]) for root in sorted(nodes)]
 
 
-def _component_cut_pair(d: ShiftDigraph, offender: int, component, big_m: int):
-    """One-sided variants: a used component must be both entered and left.
-
-    Each is valid on its own and the pair dominates the two-sided boundary
-    form, halving what a fractional solution can hide behind."""
-    into = [(offender, 1)]
-    out_of = [(offender, 1)]
+def _boundary(d: ShiftDigraph, component) -> tuple[list[int], list[int]]:
+    """Digraph edges entering and leaving the node set, in index order."""
+    into, out_of = [], []
     for ei, (a, b) in enumerate(d.edges):
         inside_a = a in component
-        inside_b = b in component
-        if inside_b and not inside_a:
-            into.append((ei, -big_m))
-        elif inside_a and not inside_b:
-            out_of.append((ei, -big_m))
-    return [Constraint.build(into, LE, 0), Constraint.build(out_of, LE, 0)]
+        if inside_a != (b in component):
+            (out_of if inside_a else into).append(ei)
+    return into, out_of
+
+
+def _cut(offender: int, crossing, big_m: int) -> Constraint:
+    """Demand the offending edge only be used when a crossing edge is."""
+    return Constraint.build([(offender, 1)] + [(ei, -big_m) for ei in crossing], LE, 0)
 
 
 def connectivity_violation(values, d: ShiftDigraph, big_m: int, capacity=None):
@@ -206,108 +242,34 @@ def connectivity_violation(values, d: ShiftDigraph, big_m: int, capacity=None):
     window.  Otherwise picks the first support edge inside an offending
     component K and demands it only be used when some digraph edge crossing
     the K boundary is used too.  When window visit capacities are supplied,
-    the cut coefficient shrinks to the offender's provable maximum, which
-    propagates much better than the generic walk length.
+    the cut coefficient shrinks to the offender's provable maximum.
     """
-    support = [ei for ei, v in enumerate(values) if v > 0]
-    if not support:
+    detached = _detached_components(values, d, big_m, capacity)
+    if not detached:
         return None
-
-    parent: dict[int, int] = {}
-
-    def find(x):
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    for ei in support:
-        a, b = d.edges[ei]
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    empty_root = find(d.empty_index) if d.empty_index in parent else None
-    offender = None
-    for ei in support:
-        if empty_root is None or find(d.edges[ei][0]) != empty_root:
-            offender = ei
-            break
-    if offender is None:
-        return None
-
-    bad_root = find(d.edges[offender][0])
-    component = {node for node in parent if find(node) == bad_root}
-    if capacity is not None:
-        src_cap = capacity[d.edges[offender][0]]
-        if src_cap >= 0:
-            big_m = min(big_m, max(1, src_cap))
-    return _component_cut(d, offender, component, big_m)
+    # the component of the first support edge that misses the window
+    component, offenders = min(detached, key=lambda entry: entry[1][0][0])
+    offender, m = offenders[0]
+    into, out_of = _boundary(d, component)
+    return _cut(offender, into + out_of, m)
 
 
 def _all_violated_cuts(values, d: ShiftDigraph, big_m: int, capacity=None, per_edge=True):
     """Cuts for every component missing the empty window, for every support
     edge of the component when per_edge is set.
 
-    connectivity_violation reports one violated cut; the solve loop converges
-    much faster when each round removes every offending component outright.
+    Each cut is the one-sided pair: a used component must be both entered
+    and left.  Each is valid on its own and the pair dominates the two-sided
+    boundary form of connectivity_violation, halving what a fractional
+    solution can hide behind; the solve loop converges much faster when
+    each round removes every offending component outright.
     """
-    first = connectivity_violation(values, d, big_m, capacity)
-    if first is None:
-        return []
-
-    parent: dict[int, int] = {}
-
-    def find(x):
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    support = [ei for ei, v in enumerate(values) if v > 0]
-    for ei in support:
-        a, b = d.edges[ei]
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    empty_root = find(d.empty_index) if d.empty_index in parent else None
-
-    components: dict[int, set[int]] = {}
-    for node in parent:
-        root = find(node)
-        if empty_root is None or root != empty_root:
-            components.setdefault(root, set()).add(node)
-
     cuts = []
-    for root in sorted(components):
-        component = components[root]
-        for ei in support:
-            src = d.edges[ei][0]
-            if src in component:
-                m = big_m
-                if capacity is not None and capacity[src] >= 0:
-                    m = min(m, max(1, capacity[src]))
-                cuts.extend(_component_cut_pair(d, ei, component, m))
-                if not per_edge:
-                    break
+    for component, offenders in _detached_components(values, d, big_m, capacity):
+        into, out_of = _boundary(d, component)
+        for ei, m in offenders if per_edge else offenders[:1]:
+            cuts += [_cut(ei, into, m), _cut(ei, out_of, m)]
     return cuts
-
-
-def _iteration_cap(d: ShiftDigraph, override: int | None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(ITER_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return 10 * max(1, len(d.edges))
 
 
 def _window_capacity(window, sizes) -> int | None:
@@ -467,9 +429,7 @@ def _strengthen_model(
         Constraint.build([(ei, -1) for ei in d.out_edges[d.empty_index]], LE, -1)
     )
 
-    for c in extra:
-        model = add_constraint(model, c)
-    return model
+    return IlpModel(model.var_count, model.upper_bounds, model.constraints + tuple(extra))
 
 
 def _frontier_selector(d: ShiftDigraph):
@@ -552,7 +512,6 @@ def solve_flow(
     tg: TypeGraph,
     span: int,
     *,
-    iteration_cap: int | None = None,
     stats: SolveStats | None = None,
 ):
     """Solve the flow model, adding connectivity cuts until the support is
@@ -567,7 +526,7 @@ def solve_flow(
     model = _strengthen_model(model, pruned, tg, capacity, span)
     selector = _frontier_selector(pruned)
     big_m = span + d.window_length + 1
-    cap = _iteration_cap(d, iteration_cap)
+    cap = int(os.environ.get(ITER_CAP_ENV, 10 * max(1, len(d.edges))))
     rounds = 0
 
     # cheap root rounds first: separate cuts from relaxation vertices while
@@ -575,6 +534,10 @@ def solve_flow(
     for _ in range(min(cap, 25)):
         point = relaxation_point(model)
         if point is None:
+            # no LP tools, or an LP without a solution, most often an
+            # infeasible one: then a certificate refutes without any search
+            if refute_by_certificate(model):
+                return None
             break
         support = [1 if v > 1e-4 else 0 for v in point]
         cuts = _all_violated_cuts(support, pruned, big_m, capacity, per_edge=False)
@@ -843,17 +806,20 @@ class _WalkSearch:
 
 
 # Most states one walk search may enter before its probe goes to the ILP,
-# set at the crossover measured on refutations, and applied only where the
-# ILP has its LP tools (lp_tools_installed).  The walk search enters about
-# 4e5 states a second (1e5 in 0.2-0.25 s) and keeps one int per dead state.
-# With scipy, refuting the span just under the least one took the ILP
-# 0.1-0.3 s on every instance tried (stars, K_{n,n}, K_{n,n,n}, K_{n,n,n,n}
-# and more classes under L(2,1) and L(3,2), up to 3e6 walk-search states).
-# Without scipy the same refutations took it 88-95 s (K20,20 under L(3,2),
-# K1,128 under L(2,1)) where the walk search took 0.1 s or less.  Feasible
-# probes are where the ILP is slow either way (55 s on K3,3,3,3 under
-# L(3,2)); the walk search found every feasible walk tried without a dead
-# end.
+# applied only where the ILP has its LP tools (lp_tools_installed).  The
+# walk search enters about 4e5 states a second (1e5 in 0.2-0.25 s) and
+# keeps one int per dead state.  It was set where the ILP became the faster
+# engine on refutations of large classes, when each took the ILP 0.1-0.3 s,
+# mostly a budgeted branch-and-bound running out before the certificate.
+# Every such refutation tried (complete multipartite graphs under L(2,1)
+# and L(3,2), up to 3e6 walk-search states) has an infeasible root
+# relaxation, which solve_flow refutes by certificate before any search in
+# 0.01-0.02 s, so the crossover may lie lower; it is not re-measured yet.
+# Without scipy the same refutations took the ILP 88-95 s (K20,20 under
+# L(3,2), K1,128 under L(2,1)) where the walk search took 0.1 s or less.
+# Feasible probes are where the ILP is slow either way (55 s on K3,3,3,3
+# under L(3,2)); the walk search found every feasible walk tried without a
+# dead end.
 WALK_STATE_LIMIT = 100_000
 
 

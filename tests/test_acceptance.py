@@ -10,6 +10,7 @@ the sampled label spaces.
 import contextlib
 import random
 import time
+from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -429,6 +430,96 @@ def test_criterion_8_lazy_cut_sanity():
     _passed(
         "criterion 8 (lazy-cut sanity)",
         f"constructed violation cut + loop runs with {stats3.cuts_added} cuts",
+    )
+
+
+def _detached_cycle(d, avoid):
+    """Edge indices of a cycle of d through no node in `avoid`, or None."""
+    for start in range(len(d.windows)):
+        if start in avoid:
+            continue
+        parent = {}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for ei in d.out_edges[node]:
+                dst = d.edges[ei][1]
+                if dst == start:
+                    cycle = [ei]
+                    while node != start:
+                        cycle.append(parent[node])
+                        node = d.edges[parent[node]][0]
+                    return cycle
+                if dst not in avoid and dst not in parent:
+                    parent[dst] = ei
+                    queue.append(dst)
+    return None
+
+
+def _violated(cut, values):
+    return sum(coef * values[var] for var, coef in cut.terms) > cut.rhs
+
+
+def test_cut_separators_on_walk_supports(uniform_route_records):
+    # supports of walks the walk search finds are connected through the
+    # all-empty window, so neither separator may cut them; a cycle added
+    # away from the walk must be cut, and only that cycle
+    supports = detached = 0
+    for rec in uniform_route_records:
+        if rec["labeling"] is None:
+            continue
+        span = rec["span"]
+        for pipeline, _ in solver._build_pipelines(rec["wg"], rec["partition"]):
+            full = pipeline.digraph
+            tg = pipeline.reduction.type_graph
+            walk = pipeline.walk_search.search(span)
+            assert walk is not None
+            d, capacity, edge_map = solver._pruned_digraph(full, tg, span)
+            index = {pair: ei for ei, pair in enumerate(full.edges)}
+            pruned_index = {full_ei: ei for ei, full_ei in enumerate(edge_map)}
+            values = [0] * len(d.edges)
+            for pair in zip(walk.nodes, walk.nodes[1:]):
+                values[pruned_index[index[pair]]] += 1
+            big_m = span + d.window_length + 1
+            assert connectivity_violation(values, d, big_m, capacity) is None
+            assert solver._all_violated_cuts(values, d, big_m, capacity) == []
+            supports += 1
+
+            touched = {d.empty_index}
+            for ei, v in enumerate(values):
+                if v:
+                    touched.update(d.edges[ei])
+            cycle = _detached_cycle(d, touched)
+            if cycle is None:
+                continue
+            detached += 1
+            for ei in cycle:
+                values[ei] += 1
+            nodes = {d.edges[ei][0] for ei in cycle}
+            boundary = {
+                ei for ei, (a, b) in enumerate(d.edges) if (a in nodes) != (b in nodes)
+            }
+            cut = connectivity_violation(values, d, big_m, capacity)
+            assert cut is not None and _violated(cut, values)
+            offender = [var for var, coef in cut.terms if coef == 1]
+            assert len(offender) == 1 and offender[0] in cycle
+            assert {var for var, _ in cut.terms} == boundary | set(offender)
+            cuts = solver._all_violated_cuts(values, d, big_m, capacity)
+            assert len(cuts) == 2 * len(cycle)
+            assert all(_violated(c, values) for c in cuts)
+            for into, out_of in zip(cuts[::2], cuts[1::2]):
+                (first,) = [var for var, coef in into.terms if coef == 1]
+                assert first in cycle
+                assert [var for var, coef in out_of.terms if coef == 1] == [first]
+                crossing = {var for var, _ in into.terms + out_of.terms} - {first}
+                assert crossing == boundary
+            assert len(
+                solver._all_violated_cuts(values, d, big_m, capacity, per_edge=False)
+            ) == 2
+    assert detached > 0
+    _passed(
+        "cut separators on walk supports",
+        f"{supports} connected supports, {detached} with a detached cycle",
     )
 
 

@@ -61,10 +61,6 @@ class TestConstraint:
         c = Constraint.build([(0, 1), (0, -1), (1, 2)], LE, 3)
         assert c.terms == ((1, 2),)
 
-    def test_from_dense(self):
-        c = Constraint.from_dense([3, 0, -1], LE, 7)
-        assert c.terms == ((0, 3), (2, -1))
-
     def test_rejects_unknown_relation(self):
         with pytest.raises(ValueError):
             Constraint(((0, 1),), ">=", 0)
@@ -139,10 +135,7 @@ class TestSolveFeasibility:
         baseline = solve_feasibility(model) is not None
         variants = [
             dict(descending=True),
-            dict(shaving=True),
-            dict(restarts=True),
-            dict(descending=True, restarts=True, shaving=True),
-            dict(priority=tuple(range(model.var_count))),
+            dict(descending=True, wide_ascending=1),
             dict(phase=tuple(min(1, ub) for ub in model.upper_bounds)),
             dict(selector=lambda lo, hi: next(
                 (j for j in range(len(lo)) if hi[j] > lo[j]), None

@@ -167,6 +167,18 @@ class TestSolveFlow:
         partition, reduction, digraph = uniform_pipeline(wg)
         assert solve_flow(digraph, reduction.type_graph, 3) is None
 
+    def test_infeasible_relaxation_is_refuted_without_search(self, monkeypatch):
+        # the three copies of K3 need five positions at weight 2, which the
+        # strengthened model's relaxation already rules out at span 3
+        pytest.importorskip("scipy")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a probe with an infeasible relaxation was searched")
+
+        monkeypatch.setattr(solver, "solve_feasibility", no_search)
+        _, reduction, digraph = uniform_pipeline(k3_instance())
+        assert solve_flow(digraph, reduction.type_graph, 3) is None
+
     def test_bipartite_k22_at_wmax(self):
         wg = WeightedGraph.from_edges(
             4, [(0, 2, 3), (0, 3, 3), (1, 2, 3), (1, 3, 3)]
