@@ -20,11 +20,11 @@ from .reduction import DistanceConstraints, labeling_to_ca
 from .shift_digraph import dump_digraph
 from .solver import (
     SolveStats,
+    _pipelines,
     build_flow_model,
     minimize_span,
     solve_ca_uniform,
     solve_ca_vc,
-    solve_labeling,
 )
 
 EXIT_FEASIBLE = 0
@@ -50,123 +50,80 @@ def _resolve_span(args, instance: InstanceFile) -> int:
     return span
 
 
-def _maybe_verify(args, wg, labeling: Labeling):
-    if not getattr(args, "verify", False) or labeling is None:
-        return
-    verdict = verify_assignment(wg, labeling)
-    if not verdict.ok:
-        raise InternalSolverError(
-            f"emitted labeling failed verification: edges {verdict.violated_edges}, "
-            f"out of range {verdict.out_of_range}"
-        )
+def _constraints(args, instance: InstanceFile) -> DistanceConstraints:
+    if args.p is not None:
+        return DistanceConstraints.parse(args.p)
+    if instance.constraints is not None:
+        return DistanceConstraints(instance.constraints)
+    raise InstanceFormatError("no distance constraints: pass --p or put 'p' in the instance")
 
 
-def _emit(outcome: SolveOutcome) -> int:
-    print(emit_result(outcome))
-    return EXIT_FEASIBLE if outcome.feasible else EXIT_INFEASIBLE
-
-
-def _dump_debug(args, wg, partition):
+def _dump_debug(args, wg, route, partition):
+    """Each component's shift digraph and flow model, as the solver builds them."""
     if not (getattr(args, "dump_digraph", False) or getattr(args, "dump_ilp", False)):
         return
-    from .solver import preprocess_reflexive
-    from .shift_digraph import build_shift_digraph
+    span = args.span if args.span is not None else trivial_upper_bound(wg)
+    _, _, pipelines = _pipelines(wg, route, partition)
+    for pipeline, _ in pipelines:
+        if args.dump_digraph:
+            print(dump_digraph(pipeline.digraph), file=sys.stderr)
+        if args.dump_ilp:
+            model, _ = build_flow_model(pipeline.digraph, pipeline.reduction.type_graph, span)
+            print(dump_model(model), file=sys.stderr)
 
-    ok, tg = check_uniform(wg, partition)
-    if not ok:
-        return
-    reduction = preprocess_reflexive(tg, partition)
-    digraph = build_shift_digraph(reduction.type_graph, reduction.type_graph.wmax)
-    if args.dump_digraph:
-        print(dump_digraph(digraph), file=sys.stderr)
-    if args.dump_ilp:
-        span = args.span if args.span is not None else trivial_upper_bound(wg)
-        model, _ = build_flow_model(digraph, reduction.type_graph, span)
-        print(dump_model(model), file=sys.stderr)
+
+def _run(args, instance, wg, route, partition) -> int:
+    """Decide or minimize on the route, verify if asked, and print the result."""
+    _dump_debug(args, wg, route, partition)
+    stats = SolveStats()
+    if args.minimize:
+        span, labeling = minimize_span(wg, route, partition, stats=stats)
+    else:
+        span = _resolve_span(args, instance)
+        if route == "uniform":
+            labeling = solve_ca_uniform(wg, partition, span, stats=stats)
+        else:
+            labeling = solve_ca_vc(wg, span, stats=stats)
+    if args.verify and labeling is not None:
+        verdict = verify_assignment(wg, labeling)
+        if not verdict.ok:
+            raise InternalSolverError(
+                f"emitted labeling failed verification: edges {verdict.violated_edges}, "
+                f"out of range {verdict.out_of_range}"
+            )
+    outcome = SolveOutcome(
+        labeling is not None,
+        span,
+        labeling.labels if labeling else None,
+        asdict(stats),
+        span if args.minimize else None,
+    )
+    print(emit_result(outcome))
+    return EXIT_FEASIBLE if outcome.feasible else EXIT_INFEASIBLE
 
 
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
     wg = instance.weighted_graph()
-    stats = SolveStats()
-
-    partition = None
     route = args.route
+    partition = None
     if route in ("uniform", "auto"):
         partition = nd_partition(wg.graph)
         ok, _ = check_uniform(wg, partition)
-        if not ok:
-            if route == "uniform":
-                raise InstanceFormatError(
-                    "instance is not nd-uniform; use --route vc or auto"
-                )
-            route = "vc"
-        else:
+        if ok:
             route = "uniform"
-
-    if partition is not None and route == "uniform":
-        _dump_debug(args, wg, partition)
-
-    if args.minimize:
-        best_span, labeling = minimize_span(
-            wg,
-            route,
-            partition if route == "uniform" else None,
-            stats=stats,
-        )
-        _maybe_verify(args, wg, labeling)
-        return _emit(
-            SolveOutcome(True, best_span, labeling.labels, asdict(stats), best_span)
-        )
-
-    span = _resolve_span(args, instance)
-    if route == "uniform":
-        labeling = solve_ca_uniform(wg, partition, span, stats=stats)
-    else:
-        labeling = solve_ca_vc(wg, span, stats=stats)
-    _maybe_verify(args, wg, labeling)
-    return _emit(
-        SolveOutcome(
-            labeling is not None,
-            span,
-            labeling.labels if labeling else None,
-            asdict(stats),
-        )
-    )
+        elif route == "uniform":
+            raise InstanceFormatError("instance is not nd-uniform; use --route vc or auto")
+        else:
+            route = "vc"
+    return _run(args, instance, wg, route, partition)
 
 
 def _cmd_label(args) -> int:
     instance = _read_instance(args.instance)
     g = instance.graph()
-    if args.p is not None:
-        constraints = DistanceConstraints.parse(args.p)
-    elif instance.constraints is not None:
-        constraints = DistanceConstraints(instance.constraints)
-    else:
-        raise InstanceFormatError("no distance constraints: pass --p or put 'p' in the instance")
-    stats = SolveStats()
-    wg = labeling_to_ca(g, constraints)
-
-    if args.minimize:
-        best_span, labeling = minimize_span(
-            wg, "uniform", nd_partition(g), stats=stats
-        )
-        _maybe_verify(args, wg, labeling)
-        return _emit(
-            SolveOutcome(True, best_span, labeling.labels, asdict(stats), best_span)
-        )
-
-    span = _resolve_span(args, instance)
-    labeling = solve_labeling(g, constraints, span, stats=stats)
-    _maybe_verify(args, wg, labeling)
-    return _emit(
-        SolveOutcome(
-            labeling is not None,
-            span,
-            labeling.labels if labeling else None,
-            asdict(stats),
-        )
-    )
+    wg = labeling_to_ca(g, _constraints(args, instance))
+    return _run(args, instance, wg, "uniform", nd_partition(g))
 
 
 def _cmd_nd(args) -> int:
@@ -192,13 +149,7 @@ def _cmd_nd(args) -> int:
 def _cmd_reduce(args) -> int:
     instance = _read_instance(args.instance)
     g = instance.graph()
-    if args.p is not None:
-        constraints = DistanceConstraints.parse(args.p)
-    elif instance.constraints is not None:
-        constraints = DistanceConstraints(instance.constraints)
-    else:
-        raise InstanceFormatError("no distance constraints: pass --p or put 'p' in the instance")
-    wg = labeling_to_ca(g, constraints)
+    wg = labeling_to_ca(g, _constraints(args, instance))
     reduced = InstanceFile(
         g.n,
         tuple(sorted((u, v, w) for (u, v), w in wg.weights.items())),

@@ -165,6 +165,14 @@ def type_graph(g: Graph, p: NdPartition) -> TypeGraph:
     return TypeGraph(sizes, frozenset(loops), frozenset(adjacency))
 
 
+def _inner_weights(wg: WeightedGraph, cls) -> set[int]:
+    """Weights of the edges inside a class; empty for an independent class."""
+    members = sorted(cls)
+    if len(members) < 2 or not wg.graph.has_edge(members[0], members[1]):
+        return set()
+    return {wg.weights[(u, v)] for a, u in enumerate(members) for v in members[a + 1 :]}
+
+
 def check_uniform(wg: WeightedGraph, p: NdPartition):
     """Test whether weights are constant per class pair (and inside clique classes).
 
@@ -178,12 +186,7 @@ def check_uniform(wg: WeightedGraph, p: NdPartition):
             return False, None
         weights[(i, j)] = seen.pop()
     for t in sorted(tg.loops):
-        members = sorted(p.classes[t])
-        seen = {
-            wg.weight(u, v)
-            for a, u in enumerate(members)
-            for v in members[a + 1 :]
-        }
+        seen = _inner_weights(wg, p.classes[t])
         if len(seen) != 1:
             return False, None
         weights[(t, t)] = seen.pop()
@@ -245,9 +248,16 @@ def vc_partition(g: Graph, u: VertexCover) -> NdPartition:
 
 def refine_uniform(wg: WeightedGraph, p: NdPartition) -> NdPartition:
     """Split classes by the weight tuple toward their neighbors until weights
-    are uniform; refining a decomposition keeps the decomposition axioms."""
+    are uniform; refining a decomposition keeps the decomposition axioms.
+
+    A clique class whose inner weights differ is split into singletons
+    first, since no split by outside weights makes those uniform.
+    """
     refined = []
     for cls, kind in zip(p.classes, p.kinds):
+        if len(_inner_weights(wg, cls)) > 1:
+            refined.extend((frozenset({v}), kind) for v in cls)
+            continue
         if len(cls) == 1:
             refined.append((cls, kind))
             continue

@@ -1,10 +1,13 @@
 """Channel assignment solving on uniform decompositions.
 
-Pipeline: split the instance into connected components, make each weighted
-type graph reflexive, and build the shift digraph with window length
-z = wmax.  Each span probe then looks for a closed walk of span + z + 1
-edges through the all-empty window whose per-type counts match the class
-sizes, with one of two exact engines:
+Front end: pick the route's partition (given, or from a minimum vertex
+cover refined to uniform weights), check it once with check_uniform, which
+condenses the instance to its weighted type graph, and split that graph
+into its connected parts over type adjacency; nothing after the check reads
+the vertex graph.  Each part's type graph is made reflexive and gets a
+shift digraph with window length z = wmax.  Each span probe then looks for
+a closed walk of span + z + 1 edges through the all-empty window whose
+per-type counts match the class sizes, with one of two exact engines:
 
 - first the walk search (_WalkSearch), a depth-first search over (step,
   window, per-type counts) with a memo of dead states;
@@ -34,12 +37,7 @@ from .decomposition import (
     vc_partition,
 )
 from .errors import GuardExceeded, InternalSolverError
-from .graph import (
-    Labeling,
-    WeightedGraph,
-    connected_components,
-    trivial_upper_bound,
-)
+from .graph import Labeling, WeightedGraph, trivial_upper_bound
 from .ilp import (
     EQ,
     LE,
@@ -824,11 +822,11 @@ WALK_STATE_LIMIT = 100_000
 
 
 class _ComponentPipeline:
-    """Prebuilt digraph and reduction for one connected component, reusable
-    across span probes."""
+    """Prebuilt digraph and reduction for one connected part of the type
+    graph, reusable across span probes."""
 
-    def __init__(self, wg, partition, tg, *, max_digraph_nodes=None):
-        self.vertex_count = wg.graph.n
+    def __init__(self, tg, partition, *, max_digraph_nodes=None):
+        self.vertex_count = sum(tg.sizes)
         self.reduction = preprocess_reflexive(tg, partition)
         self.z = self.reduction.type_graph.wmax
         self.digraph = build_shift_digraph(
@@ -857,64 +855,125 @@ class _ComponentPipeline:
         )
 
 
-def _component_instances(wg: WeightedGraph, partition: NdPartition):
-    """Split an instance into connected components with restricted partitions.
+def _type_parts(tg: TypeGraph, partition: NdPartition):
+    """Connected parts of the type graph over type adjacency.
 
-    Only classes of isolated vertices can span components, so intersecting
-    every class with the component keeps the decomposition axioms and the
-    weight uniformity.
+    Each part comes as (type graph restricted to it, partition on local
+    vertex ids, its vertices in local order).  No edge joins two parts, so
+    each is solved on its own.  A class of isolated vertices stays one
+    part: its vertices are unconstrained, and the reflexive reduction
+    labels them all from one kept vertex.
     """
-    out = []
-    for comp in connected_components(wg.graph):
-        comp_set = set(comp)
-        to_local = {v: i for i, v in enumerate(comp)}
-        triples = [
-            (to_local[u], to_local[v], w)
-            for (u, v), w in wg.weights.items()
-            if u in comp_set
-        ]
-        sub_wg = WeightedGraph.from_edges(len(comp), triples)
-        classes = []
-        kinds = []
-        for cls, kind in zip(partition.classes, partition.kinds):
-            inside = cls & comp_set
-            if inside:
-                classes.append(frozenset(to_local[v] for v in inside))
-                kinds.append(kind)
-        order = sorted(range(len(classes)), key=lambda i: min(classes[i]))
+    neighbors = [[] for _ in tg.sizes]
+    for i, j in tg.adjacency:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    seen = [False] * tg.node_count
+    parts = []
+    for first in range(tg.node_count):
+        if seen[first]:
+            continue
+        seen[first] = True
+        part = [first]
+        for t in part:  # the loop also visits the types it appends
+            for r in neighbors[t]:
+                if not seen[r]:
+                    seen[r] = True
+                    part.append(r)
+        part.sort()
+        local = {t: i for i, t in enumerate(part)}
+        vertices = sorted(v for t in part for v in partition.classes[t])
+        to_local = {v: i for i, v in enumerate(vertices)}
         sub_partition = NdPartition(
-            tuple(classes[i] for i in order), tuple(kinds[i] for i in order)
+            tuple(frozenset(to_local[v] for v in partition.classes[t]) for t in part),
+            tuple(partition.kinds[t] for t in part),
         )
-        out.append((sub_wg, sub_partition, comp))
-    return out
-
-
-def _build_pipelines(wg, partition, *, max_digraph_nodes=None):
-    pipelines = []
-    for sub_wg, sub_partition, comp in _component_instances(wg, partition):
-        ok, sub_tg = check_uniform(sub_wg, sub_partition)
-        if not ok:
-            raise InternalSolverError("component restriction lost weight uniformity")
-        pipelines.append(
-            (
-                _ComponentPipeline(
-                    sub_wg, sub_partition, sub_tg, max_digraph_nodes=max_digraph_nodes
-                ),
-                comp,
-            )
+        sub_tg = TypeGraph(
+            sizes=tuple(tg.sizes[t] for t in part),
+            loops=frozenset(local[t] for t in tg.loops if t in local),
+            adjacency=frozenset((local[i], local[j]) for i, j in tg.adjacency if i in local),
+            weights={(local[i], local[j]): w for (i, j), w in tg.weights.items() if i in local},
         )
-    return pipelines
+        parts.append((sub_tg, sub_partition, vertices))
+    return parts
 
 
-def _solve_on_pipelines(pipelines, vertex_count, span, stats):
-    labels: list[int | None] = [None] * vertex_count
-    for pipeline, comp in pipelines:
-        sub = pipeline.solve(span, stats)
-        if sub is None:
-            return None
-        for local, vertex in enumerate(comp):
-            labels[vertex] = sub.labels[local]
-    return Labeling(tuple(labels), span)
+def _pipelines(wg: WeightedGraph, route: str, partition, max_digraph_nodes=None):
+    """The route's partition, checked once, and one pipeline per connected
+    part of its type graph.
+
+    Returns (partition before weight refinement, refined partition, list of
+    (pipeline, the part's vertices)).  Raises ValueError on an unknown route,
+    a missing partition, or weights that are not uniform on the partition.
+    """
+    if route == "uniform":
+        if partition is None:
+            raise ValueError("uniform route requires a partition")
+        base = refined = partition
+    elif route == "vc":
+        base = vc_partition(wg.graph, min_vertex_cover(wg.graph))
+        refined = refine_uniform(wg, base)
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    ok, tg = check_uniform(wg, refined)
+    if not ok:
+        raise ValueError("edge weights are not uniform on the given partition")
+    pipelines = [
+        (_ComponentPipeline(sub_tg, sub_partition, max_digraph_nodes=max_digraph_nodes), vertices)
+        for sub_tg, sub_partition, vertices in _type_parts(tg, refined)
+    ]
+    return base, refined, pipelines
+
+
+def _solve(wg, route, partition, span, stats, max_digraph_nodes):
+    """Labeling at `span`, or (least span, labeling) when span is None.
+
+    Fills nd, types and digraph_nodes of stats and adds the call's wall
+    time, from the route's partition on, to solve_ms.
+    """
+    if span is not None and span < 0:
+        raise ValueError("span must be nonnegative")
+    start = time.perf_counter()
+    base, refined, pipelines = _pipelines(wg, route, partition, max_digraph_nodes)
+    if stats is not None:
+        stats.nd = base.count
+        stats.types = refined.count
+        stats.digraph_nodes += sum(len(p.digraph.windows) for p, _ in pipelines)
+
+    def probe(at):
+        labels: list[int | None] = [None] * wg.graph.n
+        for pipeline, vertices in pipelines:
+            sub = pipeline.solve(at, stats)
+            if sub is None:
+                return None
+            for local, vertex in enumerate(vertices):
+                labels[vertex] = sub.labels[local]
+        return Labeling(tuple(labels), at)
+
+    if span is not None:
+        result = probe(span)
+    else:
+        # any edge forces two labels wmax apart, so spans below wmax need no probe
+        lower = wg.wmax if wg.weights else 0
+        span = lower
+        best = probe(span)
+        if best is None:
+            span = trivial_upper_bound(wg)
+            best = probe(span)
+            if best is None:
+                raise InternalSolverError("trivial upper bound probe came back infeasible")
+            # walk down from the feasible side: infeasible probes are far more
+            # expensive than feasible ones, and only the last span needs refuting
+            while span > lower + 1:
+                candidate = probe(span - 1)
+                if candidate is None:
+                    break
+                best = candidate
+                span -= 1
+        result = span, best
+    if stats is not None:
+        stats.solve_ms += int((time.perf_counter() - start) * 1000)
+    return result
 
 
 def solve_ca_uniform(
@@ -927,25 +986,11 @@ def solve_ca_uniform(
 ):
     """Decide channel assignment at the given span on a uniform instance.
 
-    Connected components are solved independently and merged.  Raises
-    ValueError when the weights are not uniform with respect to the partition.
+    Connected parts of the type graph are solved independently and merged.
+    Raises ValueError when the weights are not uniform with respect to the
+    partition.
     """
-    if span < 0:
-        raise ValueError("span must be nonnegative")
-    ok, _ = check_uniform(wg, partition)
-    if not ok:
-        raise ValueError("edge weights are not uniform on the given partition")
-    if stats is not None:
-        stats.nd = partition.count
-        stats.types = partition.count
-    start = time.perf_counter()
-    pipelines = _build_pipelines(wg, partition, max_digraph_nodes=max_digraph_nodes)
-    if stats is not None:
-        stats.digraph_nodes += sum(len(p.digraph.windows) for p, _ in pipelines)
-    result = _solve_on_pipelines(pipelines, wg.graph.n, span, stats)
-    if stats is not None:
-        stats.solve_ms += int((time.perf_counter() - start) * 1000)
-    return result
+    return _solve(wg, "uniform", partition, span, stats, max_digraph_nodes)
 
 
 def solve_ca_vc(
@@ -957,16 +1002,7 @@ def solve_ca_vc(
 ):
     """Decide channel assignment via the vertex-cover decomposition with
     weight refinement; works on arbitrary weighted instances."""
-    cover = min_vertex_cover(wg.graph)
-    base = vc_partition(wg.graph, cover)
-    refined = refine_uniform(wg, base)
-    result = solve_ca_uniform(
-        wg, refined, span, stats=stats, max_digraph_nodes=max_digraph_nodes
-    )
-    if stats is not None:
-        stats.nd = base.count
-        stats.types = refined.count
-    return result
+    return _solve(wg, "vc", None, span, stats, max_digraph_nodes)
 
 
 def minimize_span(
@@ -985,50 +1021,7 @@ def minimize_span(
     feasibility is monotone in the span, so the last feasible probe is the
     least span.
     """
-    if route == "uniform":
-        if partition is None:
-            raise ValueError("uniform route requires a partition")
-        base = refined = partition
-    elif route == "vc":
-        cover = min_vertex_cover(wg.graph)
-        base = vc_partition(wg.graph, cover)
-        refined = refine_uniform(wg, base)
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    ok, _ = check_uniform(wg, refined)
-    if not ok:
-        raise ValueError("edge weights are not uniform on the given partition")
-    if stats is not None:
-        stats.nd = base.count
-        stats.types = refined.count
-    start = time.perf_counter()
-    pipelines = _build_pipelines(wg, refined, max_digraph_nodes=max_digraph_nodes)
-    if stats is not None:
-        stats.digraph_nodes += sum(len(p.digraph.windows) for p, _ in pipelines)
-
-    # any edge forces two labels wmax apart, so spans below wmax need no probe
-    lower = wg.wmax if wg.weights else 0
-    best = _solve_on_pipelines(pipelines, wg.graph.n, lower, stats)
-    if best is not None:
-        if stats is not None:
-            stats.solve_ms += int((time.perf_counter() - start) * 1000)
-        return lower, best
-
-    high = trivial_upper_bound(wg)
-    best = _solve_on_pipelines(pipelines, wg.graph.n, high, stats)
-    if best is None:
-        raise InternalSolverError("trivial upper bound probe came back infeasible")
-    # walk down from the feasible side: infeasible probes are far more
-    # expensive than feasible ones, and only the last span needs refuting
-    while high > lower + 1:
-        candidate = _solve_on_pipelines(pipelines, wg.graph.n, high - 1, stats)
-        if candidate is None:
-            break
-        best = candidate
-        high -= 1
-    if stats is not None:
-        stats.solve_ms += int((time.perf_counter() - start) * 1000)
-    return high, best
+    return _solve(wg, route, partition, None, stats, max_digraph_nodes)
 
 
 def solve_labeling(

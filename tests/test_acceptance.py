@@ -43,7 +43,7 @@ from ndchan.errors import GuardExceeded
 from ndchan.ilp import EQ, LE, Constraint, IlpModel, solve_feasibility
 from ndchan import solver
 from ndchan.oracle import brute_force_ca, brute_force_nd
-from ndchan.solver import SolveStats, connectivity_violation, _component_instances
+from ndchan.solver import SolveStats, connectivity_violation
 from helpers import (
     complete_graph,
     connected_bipartite_instance,
@@ -272,6 +272,31 @@ def test_criterion_3_labeling_pipeline_minimum_spans(labeling_fixture_records):
     )
 
 
+def test_minimize_span_refutes_at_most_two_probes(monkeypatch):
+    # the only spans minimize_span may find infeasible are the wmax probe
+    # and the span just under the least one
+    refuted = []
+    original = solver._ComponentPipeline.solve
+
+    def recorded(self, span, stats=None):
+        labeling = original(self, span, stats)
+        if labeling is None:
+            refuted.append(span)
+        return labeling
+
+    monkeypatch.setattr(solver._ComponentPipeline, "solve", recorded)
+    k20_20 = Graph.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40)])
+    cases = [(g, p) for _, g in FIXTURE_GRAPHS for p in FIXTURE_CONSTRAINTS]
+    cases.append((k20_20, (3, 2)))
+    for g, p in cases:
+        wg = labeling_to_ca(g, DistanceConstraints(p))
+        refuted.clear()
+        span, _ = minimize_span(wg, "uniform", nd_partition(g))
+        assert set(refuted) <= {wg.wmax, span - 1} and len(refuted) <= 2, (g, p)
+    assert span == 79  # K20,20 under L(3,2): each side 2 * 19, and 3 between them
+    _passed("minimize_span refutations", f"{len(cases)} instances, at most two each")
+
+
 def test_criterion_4_bipartite_minimum_is_wmax():
     rng = random.Random(0xB1B)
     checked = 0
@@ -336,14 +361,10 @@ def test_criterion_6_decomposition_bounds():
 def _duality_check(wg, partition, span):
     """Re-derive the walk for one feasible solve and re-verify the sequence
     conditions independently."""
-    ok, _ = check_uniform(wg, partition)
-    assert ok
-    for sub_wg, sub_partition, _ in _component_instances(wg, partition):
-        ok, sub_tg = check_uniform(sub_wg, sub_partition)
-        assert ok
-        reduction = preprocess_reflexive(sub_tg, sub_partition)
-        tg = reduction.type_graph
-        digraph = build_shift_digraph(tg, tg.wmax)
+    _, _, pipelines = solver._pipelines(wg, "uniform", partition)
+    for pipeline, _ in pipelines:
+        tg = pipeline.reduction.type_graph
+        digraph = pipeline.digraph
         multiset = solve_flow(digraph, tg, span)
         assert multiset is not None
         walk = euler_walk(multiset, digraph)
@@ -469,7 +490,8 @@ def test_cut_separators_on_walk_supports(uniform_route_records):
         if rec["labeling"] is None:
             continue
         span = rec["span"]
-        for pipeline, _ in solver._build_pipelines(rec["wg"], rec["partition"]):
+        _, _, pipelines = solver._pipelines(rec["wg"], "uniform", rec["partition"])
+        for pipeline, _ in pipelines:
             full = pipeline.digraph
             tg = pipeline.reduction.type_graph
             walk = pipeline.walk_search.search(span)

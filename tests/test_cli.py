@@ -105,6 +105,34 @@ class TestSolve:
         assert "# ilp" in err
         json.loads(out)  # stdout still clean JSON
 
+    def test_dump_has_one_digraph_per_component(self, tmp_path, capsys):
+        # two weight-2 edges: the solver builds two one-type digraphs
+        path = write_instance(tmp_path, '{"n":4,"edges":[[0,1,2],[2,3,2]]}')
+        code, out, err = run(
+            capsys, ["solve", "--instance", path, "--lambda", "2", "--dump-digraph"]
+        )
+        assert code == 0
+        headers = [line for line in err.splitlines() if line.startswith("# shift digraph")]
+        assert headers == ["# shift digraph: types=1 z=2 nodes=3 edges=5"] * 2
+        assert json.loads(out)["stats"]["digraph_nodes"] == 6
+
+    def test_dump_on_vc_fallback(self, tmp_path, capsys):
+        path = write_instance(
+            tmp_path, '{"n":3,"edges":[[0,1,1],[0,2,2],[1,2,3]]}'
+        )
+        code, out, err = run(
+            capsys,
+            ["solve", "--instance", path, "--lambda", "5", "--dump-digraph", "--dump-ilp"],
+        )
+        assert code == 0
+        nodes = [
+            int(line.split("nodes=")[1].split()[0])
+            for line in err.splitlines()
+            if line.startswith("# shift digraph")
+        ]
+        assert nodes and "# ilp" in err
+        assert sum(nodes) == json.loads(out)["stats"]["digraph_nodes"]
+
     def test_dimacs_input(self, tmp_path, capsys):
         path = write_instance(tmp_path, "p edge 3 3\ne 1 2 2\ne 2 3 2\ne 1 3 2\n", "g.col")
         code, out, _ = run(capsys, ["solve", "--instance", path, "--lambda", "4"])

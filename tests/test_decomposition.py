@@ -197,6 +197,37 @@ class TestRefineUniform:
         base = vc_partition(wg.graph, VertexCover(frozenset({0})))
         assert refine_uniform(wg, base).classes == base.classes
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1, 1), (0, 2, 2), (1, 2, 3)],
+            [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 2), (1, 3, 2), (2, 3, 3)],
+        ],
+    )
+    def test_clique_class_with_mixed_weights_splits(self, edges):
+        wg = WeightedGraph.from_edges(len({v for e in edges for v in e[:2]}), edges)
+        base = nd_partition(wg.graph)
+        assert base.count == 1 and base.kinds == (CLIQUE,)
+        refined = refine_uniform(wg, base)
+        assert refined.classes == tuple(frozenset({v}) for v in range(wg.graph.n))
+        ok, _ = check_uniform(wg, refined)
+        assert ok
+
+    def test_uniform_clique_class_stays_whole(self):
+        wg = WeightedGraph.from_edges(
+            4, [(u, v, 2) for u in range(3) for v in range(u + 1, 3)] + [(2, 3, 1)]
+        )
+        base = nd_partition(wg.graph)
+        assert base.classes == (frozenset({0, 1}), frozenset({2}), frozenset({3}))
+        assert refine_uniform(wg, base).classes == base.classes
+
+    @given(st.integers(1, 8), st.floats(0, 1), st.integers(0, 9999), st.integers(1, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_refined_twin_partition_is_uniform(self, n, prob, seed, wmax):
+        wg = random_weighted_graph(random.Random(seed), n, prob, wmax)
+        ok, _ = check_uniform(wg, refine_uniform(wg, nd_partition(wg.graph)))
+        assert ok
+
     @given(st.integers(1, 8), st.floats(0, 1), st.integers(0, 9999), st.integers(1, 3))
     @settings(max_examples=50, deadline=None)
     def test_refinement_reaches_uniformity(self, n, prob, seed, wmax):

@@ -470,3 +470,47 @@ class TestSolverAgainstOracleSmoke:
             assert (got is None) == (expected is None)
             if got is not None:
                 assert verify_assignment(wg, got).ok
+
+
+class TestFrontEnd:
+    # two heavy edges, a weight-1 triangle and two isolated vertices
+    MULTI = [(0, 1, 3), (2, 3, 2), (4, 5, 1), (4, 6, 1), (5, 6, 1)]
+
+    def test_one_uniformity_check_per_call(self, monkeypatch):
+        calls = []
+        original = solver.check_uniform
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "check_uniform", counted)
+        wg = WeightedGraph.from_edges(9, self.MULTI)
+        partition = nd_partition(wg.graph)
+        for solve in (
+            lambda: solve_ca_uniform(wg, partition, 3),
+            lambda: solve_ca_vc(wg, 3),
+            lambda: minimize_span(wg, "uniform", partition),
+            lambda: minimize_span(wg, "vc"),
+        ):
+            calls.clear()
+            solve()
+            assert len(calls) == 1
+
+    def test_isolated_class_is_one_part(self):
+        wg = WeightedGraph.from_edges(7, [(0, 1, 2)])
+        partition = nd_partition(wg.graph)
+        _, _, pipelines = solver._pipelines(wg, "uniform", partition)
+        assert [vertices for _, vertices in pipelines] == [[0, 1], [2, 3, 4, 5, 6]]
+        stats = SolveStats()
+        labeling = solve_ca_uniform(wg, partition, 2, stats=stats)
+        assert verify_assignment(wg, labeling).ok
+        assert stats.digraph_nodes == sum(len(p.digraph.windows) for p, _ in pipelines)
+
+    def test_vc_routes_report_the_same_decomposition(self):
+        wg = WeightedGraph.from_edges(9, self.MULTI + [(0, 7, 1), (0, 8, 2)])
+        decided, minimized = SolveStats(), SolveStats()
+        solve_ca_vc(wg, 4, stats=decided)
+        minimize_span(wg, "vc", stats=minimized)
+        assert (decided.nd, decided.types) == (minimized.nd, minimized.types)
+        assert decided.types > decided.nd
