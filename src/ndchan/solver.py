@@ -5,12 +5,16 @@ cover refined to uniform weights), check it once with check_uniform, which
 condenses the instance to its weighted type graph, and split that graph
 into its connected parts over type adjacency; nothing after the check reads
 the vertex graph.  Each part's type graph is made reflexive and gets a
-shift digraph with window length z = wmax.  Each span probe then looks for
-a closed walk of span + z + 1 edges through the all-empty window whose
-per-type counts match the class sizes, with one of two exact engines:
+shift digraph with window length z = wmax.  A least span is the largest of
+the parts' least spans, each found by one breadth-first walk search
+(_WalkSearch.least_span); one probe at it then gives the witness.  Each
+span probe looks for a closed walk of span + z + 1 edges through the
+all-empty window whose per-type counts match the class sizes, with one of
+two exact engines:
 
-- first the walk search (_WalkSearch), a depth-first search over (step,
-  window, per-type counts) with a memo of dead states;
+- first the walk search (_WalkSearch.search), a depth-first search over
+  (window, per-type counts) with a memo of the earliest step at which each
+  dead state died;
 - once that search would enter more than WALK_STATE_LIMIT states, and only
   where numpy and scipy are installed, the flow ILP (solve_flow): an edge
   multiset by integer feasibility (Kirchhoff balance + per-type occurrence
@@ -66,7 +70,7 @@ class SolveStats:
     types: int | None = None
     digraph_nodes: int = 0
     cuts_added: int = 0
-    solve_ms: int = 0
+    solve_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -673,17 +677,22 @@ def walk_to_labeling(
 
 
 class _WalkSearch:
-    """Exact depth-first search for the walk itself, over the states (step,
-    window, per-type counts).
+    """Exact searches for the walk itself, over the states (window, per-type
+    counts) of walk prefixes from the all-empty window.
 
     A span-lambda labeling is a walk of lambda + 1 steps from the all-empty
     window, step k putting the new window's last slice at label position k,
     whose per-type counts end equal to the class sizes; z empty slices then
-    close it at the all-empty window.  What a walk prefix can still become
-    depends on its state alone, so a state whose every continuation failed
-    is remembered as dead and never expanded again; an infeasible verdict
-    means every reachable state was expanded.  Count vectors are mixed-radix
-    codes and a state is one int, which keeps the memo small.
+    close it at the all-empty window.  Empty slices can always be appended,
+    so a state reached at step k can do everything the same state can do
+    when reached later: the step need not be part of the state.
+
+    least_span finds the least span by a breadth-first search, layer k
+    holding the states first reached after k steps.  search decides one
+    span by a depth-first search that remembers, per state, the earliest
+    step at which every continuation failed, and never expands the state
+    again from that step on.  Count vectors are mixed-radix codes and a
+    state is one int, which keeps both searches' sets small.
     """
 
     def __init__(self, d: ShiftDigraph, tg: TypeGraph):
@@ -705,7 +714,9 @@ class _WalkSearch:
     def _successor_table(self):
         """Per window within capacity: (next window, its new slice, count code
         step) for every out-edge into a window within capacity, fuller slices
-        first; None for windows no walk can visit."""
+        first; None for windows no walk can visit.  Built on first use."""
+        if self._successors is not None:
+            return self._successors
         d = self.digraph
         capacity = self._capacity
         table = []
@@ -723,6 +734,7 @@ class _WalkSearch:
                 succ.append((dst, mask, step))
             succ.sort(key=lambda entry: -entry[1].bit_count())
             table.append(tuple(succ))
+        self._successors = table
         return table
 
     def _info(self, code: int) -> tuple[int, int]:
@@ -740,26 +752,66 @@ class _WalkSearch:
             info = self._count_info[code] = (full, need)
         return info
 
+    def least_span(self, max_states: int | None = None) -> tuple[int, bool]:
+        """(least span, True), or (a lower bound on it, False) once entering
+        another state would pass max_states.
+
+        The first layer holding the full count code is the least walk length
+        (minus 1, the span): a state is entered on the first layer that
+        reaches it, because reaching it later can only lengthen the walk.
+        The bound is what the completed layers prove.
+        """
+        table = self._successor_table()
+        info = self._info
+        code_space = self.code_space
+        goal = code_space - 1  # every digit at its class size
+        budget = float("inf") if max_states is None else max_states
+        start = self.digraph.empty_index * code_space
+        seen = {start}
+        layer = [start]
+        steps = 0
+        while layer:
+            steps += 1  # building the layer of walks with this many steps
+            next_layer = []
+            for state in layer:
+                node, code = divmod(state, code_space)
+                full = info(code)[0]
+                for dst, mask, step in table[node]:
+                    if mask & full:
+                        continue
+                    next_code = code + step
+                    if next_code == goal:
+                        return steps - 1, True
+                    key = dst * code_space + next_code
+                    if key in seen:
+                        continue
+                    budget -= 1
+                    if budget < 0:
+                        return steps - 1, False
+                    seen.add(key)
+                    next_layer.append(key)
+            layer = next_layer
+        raise InternalSolverError("no walk reaches the class sizes at any span")
+
     def search(self, span: int, max_states: int | None = None) -> Walk | None:
         """The closed walk of a span-`span` labeling, or None when none exists.
 
         Raises GuardExceeded instead of entering state max_states + 1, so
-        that no verdict rests on a partial search.  Every state is entered at
-        most once, so the memo never holds more than max_states.
+        that no verdict rests on a partial search.  The dead memo keeps one
+        entry per (window, counts) pair, so it never holds more than the
+        states entered.
         """
-        if self._successors is None:
-            self._successors = self._successor_table()
-        table = self._successors
+        table = self._successor_table()
         info = self._info
         d = self.digraph
         steps = span + 1
-        stride = len(d.windows)
         code_space = self.code_space
         if info(0)[1] > steps:
             return None
 
         budget = float("inf") if max_states is None else max_states
-        dead: set[int] = set()
+        # state -> earliest step it died at; it is dead at every later one
+        dead: dict[int, int] = {}
         path = [d.empty_index]
         codes = [0]
         cursor = [0]
@@ -779,7 +831,7 @@ class _WalkSearch:
                 next_code = code + step
                 if info(next_code)[1] > remaining:
                     continue
-                if ((k + 1) * stride + dst) * code_space + next_code in dead:
+                if dead.get(dst * code_space + next_code, steps + 1) <= k + 1:
                     continue
                 cursor[-1] = i
                 budget -= 1
@@ -790,7 +842,7 @@ class _WalkSearch:
                 cursor.append(0)
                 break
             else:
-                dead.add((k * stride + node) * code_space + code)
+                dead[node * code_space + code] = k
                 path.pop()
                 codes.pop()
                 cursor.pop()
@@ -803,21 +855,24 @@ class _WalkSearch:
         return Walk(tuple(path))
 
 
-# Most states one walk search may enter before its probe goes to the ILP,
-# applied only where the ILP has its LP tools (lp_tools_installed).  The
-# walk search enters about 4e5 states a second (1e5 in 0.2-0.25 s) and
-# keeps one int per dead state.  It was set where the ILP became the faster
-# engine on refutations of large classes, when each took the ILP 0.1-0.3 s,
-# mostly a budgeted branch-and-bound running out before the certificate.
-# Every such refutation tried (complete multipartite graphs under L(2,1)
-# and L(3,2), up to 3e6 walk-search states) has an infeasible root
-# relaxation, which solve_flow refutes by certificate before any search in
-# 0.01-0.02 s, so the crossover may lie lower; it is not re-measured yet.
-# Without scipy the same refutations took the ILP 88-95 s (K20,20 under
-# L(3,2), K1,128 under L(2,1)) where the walk search took 0.1 s or less.
-# Feasible probes are where the ILP is slow either way (55 s on K3,3,3,3
-# under L(3,2)); the walk search found every feasible walk tried without a
-# dead end.
+# Most states one walk search, breadth-first or depth-first, may enter
+# before it stops without a verdict, applied only where the ILP has its LP
+# tools (lp_tools_installed).  A depth-first search that stops hands its
+# probe to the ILP; a breadth-first one leaves the least span to probes from
+# the bound its completed layers prove.  Both keep at most one set or memo
+# entry per state entered.  Under L(3,2) the breadth-first search enters
+# 14,703 states on K40,40 and 15,462 on K10,10,10 (about 1e6 a second), and
+# the depth-first refutations one span below their least spans 57,975 and
+# 36,708 (about 5e5 a second), so neither rung reaches the limit; K20,20,20
+# is the first that does (113,752 breadth-first states).  The limit was set
+# where the ILP became the faster engine on refutations of large classes:
+# every such refutation tried (complete multipartite graphs under L(2,1) and
+# L(3,2)) has an infeasible root relaxation, which solve_flow refutes by
+# certificate before any search in 0.01-0.02 s.  Without scipy the same
+# refutations took the ILP 88-95 s (K20,20 under L(3,2), K1,128 under
+# L(2,1)) where the walk search took 0.1 s or less.  Feasible probes are
+# where the ILP is slow either way (55 s on K3,3,3,3 under L(3,2)); the walk
+# search found every feasible walk tried without a dead end.
 WALK_STATE_LIMIT = 100_000
 
 
@@ -833,6 +888,14 @@ class _ComponentPipeline:
             self.reduction.type_graph, self.z, max_nodes=max_digraph_nodes
         )
         self.walk_search = _WalkSearch(self.digraph, self.reduction.type_graph)
+
+    def least_span(self) -> tuple[int, bool]:
+        """(least span of the component, True) by the walk search's
+        breadth-first search, or (a lower bound on it, False) where the LP
+        tools are installed and that search would enter more than
+        WALK_STATE_LIMIT states."""
+        limit = WALK_STATE_LIMIT if lp_tools_installed() else None
+        return self.walk_search.least_span(limit)
 
     def solve(self, span: int, stats: SolveStats | None = None):
         """Labeling of the component at this span, or None when there is none.
@@ -953,11 +1016,16 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
     if span is not None:
         result = probe(span)
     else:
-        # any edge forces two labels wmax apart, so spans below wmax need no probe
-        lower = wg.wmax if wg.weights else 0
-        span = lower
+        # the parts are independent, so the least span is the largest of theirs
+        bounds = [pipeline.least_span() for pipeline, _ in pipelines]
+        span = max((bound for bound, _ in bounds), default=0)
         best = probe(span)
+        if best is None and all(exact for _, exact in bounds):
+            raise InternalSolverError("least span probe came back infeasible")
         if best is None:
+            # a search stopped at its state limit, and span is only the bound
+            # its completed layers prove
+            lower = span
             span = trivial_upper_bound(wg)
             best = probe(span)
             if best is None:
@@ -972,7 +1040,7 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
                 span -= 1
         result = span, best
     if stats is not None:
-        stats.solve_ms += int((time.perf_counter() - start) * 1000)
+        stats.solve_ms = round(stats.solve_ms + (time.perf_counter() - start) * 1000, 3)
     return result
 
 
@@ -1015,11 +1083,15 @@ def minimize_span(
 ):
     """Least feasible span with a witnessing labeling.
 
-    Any edge forces a span of at least wmax, so wmax is probed first.  If
-    it is infeasible, the probes walk down from trivial_upper_bound, which
-    is always feasible, one span at a time until one is infeasible;
-    feasibility is monotone in the span, so the last feasible probe is the
-    least span.
+    Each connected part of the type graph gets one breadth-first walk search
+    for its least span, and the answer is the largest of them; one probe at
+    that span then finds the witness, decoded and checked as for a fixed
+    span.  Where the LP tools are installed, a breadth-first search that
+    would pass WALK_STATE_LIMIT states stops with the lower bound its
+    completed layers prove.  If the probe at that bound is infeasible, the
+    probes walk down from trivial_upper_bound, which is always feasible, one
+    span at a time until one is infeasible; feasibility is monotone in the
+    span, so the last feasible probe is the least span.
     """
     return _solve(wg, route, partition, None, stats, max_digraph_nodes)
 

@@ -13,7 +13,7 @@ import time
 from collections import deque
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from ndchan import (
     DistanceConstraints,
@@ -51,6 +51,7 @@ from helpers import (
     lp_min_span_brute,
     path_graph,
     random_graph,
+    random_weighted_graph,
     send_probes_to_ilp,
     sequence_conditions_hold,
     star_graph,
@@ -272,29 +273,104 @@ def test_criterion_3_labeling_pipeline_minimum_spans(labeling_fixture_records):
     )
 
 
-def test_minimize_span_refutes_at_most_two_probes(monkeypatch):
-    # the only spans minimize_span may find infeasible are the wmax probe
-    # and the span just under the least one
-    refuted = []
-    original = solver._ComponentPipeline.solve
+def test_minimize_span_one_search_per_part(monkeypatch):
+    # each part gets one least-span search and then one probe at the least
+    # span, which never comes back infeasible
+    searched, probed = [], []
+    original_search = solver._ComponentPipeline.least_span
+    original_solve = solver._ComponentPipeline.solve
 
-    def recorded(self, span, stats=None):
-        labeling = original(self, span, stats)
-        if labeling is None:
-            refuted.append(span)
+    def recorded_search(self):
+        searched.append(self)
+        bound = original_search(self)
+        assert bound[1], "a least-span search stopped at the state limit"
+        return bound
+
+    def recorded_solve(self, span, stats=None):
+        probed.append(self)
+        labeling = original_solve(self, span, stats)
+        assert labeling is not None, span
         return labeling
 
-    monkeypatch.setattr(solver._ComponentPipeline, "solve", recorded)
+    monkeypatch.setattr(solver._ComponentPipeline, "least_span", recorded_search)
+    monkeypatch.setattr(solver._ComponentPipeline, "solve", recorded_solve)
     k20_20 = Graph.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40)])
     cases = [(g, p) for _, g in FIXTURE_GRAPHS for p in FIXTURE_CONSTRAINTS]
     cases.append((k20_20, (3, 2)))
     for g, p in cases:
         wg = labeling_to_ca(g, DistanceConstraints(p))
-        refuted.clear()
+        searched.clear()
+        probed.clear()
         span, _ = minimize_span(wg, "uniform", nd_partition(g))
-        assert set(refuted) <= {wg.wmax, span - 1} and len(refuted) <= 2, (g, p)
+        assert len(set(searched)) == len(searched) > 0, (g, p)
+        assert probed == searched, (g, p)
     assert span == 79  # K20,20 under L(3,2): each side 2 * 19, and 3 between them
-    _passed("minimize_span refutations", f"{len(cases)} instances, at most two each")
+    _passed("minimize_span searches", f"{len(cases)} instances, one search and probe per part")
+
+
+def test_minimize_span_past_the_state_limit(monkeypatch, labeling_fixture_records):
+    # with the LP tools reported present, least-span searches that stop at a
+    # state limit of 3 leave the least span to the probe loop, whose probes
+    # mostly go to the ILP; the graphs are the fixtures on at most 4 vertices,
+    # where the ILP's feasible probes stay fast with and without scipy
+    stopped = []
+    original = solver._ComponentPipeline.least_span
+
+    def recorded(self):
+        bound = original(self)
+        stopped.append(not bound[1])
+        return bound
+
+    monkeypatch.setattr(solver._ComponentPipeline, "least_span", recorded)
+    monkeypatch.setattr(solver, "WALK_STATE_LIMIT", 3)
+    monkeypatch.setattr(solver, "lp_tools_installed", lambda: True)
+    records = [rec for rec in labeling_fixture_records if rec["g"].n <= 4]
+    for rec in records:
+        span, labeling = minimize_span(rec["wg"], "uniform", rec["partition"])
+        assert span == rec["span"], (rec["name"], rec["p"])
+        assert verify_assignment(rec["wg"], labeling).ok
+    assert sum(stopped) >= len(records) // 2
+    _passed(
+        "minimize_span past the state limit",
+        f"{len(records)} instances, {sum(stopped)} searches stopped",
+    )
+
+
+def _least_feasible_span(wg):
+    span = 0
+    while brute_force_ca(wg, span, guard=ORACLE_GUARD) is None:
+        span += 1
+    return span
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from(((2, 1), (3, 2), (1, 1))))
+@settings(max_examples=100, deadline=None)
+def test_least_span_on_random_labelings(seed, n, p):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.random())
+    wg = labeling_to_ca(g, DistanceConstraints(p))
+    span, labeling = minimize_span(wg, "uniform", nd_partition(g))
+    assert span == lp_min_span_brute(g, p), (sorted(g.edges), p)
+    assert verify_assignment(wg, labeling).ok
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_least_span_on_random_uniform_and_vc_instances(seed):
+    rng = random.Random(seed)
+    wg, partition = uniform_instance(rng, max_types=3, max_size=3, max_weight=3)
+    assume(wg.graph.n <= 7)
+    other = random_weighted_graph(rng, rng.randint(2, 7), 0.35, 3)
+    assume(len(min_vertex_cover(other.graph).cover) <= 3)
+    for instance, route, given_partition in ((wg, "uniform", partition), (other, "vc", None)):
+        try:
+            span, labeling = minimize_span(
+                instance, route, given_partition, max_digraph_nodes=DIGRAPH_GUARD
+            )
+        except GuardExceeded:
+            reject()
+        assert span == _least_feasible_span(instance), (route, instance.weights)
+        assert verify_assignment(instance, labeling).ok
 
 
 def test_criterion_4_bipartite_minimum_is_wmax():

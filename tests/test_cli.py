@@ -79,6 +79,22 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["feasible"] is True
 
+    def test_solve_ms_keeps_fractions(self, tmp_path, capsys):
+        path = write_instance(tmp_path, '{"n":4,"edges":[[0,1,2],[2,3,2]]}')
+        code, out, _ = run(capsys, ["solve", "--instance", path, "--lambda", "2"])
+        assert code == 0
+        assert json.loads(out)["stats"]["solve_ms"] > 0
+
+    def test_too_many_types_is_guard_exit(self, tmp_path, capsys):
+        # P17's twin partition: 17 singleton classes in one part
+        edges = [[i, i + 1] for i in range(16)]
+        path = write_instance(tmp_path, json.dumps({"n": 17, "edges": edges}))
+        code, out, err = run(
+            capsys, ["solve", "--instance", path, "--lambda", "4", "--route", "uniform"]
+        )
+        assert code == 3
+        assert out == "" and "17 types" in err
+
     def test_verify_flag(self, tmp_path, capsys):
         path = write_instance(tmp_path, '{"n":2,"edges":[[0,1,5]]}')
         code, _, _ = run(

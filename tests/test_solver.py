@@ -312,6 +312,46 @@ class TestEngineRouter:
         assert search.search(4, 5) is not None
         assert search.search(3, 0) is None
 
+    @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(5)], ids=["P4", "C5"])
+    @pytest.mark.parametrize("p", [(2, 1), (3, 2)])
+    def test_least_span_bound_under_a_state_limit(self, g, p):
+        # a stopped breadth-first search reports what its completed layers
+        # prove: never above the least span, and rising with the limit (on
+        # P4 some limits stop it inside the layer that holds the goal)
+        wg = labeling_to_ca(g, DistanceConstraints(p))
+        _, _, [(pipeline, _)] = solver._pipelines(wg, "uniform", nd_partition(g))
+        search = pipeline.walk_search
+        least, exact = search.least_span()
+        assert exact
+        previous, limit = 0, 0
+        while True:
+            bound, exact = search.least_span(limit)
+            assert previous <= bound <= least
+            if exact:
+                break
+            previous, limit = bound, limit + 1
+        assert bound == least
+
+    def test_dead_memo_keeps_the_step(self):
+        # a K3 clique class (weight 2) joined by weight 2 to a K4 clique
+        # class (weight 3): the depth-first search at span 12 meets states
+        # that died at a later step before it meets them at an earlier one,
+        # so a memo that forgot the step would refute this feasible span
+        triples = [(u, v, 2) for u in range(3) for v in range(u + 1, 3)]
+        triples += [(u, v, 3) for u in range(3, 7) for v in range(u + 1, 7)]
+        triples += [(u, v, 2) for u in range(3) for v in range(3, 7)]
+        wg = WeightedGraph.from_edges(7, triples)
+        partition = NdPartition(
+            (frozenset(range(3)), frozenset(range(3, 7))), (CLIQUE, CLIQUE)
+        )
+        _, _, [(pipeline, _)] = solver._pipelines(wg, "uniform", partition)
+        assert pipeline.least_span() == (12, True)
+        for span in (12, 13):
+            walk = pipeline.walk_search.search(span)
+            assert walk is not None and brute_force_ca(wg, span, guard=10**9) is not None
+        assert pipeline.walk_search.search(11) is None
+        assert brute_force_ca(wg, 11) is None
+
     def test_small_search_takes_the_walk_search(self, monkeypatch):
         def no_ilp(*args, **kwargs):
             raise AssertionError("the ILP ran under the state limit")
@@ -349,6 +389,31 @@ class TestEngineRouter:
         wg = k3_instance()
         labeling = solve_ca_uniform(wg, nd_partition(wg.graph), 4)
         assert verify_assignment(wg, labeling).ok
+
+
+class TestGuards:
+    def test_more_than_sixteen_types(self):
+        # the twin partition of P17 is 17 singleton classes in one part, one
+        # type more than the window enumeration tabulates slice masks for
+        g = path_graph(17)
+        wg = WeightedGraph(g, {e: 1 for e in g.edges})
+        for solve in (
+            lambda: solve_ca_uniform(wg, nd_partition(g), 4),
+            lambda: minimize_span(wg, "uniform", nd_partition(g)),
+        ):
+            with pytest.raises(GuardExceeded, match="17 types"):
+                solve()
+
+    def test_window_count_guard(self):
+        wg = k3_instance()
+        partition = nd_partition(wg.graph)
+        _, _, pipelines = solver._pipelines(wg, "uniform", partition)
+        windows = len(pipelines[0][0].digraph.windows)
+        assert solve_ca_uniform(wg, partition, 4, max_digraph_nodes=windows) is not None
+        with pytest.raises(GuardExceeded):
+            solve_ca_uniform(wg, partition, 4, max_digraph_nodes=windows - 1)
+        with pytest.raises(GuardExceeded):
+            minimize_span(wg, "uniform", partition, max_digraph_nodes=windows - 1)
 
 
 class TestSolveCaVc:
