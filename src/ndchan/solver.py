@@ -41,7 +41,7 @@ from .decomposition import (
     vc_partition,
 )
 from .errors import GuardExceeded, InternalSolverError
-from .graph import Labeling, WeightedGraph, trivial_upper_bound
+from .graph import Labeling, WeightedGraph
 from .ilp import (
     EQ,
     LE,
@@ -752,20 +752,19 @@ class _WalkSearch:
             info = self._count_info[code] = (full, need)
         return info
 
-    def least_span(self, max_states: int | None = None) -> tuple[int, bool]:
-        """(least span, True), or (a lower bound on it, False) once entering
-        another state would pass max_states.
+    def least_span(self) -> int:
+        """The least span of a labeling.
 
         The first layer holding the full count code is the least walk length
         (minus 1, the span): a state is entered on the first layer that
         reaches it, because reaching it later can only lengthen the walk.
-        The bound is what the completed layers prove.
+        The search keeps one set entry per state entered and has no state
+        limit.
         """
         table = self._successor_table()
         info = self._info
         code_space = self.code_space
         goal = code_space - 1  # every digit at its class size
-        budget = float("inf") if max_states is None else max_states
         start = self.digraph.empty_index * code_space
         seen = {start}
         layer = [start]
@@ -781,13 +780,10 @@ class _WalkSearch:
                         continue
                     next_code = code + step
                     if next_code == goal:
-                        return steps - 1, True
+                        return steps - 1
                     key = dst * code_space + next_code
                     if key in seen:
                         continue
-                    budget -= 1
-                    if budget < 0:
-                        return steps - 1, False
                     seen.add(key)
                     next_layer.append(key)
             layer = next_layer
@@ -855,24 +851,24 @@ class _WalkSearch:
         return Walk(tuple(path))
 
 
-# Most states one walk search, breadth-first or depth-first, may enter
-# before it stops without a verdict, applied only where the ILP has its LP
-# tools (lp_tools_installed).  A depth-first search that stops hands its
-# probe to the ILP; a breadth-first one leaves the least span to probes from
-# the bound its completed layers prove.  Both keep at most one set or memo
-# entry per state entered.  Under L(3,2) the breadth-first search enters
-# 14,703 states on K40,40 and 15,462 on K10,10,10 (about 1e6 a second), and
-# the depth-first refutations one span below their least spans 57,975 and
-# 36,708 (about 5e5 a second), so neither rung reaches the limit; K20,20,20
-# is the first that does (113,752 breadth-first states).  The limit was set
-# where the ILP became the faster engine on refutations of large classes:
-# every such refutation tried (complete multipartite graphs under L(2,1) and
-# L(3,2)) has an infeasible root relaxation, which solve_flow refutes by
-# certificate before any search in 0.01-0.02 s.  Without scipy the same
-# refutations took the ILP 88-95 s (K20,20 under L(3,2), K1,128 under
-# L(2,1)) where the walk search took 0.1 s or less.  Feasible probes are
-# where the ILP is slow either way (55 s on K3,3,3,3 under L(3,2)); the walk
-# search found every feasible walk tried without a dead end.
+# Most states one depth-first walk search (_WalkSearch.search) may enter
+# before it stops without a verdict and hands its probe to the ILP, applied
+# only where the ILP has its LP tools (lp_tools_installed).  The search keeps
+# at most one memo entry per state entered.  Under L(3,2) its refutations one
+# span below the least span enter 57,975 states on K40,40 and 36,708 on
+# K10,10,10 (about 5e5 a second), so neither rung reaches the limit.  The
+# breadth-first least-span search (_WalkSearch.least_span) has no limit: it
+# needs no refutation, and under L(3,2) enters 14,703 states on K40,40,
+# 15,462 on K10,10,10 and 113,752 on K20,20,20 (about 1e6 a second).  The
+# limit was set where the ILP became the faster engine on refutations of
+# large classes: every such refutation tried (complete multipartite graphs
+# under L(2,1) and L(3,2)) has an infeasible root relaxation, which
+# solve_flow refutes by certificate before any search in 0.01-0.02 s.
+# Without scipy the same refutations took the ILP 88-95 s (K20,20 under
+# L(3,2), K1,128 under L(2,1)) where the walk search took 0.1 s or less.
+# Feasible probes are where the ILP is slow either way (55 s on K3,3,3,3
+# under L(3,2)); the walk search found every feasible walk tried without a
+# dead end.
 WALK_STATE_LIMIT = 100_000
 
 
@@ -888,14 +884,6 @@ class _ComponentPipeline:
             self.reduction.type_graph, self.z, max_nodes=max_digraph_nodes
         )
         self.walk_search = _WalkSearch(self.digraph, self.reduction.type_graph)
-
-    def least_span(self) -> tuple[int, bool]:
-        """(least span of the component, True) by the walk search's
-        breadth-first search, or (a lower bound on it, False) where the LP
-        tools are installed and that search would enter more than
-        WALK_STATE_LIMIT states."""
-        limit = WALK_STATE_LIMIT if lp_tools_installed() else None
-        return self.walk_search.least_span(limit)
 
     def solve(self, span: int, stats: SolveStats | None = None):
         """Labeling of the component at this span, or None when there is none.
@@ -1017,27 +1005,10 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
         result = probe(span)
     else:
         # the parts are independent, so the least span is the largest of theirs
-        bounds = [pipeline.least_span() for pipeline, _ in pipelines]
-        span = max((bound for bound, _ in bounds), default=0)
+        span = max((p.walk_search.least_span() for p, _ in pipelines), default=0)
         best = probe(span)
-        if best is None and all(exact for _, exact in bounds):
-            raise InternalSolverError("least span probe came back infeasible")
         if best is None:
-            # a search stopped at its state limit, and span is only the bound
-            # its completed layers prove
-            lower = span
-            span = trivial_upper_bound(wg)
-            best = probe(span)
-            if best is None:
-                raise InternalSolverError("trivial upper bound probe came back infeasible")
-            # walk down from the feasible side: infeasible probes are far more
-            # expensive than feasible ones, and only the last span needs refuting
-            while span > lower + 1:
-                candidate = probe(span - 1)
-                if candidate is None:
-                    break
-                best = candidate
-                span -= 1
+            raise InternalSolverError("least span probe came back infeasible")
         result = span, best
     if stats is not None:
         stats.solve_ms = round(stats.solve_ms + (time.perf_counter() - start) * 1000, 3)
@@ -1086,12 +1057,7 @@ def minimize_span(
     Each connected part of the type graph gets one breadth-first walk search
     for its least span, and the answer is the largest of them; one probe at
     that span then finds the witness, decoded and checked as for a fixed
-    span.  Where the LP tools are installed, a breadth-first search that
-    would pass WALK_STATE_LIMIT states stops with the lower bound its
-    completed layers prove.  If the probe at that bound is infeasible, the
-    probes walk down from trivial_upper_bound, which is always feasible, one
-    span at a time until one is infeasible; feasibility is monotone in the
-    span, so the last feasible probe is the least span.
+    span.  No span is refuted.
     """
     return _solve(wg, route, partition, None, stats, max_digraph_nodes)
 

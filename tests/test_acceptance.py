@@ -277,22 +277,20 @@ def test_minimize_span_one_search_per_part(monkeypatch):
     # each part gets one least-span search and then one probe at the least
     # span, which never comes back infeasible
     searched, probed = [], []
-    original_search = solver._ComponentPipeline.least_span
+    original_search = solver._WalkSearch.least_span
     original_solve = solver._ComponentPipeline.solve
 
     def recorded_search(self):
         searched.append(self)
-        bound = original_search(self)
-        assert bound[1], "a least-span search stopped at the state limit"
-        return bound
+        return original_search(self)
 
     def recorded_solve(self, span, stats=None):
-        probed.append(self)
+        probed.append(self.walk_search)
         labeling = original_solve(self, span, stats)
         assert labeling is not None, span
         return labeling
 
-    monkeypatch.setattr(solver._ComponentPipeline, "least_span", recorded_search)
+    monkeypatch.setattr(solver._WalkSearch, "least_span", recorded_search)
     monkeypatch.setattr(solver._ComponentPipeline, "solve", recorded_solve)
     k20_20 = Graph.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40)])
     cases = [(g, p) for _, g in FIXTURE_GRAPHS for p in FIXTURE_CONSTRAINTS]
@@ -306,34 +304,6 @@ def test_minimize_span_one_search_per_part(monkeypatch):
         assert probed == searched, (g, p)
     assert span == 79  # K20,20 under L(3,2): each side 2 * 19, and 3 between them
     _passed("minimize_span searches", f"{len(cases)} instances, one search and probe per part")
-
-
-def test_minimize_span_past_the_state_limit(monkeypatch, labeling_fixture_records):
-    # with the LP tools reported present, least-span searches that stop at a
-    # state limit of 3 leave the least span to the probe loop, whose probes
-    # mostly go to the ILP; the graphs are the fixtures on at most 4 vertices,
-    # where the ILP's feasible probes stay fast with and without scipy
-    stopped = []
-    original = solver._ComponentPipeline.least_span
-
-    def recorded(self):
-        bound = original(self)
-        stopped.append(not bound[1])
-        return bound
-
-    monkeypatch.setattr(solver._ComponentPipeline, "least_span", recorded)
-    monkeypatch.setattr(solver, "WALK_STATE_LIMIT", 3)
-    monkeypatch.setattr(solver, "lp_tools_installed", lambda: True)
-    records = [rec for rec in labeling_fixture_records if rec["g"].n <= 4]
-    for rec in records:
-        span, labeling = minimize_span(rec["wg"], "uniform", rec["partition"])
-        assert span == rec["span"], (rec["name"], rec["p"])
-        assert verify_assignment(rec["wg"], labeling).ok
-    assert sum(stopped) >= len(records) // 2
-    _passed(
-        "minimize_span past the state limit",
-        f"{len(records)} instances, {sum(stopped)} searches stopped",
-    )
 
 
 def _least_feasible_span(wg):

@@ -312,26 +312,6 @@ class TestEngineRouter:
         assert search.search(4, 5) is not None
         assert search.search(3, 0) is None
 
-    @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(5)], ids=["P4", "C5"])
-    @pytest.mark.parametrize("p", [(2, 1), (3, 2)])
-    def test_least_span_bound_under_a_state_limit(self, g, p):
-        # a stopped breadth-first search reports what its completed layers
-        # prove: never above the least span, and rising with the limit (on
-        # P4 some limits stop it inside the layer that holds the goal)
-        wg = labeling_to_ca(g, DistanceConstraints(p))
-        _, _, [(pipeline, _)] = solver._pipelines(wg, "uniform", nd_partition(g))
-        search = pipeline.walk_search
-        least, exact = search.least_span()
-        assert exact
-        previous, limit = 0, 0
-        while True:
-            bound, exact = search.least_span(limit)
-            assert previous <= bound <= least
-            if exact:
-                break
-            previous, limit = bound, limit + 1
-        assert bound == least
-
     def test_dead_memo_keeps_the_step(self):
         # a K3 clique class (weight 2) joined by weight 2 to a K4 clique
         # class (weight 3): the depth-first search at span 12 meets states
@@ -345,7 +325,7 @@ class TestEngineRouter:
             (frozenset(range(3)), frozenset(range(3, 7))), (CLIQUE, CLIQUE)
         )
         _, _, [(pipeline, _)] = solver._pipelines(wg, "uniform", partition)
-        assert pipeline.least_span() == (12, True)
+        assert pipeline.walk_search.least_span() == 12
         for span in (12, 13):
             walk = pipeline.walk_search.search(span)
             assert walk is not None and brute_force_ca(wg, span, guard=10**9) is not None
