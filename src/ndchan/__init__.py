@@ -13,7 +13,7 @@ from .decomposition import (
     type_graph,
     vc_partition,
 )
-from .errors import GuardExceeded, InstanceFormatError, InternalSolverError
+from .errors import GuardExceeded, InstanceFormatError, InternalSolverError, NotUniformError
 from .graph import (
     Graph,
     Labeling,

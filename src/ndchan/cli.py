@@ -11,7 +11,7 @@ import sys
 from dataclasses import asdict
 
 from .decomposition import check_uniform, nd_partition
-from .errors import GuardExceeded, InstanceFormatError, InternalSolverError
+from .errors import GuardExceeded, InstanceFormatError, InternalSolverError, NotUniformError
 from .graph import Labeling, verify_assignment, trivial_upper_bound
 from .ilp import dump_model
 from .instances import InstanceFile, SolveOutcome, emit_instance, emit_result, parse_instance
@@ -105,18 +105,16 @@ def _run(args, instance, wg, route, partition) -> int:
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
     wg = instance.weighted_graph()
-    route = args.route
-    partition = None
-    if route in ("uniform", "auto"):
-        partition = nd_partition(wg.graph)
-        ok, _ = check_uniform(wg, partition)
-        if ok:
-            route = "uniform"
-        elif route == "uniform":
-            raise InstanceFormatError("instance is not nd-uniform; use --route vc or auto")
-        else:
-            route = "vc"
-    return _run(args, instance, wg, route, partition)
+    if args.route != "vc":
+        # the library checks uniformity before it builds or prints anything
+        try:
+            return _run(args, instance, wg, "uniform", nd_partition(wg.graph))
+        except NotUniformError:
+            if args.route == "uniform":
+                raise InstanceFormatError(
+                    "instance is not nd-uniform; use --route vc or auto"
+                ) from None
+    return _run(args, instance, wg, "vc", None)
 
 
 def _cmd_label(args) -> int:

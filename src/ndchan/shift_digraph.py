@@ -5,9 +5,12 @@ label positions.  It is valid when every weighted type pair respects the
 in-window separations: for an edge (t, r) with t in Ti and r in Tj the
 positions must satisfy |i - j| >= w(t, r).  For loops (t == r) only distinct
 positions are constrained, since one slice never needs the same type twice.
-Directed edges connect windows that overlap on z-1 positions, so closed walks
-through the all-empty window are exactly the label sequences padded with
-empty slices on both sides.
+Only windows that hold each type in at most its class size many coordinates
+are built: a labeling uses each type exactly its class size many times, so
+no walk can visit any other window.  Directed edges connect windows that
+overlap on z-1 positions, so the closed walks through the all-empty window
+whose type counts equal the class sizes are exactly the labelings' slice
+sequences padded with empty slices on both sides.
 """
 
 from __future__ import annotations
@@ -66,11 +69,18 @@ class ShiftDigraph:
 
 
 def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) -> ShiftDigraph:
-    """Enumerate all valid windows of length z over a reflexive weighted type graph.
+    """Enumerate the valid windows of length z over a reflexive weighted type
+    graph that hold no type in more coordinates than its class size.
 
-    Only valid prefixes are extended, so construction cost tracks the actual
-    window count rather than the full 2^(tau*z) candidate space.  max_nodes is
-    a resource guard: exceeding it raises GuardExceeded.
+    A closed walk through the all-empty window visits each type exactly its
+    class size many times, one label position per coordinate, so a window
+    over a size is on no walk; it is left out, with every edge into or out
+    of it.  Only valid prefixes within the sizes are extended, so
+    construction cost tracks the window count rather than the full
+    2^(tau*z) candidate space.  Windows come in lexicographic order of
+    their slice masks, the all-empty one first, and edges in order of
+    their source windows.  max_nodes is a resource guard on the window
+    count: exceeding it raises GuardExceeded.
     """
     if z < 1:
         raise ValueError("window length must be positive")
@@ -105,25 +115,40 @@ def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) 
         confmask.append(row)
 
     position_sets = [m for m in range(size) if confmask[0][m] & m == 0]
+    sizes = tg.sizes
 
     windows: list[tuple[int, ...]] = []
+    # per window, the types its last z-1 slices hold at their class size
+    tail_full: list[int] = []
     prefix = [0] * z
+    counts = [0] * tau
 
-    def extend(depth: int):
+    def extend(depth: int, full: int):
+        # full: the types the prefix already holds at their class size
         if depth == z:
             windows.append(tuple(prefix))
+            tail_full.append(full & ~prefix[0])
             if max_nodes is not None and len(windows) > max_nodes:
                 raise GuardExceeded(f"window count exceeds guard of {max_nodes}")
             return
         for m in position_sets:
+            if m & full:
+                continue
             for i in range(depth):
                 if confmask[depth - i][prefix[i]] & m:
                     break
             else:
                 prefix[depth] = m
-                extend(depth + 1)
+                next_full = full
+                for t in iter_bits(m):
+                    counts[t] += 1
+                    if counts[t] == sizes[t]:
+                        next_full |= 1 << t
+                extend(depth + 1, next_full)
+                for t in iter_bits(m):
+                    counts[t] -= 1
 
-    extend(0)
+    extend(0, 0)
     index = {w: i for i, w in enumerate(windows)}
     if windows[0] != (0,) * z:
         raise InternalSolverError("all-empty window missing or misplaced")
@@ -132,9 +157,10 @@ def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) 
     slice_row = confmask[z]
     for si, w in enumerate(windows):
         tail = w[1:]
+        # the (z+1)-slice separation, and no type past its size in the shift
+        barred = slice_row[w[0]] | tail_full[si]
         for m in position_sets:
-            # overlap-shifted pairs, plus the full (z+1)-slice separation check
-            if slice_row[w[0]] & m:
+            if barred & m:
                 continue
             ok = True
             for i in range(1, z):

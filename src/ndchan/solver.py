@@ -5,9 +5,10 @@ cover refined to uniform weights), check it once with check_uniform, which
 condenses the instance to its weighted type graph, and split that graph
 into its connected parts over type adjacency; nothing after the check reads
 the vertex graph.  Each part's type graph is made reflexive and gets a
-shift digraph with window length z = wmax.  A least span is the largest of
-the parts' least spans, each found by one breadth-first walk search
-(_WalkSearch.least_span); one probe at it then gives the witness.  Each
+shift digraph with window length z = wmax, holding only the windows within
+the class sizes.  A least span is the largest of the parts' least spans,
+each found by one breadth-first walk search (_WalkSearch.least_span); one
+probe at it then gives the witness.  Each
 span probe looks for a closed walk of span + z + 1 edges through the
 all-empty window whose per-type counts match the class sizes, with one of
 two exact engines:
@@ -40,7 +41,7 @@ from .decomposition import (
     refine_uniform,
     vc_partition,
 )
-from .errors import GuardExceeded, InternalSolverError
+from .errors import GuardExceeded, InternalSolverError, NotUniformError
 from .graph import Labeling, WeightedGraph
 from .ilp import (
     EQ,
@@ -274,21 +275,19 @@ def _all_violated_cuts(values, d: ShiftDigraph, big_m: int, capacity=None, per_e
     return cuts
 
 
-def _window_capacity(window, sizes) -> int | None:
+def _window_capacity(window, sizes) -> int:
     """How often a walk may visit this window.
 
     k visits at indices I with a type in coordinate set J cover the label
     positions I + J, and |I + J| >= |I| + |J| - 1 on integers, so a type
     held in c coordinates allows at most size(t) - c + 1 visits (consecutive
-    visits share positions, which is why this is not size // c).  None means
-    the window can never be visited at all.
+    visits share positions, which is why this is not size // c).  The
+    digraph holds no window with c over size(t), so this is at least 1.
     """
     counts: dict[int, int] = {}
     for mask in window:
         for t in iter_bits(mask):
             counts[t] = counts.get(t, 0) + 1
-    if any(c > sizes[t] for t, c in counts.items()):
-        return None
     if not counts:
         return -1  # untyped windows are unlimited
     return min(sizes[t] - c + 1 for t, c in counts.items())
@@ -349,17 +348,14 @@ def _walk_index_ranges(d: ShiftDigraph, span: int):
 def _pruned_digraph(d: ShiftDigraph, tg: TypeGraph, span: int):
     """Restriction of the digraph to windows a valid walk could visit.
 
-    Drops windows whose content exceeds the class sizes and edges whose
-    feasible walk-index range is empty for this span.  Valid supports only
-    use the restriction, and cuts computed on it stay valid, so solving on
-    it is equivalent; edge indices are mapped back afterwards.
+    Drops edges whose feasible walk-index range is empty for this span, and
+    the windows left without edges.  Valid supports only use the
+    restriction, and cuts computed on it stay valid, so solving on it is
+    equivalent; edge indices are mapped back afterwards.
     """
     capacity = [_window_capacity(w, tg.sizes) for w in d.windows]
     _, edge_ranges = _walk_index_ranges(d, span)
-    keep_edge = [
-        elo <= ehi and capacity[a] is not None and capacity[b] is not None
-        for (a, b), (elo, ehi) in zip(d.edges, edge_ranges)
-    ]
+    keep_edge = [elo <= ehi for elo, ehi in edge_ranges]
     keep_node = [False] * len(d.windows)
     keep_node[d.empty_index] = True
     for ei, ok in enumerate(keep_edge):
@@ -519,9 +515,9 @@ def solve_flow(
     """Solve the flow model, adding connectivity cuts until the support is
     one component through the all-empty window.  None means no multiset exists.
 
-    Valid supports never touch windows whose content exceeds the class
-    sizes, so the model is built on that restriction and solved with
-    largest-value-first branching; edge indices map back to d at the end.
+    The model is built on the edges a walk of this span can use and solved
+    with largest-value-first branching; edge indices map back to d at the
+    end.
     """
     pruned, capacity, edge_map = _pruned_digraph(d, tg, span)
     model, _ = build_flow_model(pruned, tg, span)
@@ -705,36 +701,28 @@ class _WalkSearch:
             code_space *= size + 1
         self.code_space = code_space
         self.loop_weights = [tg.weights[(t, t)] for t in range(tg.node_count)]
-        self._capacity = [_window_capacity(w, tg.sizes) for w in d.windows]
         self._successors = None
         # count code -> (mask of types at their class size, label positions
         # the remaining copies need at least); the same for every span
         self._count_info: dict[int, tuple[int, int]] = {}
 
     def _successor_table(self):
-        """Per window within capacity: (next window, its new slice, count code
-        step) for every out-edge into a window within capacity, fuller slices
-        first; None for windows no walk can visit.  Built on first use."""
+        """Per window: (next window, its new slice, count code step) for
+        every out-edge, fuller slices first.  Built on first use."""
         if self._successors is not None:
             return self._successors
-        d = self.digraph
-        capacity = self._capacity
-        table = []
-        for node, cap in enumerate(capacity):
-            if cap is None:
-                table.append(None)
-                continue
-            succ = []
-            for ei in d.out_edges[node]:
-                dst = d.edges[ei][1]
-                if capacity[dst] is None:
-                    continue
-                mask = d.windows[dst][-1]
-                step = sum(self.radix[t] for t in iter_bits(mask))
-                succ.append((dst, mask, step))
+        windows = self.digraph.windows
+        table = [[] for _ in windows]
+        steps: dict[int, int] = {}
+        for src, dst in self.digraph.edges:
+            mask = windows[dst][-1]
+            step = steps.get(mask)
+            if step is None:
+                step = steps[mask] = sum(self.radix[t] for t in iter_bits(mask))
+            table[src].append((dst, mask, step))
+        for succ in table:
             succ.sort(key=lambda entry: -entry[1].bit_count())
-            table.append(tuple(succ))
-        self._successors = table
+        self._successors = table = [tuple(succ) for succ in table]
         return table
 
     def _info(self, code: int) -> tuple[int, int]:
@@ -954,8 +942,9 @@ def _pipelines(wg: WeightedGraph, route: str, partition, max_digraph_nodes=None)
     part of its type graph.
 
     Returns (partition before weight refinement, refined partition, list of
-    (pipeline, the part's vertices)).  Raises ValueError on an unknown route,
-    a missing partition, or weights that are not uniform on the partition.
+    (pipeline, the part's vertices)).  Raises ValueError on an unknown route
+    or a missing partition, and NotUniformError (a ValueError) on weights
+    that are not uniform on the partition.
     """
     if route == "uniform":
         if partition is None:
@@ -968,7 +957,7 @@ def _pipelines(wg: WeightedGraph, route: str, partition, max_digraph_nodes=None)
         raise ValueError(f"unknown route {route!r}")
     ok, tg = check_uniform(wg, refined)
     if not ok:
-        raise ValueError("edge weights are not uniform on the given partition")
+        raise NotUniformError("edge weights are not uniform on the given partition")
     pipelines = [
         (_ComponentPipeline(sub_tg, sub_partition, max_digraph_nodes=max_digraph_nodes), vertices)
         for sub_tg, sub_partition, vertices in _type_parts(tg, refined)
@@ -1026,8 +1015,8 @@ def solve_ca_uniform(
     """Decide channel assignment at the given span on a uniform instance.
 
     Connected parts of the type graph are solved independently and merged.
-    Raises ValueError when the weights are not uniform with respect to the
-    partition.
+    Raises NotUniformError, a ValueError, when the weights are not uniform
+    with respect to the partition.
     """
     return _solve(wg, "uniform", partition, span, stats, max_digraph_nodes)
 

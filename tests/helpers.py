@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import replace
 
 from ndchan import (
     DistanceConstraints,
     Graph,
     NdPartition,
     WeightedGraph,
+    build_shift_digraph,
+    check_uniform,
+    min_vertex_cover,
+    preprocess_reflexive,
+    refine_uniform,
+    vc_partition,
 )
 from ndchan import solver
 from ndchan.decomposition import CLIQUE, INDEPENDENT
@@ -29,6 +36,30 @@ def send_probes_to_ilp(mp) -> None:
         raise GuardExceeded("walk search turned off")
 
     mp.setattr(solver._WalkSearch, "search", give_up)
+
+
+def full_digraph_exceeds(wg: WeightedGraph, route: str, partition, guard: int) -> bool:
+    """Whether some connected part of the route's type graph has more than
+    `guard` windows (or more types than the build allows) in its shift
+    digraph without the class-size bound.
+
+    The solver builds only the windows within the class sizes; with every
+    size raised to the window length z no window is over a size, so this
+    counts every valid window.  Selecting random draws on it keeps a test
+    corpus fixed however tightly the solver bounds its digraph.
+    """
+    if route == "vc":
+        partition = refine_uniform(wg, vc_partition(wg.graph, min_vertex_cover(wg.graph)))
+    _, tg = check_uniform(wg, partition)
+    for sub_tg, sub_partition, _ in solver._type_parts(tg, partition):
+        reduced = preprocess_reflexive(sub_tg, sub_partition).type_graph
+        z = reduced.wmax
+        unbounded = replace(reduced, sizes=(z,) * reduced.node_count)
+        try:
+            build_shift_digraph(unbounded, z, max_nodes=guard)
+        except GuardExceeded:
+            return True
+    return False
 
 
 def path_graph(n: int) -> Graph:

@@ -2,9 +2,10 @@
 
 Each criterion prints one PASS line (run with -s to see them).  Random
 instances are drawn from fixed seeds; generators reject draws whose window
-digraph would exceed the materialization scale this artifact targets, and
-the brute-force guard is raised through its documented parameter to cover
-the sampled label spaces.
+digraph, counted without the class-size bound (full_digraph_exceeds), would
+exceed the materialization scale this artifact targets, and the brute-force
+guard is raised through its documented parameter to cover the sampled label
+spaces.
 """
 
 import contextlib
@@ -39,7 +40,6 @@ from ndchan import (
     walk_to_labeling,
 )
 from ndchan.decomposition import TypeGraph
-from ndchan.errors import GuardExceeded
 from ndchan.ilp import EQ, LE, Constraint, IlpModel, solve_feasibility
 from ndchan import solver
 from ndchan.oracle import brute_force_ca, brute_force_nd
@@ -48,6 +48,7 @@ from helpers import (
     complete_graph,
     connected_bipartite_instance,
     cycle_graph,
+    full_digraph_exceeds,
     lp_min_span_brute,
     path_graph,
     random_graph,
@@ -106,10 +107,9 @@ def vc_route_records():
         if len(min_vertex_cover(wg.graph).cover) > 3:
             continue
         span = rng.randint(0, min(12, trivial_upper_bound(wg)))
-        try:
-            labeling = solve_ca_vc(wg, span, max_digraph_nodes=DIGRAPH_GUARD)
-        except GuardExceeded:
+        if full_digraph_exceeds(wg, "vc", None, DIGRAPH_GUARD):
             continue
+        labeling = solve_ca_vc(wg, span)
         oracle = brute_force_ca(wg, span, guard=ORACLE_GUARD)
         records.append(
             {"wg": wg, "span": span, "labeling": labeling, "oracle": oracle}
@@ -236,7 +236,7 @@ def test_differential_engines_on_criterion_draws(uniform_route_records, vc_route
         feasible += _differential(
             rec["wg"],
             rec["span"],
-            lambda: solve_ca_vc(rec["wg"], rec["span"], max_digraph_nodes=DIGRAPH_GUARD),
+            lambda: solve_ca_vc(rec["wg"], rec["span"]),
         )
     _passed(
         "differential (walk search, ILP, oracle)",
@@ -332,13 +332,11 @@ def test_least_span_on_random_uniform_and_vc_instances(seed):
     assume(wg.graph.n <= 7)
     other = random_weighted_graph(rng, rng.randint(2, 7), 0.35, 3)
     assume(len(min_vertex_cover(other.graph).cover) <= 3)
-    for instance, route, given_partition in ((wg, "uniform", partition), (other, "vc", None)):
-        try:
-            span, labeling = minimize_span(
-                instance, route, given_partition, max_digraph_nodes=DIGRAPH_GUARD
-            )
-        except GuardExceeded:
-            reject()
+    cases = ((wg, "uniform", partition), (other, "vc", None))
+    if any(full_digraph_exceeds(*case, DIGRAPH_GUARD) for case in cases):
+        reject()
+    for instance, route, given_partition in cases:
+        span, labeling = minimize_span(instance, route, given_partition)
         assert span == _least_feasible_span(instance), (route, instance.weights)
         assert verify_assignment(instance, labeling).ok
 
@@ -348,12 +346,9 @@ def test_criterion_4_bipartite_minimum_is_wmax():
     checked = 0
     while checked < 50:
         wg = connected_bipartite_instance(rng, max_n=7, max_weight=3)
-        try:
-            span, labeling = minimize_span(
-                wg, "vc", max_digraph_nodes=DIGRAPH_GUARD
-            )
-        except GuardExceeded:
+        if full_digraph_exceeds(wg, "vc", None, DIGRAPH_GUARD):
             continue
+        span, labeling = minimize_span(wg, "vc")
         assert span == wg.wmax, wg.weights
         assert verify_assignment(wg, labeling).ok
         checked += 1
@@ -367,20 +362,20 @@ def test_criterion_5_scaling_preserves_feasibility():
         g = random_graph(rng, rng.randint(2, 6), 0.5)
         p = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2)))
         span = rng.randint(0, 8)
-        try:
-            base = solve_labeling(
-                g, DistanceConstraints(p), span, max_digraph_nodes=DIGRAPH_GUARD
+        if any(
+            full_digraph_exceeds(
+                labeling_to_ca(g, DistanceConstraints(tuple(c * q for q in p))),
+                "uniform",
+                nd_partition(g),
+                DIGRAPH_GUARD,
             )
-            for c in (2, 3):
-                scaled = solve_labeling(
-                    g,
-                    DistanceConstraints(tuple(c * q for q in p)),
-                    c * span,
-                    max_digraph_nodes=DIGRAPH_GUARD,
-                )
-                assert (scaled is None) == (base is None), (sorted(g.edges), p, span, c)
-        except GuardExceeded:
+            for c in (1, 2, 3)
+        ):
             continue
+        base = solve_labeling(g, DistanceConstraints(p), span)
+        for c in (2, 3):
+            scaled = solve_labeling(g, DistanceConstraints(tuple(c * q for q in p)), c * span)
+            assert (scaled is None) == (base is None), (sorted(g.edges), p, span, c)
         checked += 1
     _passed("criterion 5 (scaled constraints preserve feasibility)", "50 instances, c in {2, 3}")
 

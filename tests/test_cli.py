@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ndchan import check_uniform
 from ndchan.cli import main
 from helpers import send_probes_to_ilp
 
@@ -84,6 +85,27 @@ class TestSolve:
         code, out, _ = run(capsys, ["solve", "--instance", path, "--lambda", "2"])
         assert code == 0
         assert json.loads(out)["stats"]["solve_ms"] > 0
+
+    @pytest.mark.parametrize(
+        "payload, checks",
+        [
+            ('{"n":4,"edges":[[0,1,2],[2,3,2]]}', 1),  # uniform on the twin partition
+            ('{"n":3,"edges":[[0,1,1],[0,2,2],[1,2,3]]}', 2),  # one check per route tried
+        ],
+    )
+    def test_uniformity_checked_once_per_route(self, tmp_path, capsys, monkeypatch, payload, checks):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_uniform(*args)
+
+        monkeypatch.setattr("ndchan.cli.check_uniform", counted)
+        monkeypatch.setattr("ndchan.solver.check_uniform", counted)
+        path = write_instance(tmp_path, payload)
+        code, _, _ = run(capsys, ["solve", "--instance", path, "--lambda", "5"])
+        assert code == 0
+        assert len(calls) == checks
 
     def test_too_many_types_is_guard_exit(self, tmp_path, capsys):
         # P17's twin partition: 17 singleton classes in one part

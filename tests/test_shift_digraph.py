@@ -23,7 +23,8 @@ def two_adjacent_types(w, loops=(1, 1)):
 
 
 def brute_force_digraph(tg, z):
-    """Direct enumeration of all candidate tuples against the definitions."""
+    """Direct enumeration of all candidate tuples against the definitions,
+    with no bound from the class sizes."""
     tau = tg.node_count
     pairs = dict(tg.weights)
 
@@ -46,6 +47,11 @@ def brute_force_digraph(tg, z):
             if a[1:] == b[:-1] and tuple_ok(a + (b[-1],)):
                 edges.add((a, b))
     return set(nodes), edges
+
+
+def within_sizes(window, sizes):
+    """Whether no type fills more coordinates of the window than its size."""
+    return all(sum(t in s for s in window) <= size for t, size in enumerate(sizes))
 
 
 def as_sets(d, node):
@@ -105,25 +111,31 @@ class TestBuildShiftDigraph:
             build_shift_digraph(tg, 3, max_nodes=2)
 
     def test_matches_exhaustive_enumeration(self):
+        # sizes go up to z, where the size bound no longer removes anything
         rng = random.Random(5)
         for tau in (1, 2):
             for z in (1, 2, 3):
-                for _ in range(6):
+                for _ in range(8):
+                    sizes = tuple(rng.randint(1, z) for _ in range(tau))
                     loops = {(t, t): rng.randint(1, 3) for t in range(tau)}
                     adjacency = set()
                     weights = dict(loops)
                     if tau == 2 and rng.random() < 0.7:
                         adjacency.add((0, 1))
                         weights[(0, 1)] = rng.randint(1, 3)
-                    tg = TypeGraph(
-                        (1,) * tau, frozenset(range(tau)), frozenset(adjacency), weights
-                    )
+                    tg = TypeGraph(sizes, frozenset(range(tau)), frozenset(adjacency), weights)
                     d = build_shift_digraph(tg, z)
                     nodes, edges = brute_force_digraph(tg, z)
                     got_nodes = {as_sets(d, i) for i in range(len(d.windows))}
                     got_edges = {(as_sets(d, a), as_sets(d, b)) for a, b in d.edges}
-                    assert got_nodes == nodes
-                    assert got_edges == edges
+                    assert got_nodes == {w for w in nodes if within_sizes(w, sizes)}
+                    assert got_edges <= edges
+                    for a, b in edges:
+                        if within_sizes(a, sizes):
+                            # absent exactly when the shifted window is over a size
+                            assert ((a, b) in got_edges) == within_sizes(b, sizes)
+                    if all(size == z for size in sizes):
+                        assert got_nodes == nodes and got_edges == edges
 
 
 class TestDump:
