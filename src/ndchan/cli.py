@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import asdict
 
-from .decomposition import check_uniform, nd_partition
+from .decomposition import check_uniform, nd_partition, refine_uniform
 from .errors import GuardExceeded, InstanceFormatError, InternalSolverError, NotUniformError
 from .graph import Labeling, verify_assignment, trivial_upper_bound
 from .ilp import dump_model
@@ -105,16 +105,19 @@ def _run(args, instance, wg, route, partition) -> int:
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
     wg = instance.weighted_graph()
-    if args.route != "vc":
+    if args.route == "vc":
+        return _run(args, instance, wg, "vc", None)
+    partition = nd_partition(wg.graph)
+    if args.route == "auto":
+        # the twin partition refined to uniform weights, uniform on every input
+        partition = refine_uniform(wg, partition)
+    try:
+        return _run(args, instance, wg, "uniform", partition)
+    except NotUniformError:
         # the library checks uniformity before it builds or prints anything
-        try:
-            return _run(args, instance, wg, "uniform", nd_partition(wg.graph))
-        except NotUniformError:
-            if args.route == "uniform":
-                raise InstanceFormatError(
-                    "instance is not nd-uniform; use --route vc or auto"
-                ) from None
-    return _run(args, instance, wg, "vc", None)
+        raise InstanceFormatError(
+            "instance is not nd-uniform; use --route vc or auto"
+        ) from None
 
 
 def _cmd_label(args) -> int:

@@ -12,8 +12,6 @@ request, so results are deterministic for a fixed model and options.
 
 from __future__ import annotations
 
-import functools
-import importlib.util
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -317,16 +315,6 @@ def solve_feasibility(
         else:
             record()
             return None
-
-
-@functools.cache
-def lp_tools_installed() -> bool:
-    """Whether numpy and scipy are there for relaxation_point and
-    refute_by_certificate; neither is imported to find out."""
-    try:
-        return all(importlib.util.find_spec(name) is not None for name in ("numpy", "scipy"))
-    except (ImportError, ValueError):
-        return False
 
 
 def relaxation_point(model: IlpModel):

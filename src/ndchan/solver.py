@@ -6,24 +6,22 @@ condenses the instance to its weighted type graph, and split that graph
 into its connected parts over type adjacency; nothing after the check reads
 the vertex graph.  Each part's type graph is made reflexive and gets a
 shift digraph with window length z = wmax, holding only the windows within
-the class sizes.  A least span is the largest of the parts' least spans,
-each found by one breadth-first walk search (_WalkSearch.least_span); one
-probe at it then gives the witness.  Each
-span probe looks for a closed walk of span + z + 1 edges through the
-all-empty window whose per-type counts match the class sizes, with one of
-two exact engines:
+the class sizes.  A span-lambda labeling of a part is a closed walk of
+lambda + z + 1 edges through the all-empty window whose per-type counts
+match the class sizes.  One exact engine finds it: a breadth-first search
+over (window, per-type counts) for the shortest such walk
+(_WalkSearch.shortest_walk), padded with empty slices to the span and
+decoded into vertex labels by walk_to_labeling, which checks its length,
+its end points and its per-type counts.  A least span is the largest of
+the parts' least spans, with each part's own walk padded to it.
 
-- first the walk search (_WalkSearch.search), a depth-first search over
-  (window, per-type counts) with a memo of the earliest step at which each
-  dead state died;
-- once that search would enter more than WALK_STATE_LIMIT states, and only
-  where numpy and scipy are installed, the flow ILP (solve_flow): an edge
-  multiset by integer feasibility (Kirchhoff balance + per-type occurrence
-  counts + total walk length, with connectivity enforced through lazily
-  generated cuts), put in order by an Euler walk.
-
-Either walk is decoded into vertex labels by walk_to_labeling, which checks
-its length, its end points and its per-type counts.
+The flow ILP (build_flow_model, solve_flow, euler_walk) is the paper's
+formulation of the same walk as an integer edge multiset: Kirchhoff
+balance, per-type occurrence counts and the total walk length, with
+connectivity enforced through lazily generated cuts, put in order by an
+Euler walk.  No solving entry point uses it; it is kept as a library
+route and as the independent reference the differential tests compare
+against.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from .ilp import (
     Constraint,
     IlpModel,
     add_constraint,
-    lp_tools_installed,
     refute_by_certificate,
     relaxation_point,
     solve_feasibility,
@@ -673,7 +670,7 @@ def walk_to_labeling(
 
 
 class _WalkSearch:
-    """Exact searches for the walk itself, over the states (window, per-type
+    """Exact search for the walk itself, over the states (window, per-type
     counts) of walk prefixes from the all-empty window.
 
     A span-lambda labeling is a walk of lambda + 1 steps from the all-empty
@@ -681,14 +678,10 @@ class _WalkSearch:
     whose per-type counts end equal to the class sizes; z empty slices then
     close it at the all-empty window.  Empty slices can always be appended,
     so a state reached at step k can do everything the same state can do
-    when reached later: the step need not be part of the state.
-
-    least_span finds the least span by a breadth-first search, layer k
-    holding the states first reached after k steps.  search decides one
-    span by a depth-first search that remembers, per state, the earliest
-    step at which every continuation failed, and never expands the state
-    again from that step on.  Count vectors are mixed-radix codes and a
-    state is one int, which keeps both searches' sets small.
+    when reached later: the step need not be part of the state, and the
+    shortest walk to the class sizes serves every span from its own up.
+    Count vectors are mixed-radix codes and a state is one int, which keeps
+    the search's dict small.
     """
 
     def __init__(self, d: ShiftDigraph, tg: TypeGraph):
@@ -740,13 +733,16 @@ class _WalkSearch:
             info = self._count_info[code] = (full, need)
         return info
 
-    def least_span(self) -> int:
-        """The least span of a labeling.
+    def shortest_walk(self, span: int | None = None) -> list[int] | None:
+        """Windows of a shortest walk from the all-empty window whose per-type
+        counts reach the class sizes; its length minus 2 is the least span.
 
-        The first layer holding the full count code is the least walk length
-        (minus 1, the span): a state is entered on the first layer that
-        reaches it, because reaching it later can only lengthen the walk.
-        The search keeps one set entry per state entered and has no state
+        A breadth-first search: layer k holds the states first entered after
+        k steps, each with the state it was entered from, since reaching a
+        state later can only lengthen the walk.  Under a span, states whose
+        remaining copies need more label positions than are left are not
+        expanded, and after span + 1 steps the search gives up with None,
+        every state within them tried.  Without a span there is no state
         limit.
         """
         table = self._successor_table()
@@ -754,11 +750,13 @@ class _WalkSearch:
         code_space = self.code_space
         goal = code_space - 1  # every digit at its class size
         start = self.digraph.empty_index * code_space
-        seen = {start}
+        last = float("inf") if span is None else span + 1
+        parent = {start: None}
         layer = [start]
         steps = 0
-        while layer:
+        while layer and steps < last:
             steps += 1  # building the layer of walks with this many steps
+            left = last - steps  # label positions after the one placed now
             next_layer = []
             for state in layer:
                 node, code = divmod(state, code_space)
@@ -768,96 +766,32 @@ class _WalkSearch:
                         continue
                     next_code = code + step
                     if next_code == goal:
-                        return steps - 1
+                        path = [dst]
+                        while state is not None:
+                            path.append(state // code_space)
+                            state = parent[state]
+                        path.reverse()
+                        return path
                     key = dst * code_space + next_code
-                    if key in seen:
+                    if key in parent:
                         continue
-                    seen.add(key)
-                    next_layer.append(key)
+                    parent[key] = state
+                    if span is None or info(next_code)[1] <= left:
+                        next_layer.append(key)
             layer = next_layer
-        raise InternalSolverError("no walk reaches the class sizes at any span")
+        if span is None:
+            raise InternalSolverError("no walk reaches the class sizes at any span")
+        return None
 
-    def search(self, span: int, max_states: int | None = None) -> Walk | None:
-        """The closed walk of a span-`span` labeling, or None when none exists.
-
-        Raises GuardExceeded instead of entering state max_states + 1, so
-        that no verdict rests on a partial search.  The dead memo keeps one
-        entry per (window, counts) pair, so it never holds more than the
-        states entered.
-        """
+    def closed_walk(self, prefix: list[int], span: int) -> Walk:
+        """The walk prefix padded with empty slices to span + 1 steps, then
+        closed with z more at the all-empty window; the last successor of a
+        window is the one that shifts in an empty slice."""
         table = self._successor_table()
-        info = self._info
-        d = self.digraph
-        steps = span + 1
-        code_space = self.code_space
-        if info(0)[1] > steps:
-            return None
-
-        budget = float("inf") if max_states is None else max_states
-        # state -> earliest step it died at; it is dead at every later one
-        dead: dict[int, int] = {}
-        path = [d.empty_index]
-        codes = [0]
-        cursor = [0]
-        while len(path) <= steps:
-            k = len(path) - 1  # steps taken; the next one places position k
-            node = path[-1]
-            code = codes[-1]
-            succ = table[node]
-            full = info(code)[0]
-            remaining = span - k  # positions left after this step
-            i = cursor[-1]
-            while i < len(succ):
-                dst, mask, step = succ[i]
-                i += 1
-                if mask & full:
-                    continue
-                next_code = code + step
-                if info(next_code)[1] > remaining:
-                    continue
-                if dead.get(dst * code_space + next_code, steps + 1) <= k + 1:
-                    continue
-                cursor[-1] = i
-                budget -= 1
-                if budget < 0:
-                    raise GuardExceeded(f"walk search passed {max_states} states")
-                path.append(dst)
-                codes.append(next_code)
-                cursor.append(0)
-                break
-            else:
-                dead[node * code_space + code] = k
-                path.pop()
-                codes.pop()
-                cursor.pop()
-                if not path:
-                    return None
-        # close with empty slices: the last successor of a window is the one
-        # that shifts in an empty slice
-        for _ in range(d.window_length):
+        path = list(prefix)
+        for _ in range(span + self.digraph.window_length + 2 - len(path)):
             path.append(table[path[-1]][-1][0])
         return Walk(tuple(path))
-
-
-# Most states one depth-first walk search (_WalkSearch.search) may enter
-# before it stops without a verdict and hands its probe to the ILP, applied
-# only where the ILP has its LP tools (lp_tools_installed).  The search keeps
-# at most one memo entry per state entered.  Under L(3,2) its refutations one
-# span below the least span enter 57,975 states on K40,40 and 36,708 on
-# K10,10,10 (about 5e5 a second), so neither rung reaches the limit.  The
-# breadth-first least-span search (_WalkSearch.least_span) has no limit: it
-# needs no refutation, and under L(3,2) enters 14,703 states on K40,40,
-# 15,462 on K10,10,10 and 113,752 on K20,20,20 (about 1e6 a second).  The
-# limit was set where the ILP became the faster engine on refutations of
-# large classes: every such refutation tried (complete multipartite graphs
-# under L(2,1) and L(3,2)) has an infeasible root relaxation, which
-# solve_flow refutes by certificate before any search in 0.01-0.02 s.
-# Without scipy the same refutations took the ILP 88-95 s (K20,20 under
-# L(3,2), K1,128 under L(2,1)) where the walk search took 0.1 s or less.
-# Feasible probes are where the ILP is slow either way (55 s on K3,3,3,3
-# under L(3,2)); the walk search found every feasible walk tried without a
-# dead end.
-WALK_STATE_LIMIT = 100_000
 
 
 class _ComponentPipeline:
@@ -873,25 +807,15 @@ class _ComponentPipeline:
         )
         self.walk_search = _WalkSearch(self.digraph, self.reduction.type_graph)
 
-    def solve(self, span: int, stats: SolveStats | None = None):
-        """Labeling of the component at this span, or None when there is none.
+    def labeling(self, prefix: list[int], span: int) -> Labeling:
+        """Labels from a shortest walk prefix padded to the span."""
+        walk = self.walk_search.closed_walk(prefix, span)
+        return walk_to_labeling(walk, self.digraph, self.reduction, span, self.vertex_count)
 
-        The walk search runs first.  Where the LP tools are installed and
-        it would enter more than WALK_STATE_LIMIT states, the flow ILP picks
-        an edge multiset instead and an Euler walk orders it.  Either walk
-        is decoded and checked by walk_to_labeling.
-        """
-        limit = WALK_STATE_LIMIT if lp_tools_installed() else None
-        try:
-            walk = self.walk_search.search(span, limit)
-        except GuardExceeded:
-            ms = solve_flow(self.digraph, self.reduction.type_graph, span, stats=stats)
-            walk = None if ms is None else euler_walk(ms, self.digraph)
-        if walk is None:
-            return None
-        return walk_to_labeling(
-            walk, self.digraph, self.reduction, span, self.vertex_count
-        )
+    def solve(self, span: int):
+        """Labeling of the component at this span, or None when there is none."""
+        prefix = self.walk_search.shortest_walk(span)
+        return None if prefix is None else self.labeling(prefix, span)
 
 
 def _type_parts(tg: TypeGraph, partition: NdPartition):
@@ -980,25 +904,25 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
         stats.types = refined.count
         stats.digraph_nodes += sum(len(p.digraph.windows) for p, _ in pipelines)
 
-    def probe(at):
-        labels: list[int | None] = [None] * wg.graph.n
-        for pipeline, vertices in pipelines:
-            sub = pipeline.solve(at, stats)
-            if sub is None:
-                return None
-            for local, vertex in enumerate(vertices):
-                labels[vertex] = sub.labels[local]
-        return Labeling(tuple(labels), at)
-
-    if span is not None:
-        result = probe(span)
-    else:
+    if span is None:
+        prefixes = [p.walk_search.shortest_walk() for p, _ in pipelines]
         # the parts are independent, so the least span is the largest of theirs
-        span = max((p.walk_search.least_span() for p, _ in pipelines), default=0)
-        best = probe(span)
-        if best is None:
-            raise InternalSolverError("least span probe came back infeasible")
-        result = span, best
+        at = max((len(prefix) - 2 for prefix in prefixes), default=0)
+        subs = (p.labeling(prefix, at) for (p, _), prefix in zip(pipelines, prefixes))
+    else:
+        at = span
+        subs = (p.solve(span) for p, _ in pipelines)
+    labels: list[int | None] = [None] * wg.graph.n
+    for sub, (_, vertices) in zip(subs, pipelines):
+        if sub is None:
+            result = None
+            break
+        for local, vertex in enumerate(vertices):
+            labels[vertex] = sub.labels[local]
+    else:
+        result = Labeling(tuple(labels), at)
+    if span is None:
+        result = at, result
     if stats is not None:
         stats.solve_ms = round(stats.solve_ms + (time.perf_counter() - start) * 1000, 3)
     return result
@@ -1044,9 +968,9 @@ def minimize_span(
     """Least feasible span with a witnessing labeling.
 
     Each connected part of the type graph gets one breadth-first walk search
-    for its least span, and the answer is the largest of them; one probe at
-    that span then finds the witness, decoded and checked as for a fixed
-    span.  No span is refuted.
+    for its shortest walk, and the answer is the largest of their least
+    spans; each part's own walk, padded to that span, is decoded and checked
+    as for a fixed span.  No span is refuted.
     """
     return _solve(wg, route, partition, None, stats, max_digraph_nodes)
 

@@ -29,13 +29,20 @@ from ndchan.errors import GuardExceeded
 
 
 def send_probes_to_ilp(mp) -> None:
-    """Make every walk search give up at once through `mp` (a pytest
-    MonkeyPatch), so that each component probe goes to the flow ILP."""
+    """Solve every component probe with the flow ILP through `mp` (a pytest
+    MonkeyPatch): solve_flow picks the edge multiset, an Euler walk orders
+    it and walk_to_labeling decodes it, in place of the walk search."""
 
-    def give_up(self, span, max_states=None):
-        raise GuardExceeded("walk search turned off")
+    def by_ilp(self, span):
+        ms = solver.solve_flow(self.digraph, self.reduction.type_graph, span)
+        if ms is None:
+            return None
+        walk = solver.euler_walk(ms, self.digraph)
+        return solver.walk_to_labeling(
+            walk, self.digraph, self.reduction, span, self.vertex_count
+        )
 
-    mp.setattr(solver._WalkSearch, "search", give_up)
+    mp.setattr(solver._ComponentPipeline, "solve", by_ilp)
 
 
 def full_digraph_exceeds(wg: WeightedGraph, route: str, partition, guard: int) -> bool:

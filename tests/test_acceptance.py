@@ -49,6 +49,8 @@ from helpers import (
     connected_bipartite_instance,
     cycle_graph,
     full_digraph_exceeds,
+    lp_feasible_brute,
+    lp_labeling_valid,
     lp_min_span_brute,
     path_graph,
     random_graph,
@@ -197,17 +199,10 @@ def test_criterion_2_vc_route_oracle_equivalence(vc_route_records):
 @contextlib.contextmanager
 def _engine(name):
     """Route every component probe to one engine: "walk" for the walk
-    search, "ilp" for solve_flow and the Euler walk, "switch" for the walk
-    search under a state limit of 3, so that most searches stop part way
-    and hand their probe to the ILP (with or without scipy)."""
+    search the solver uses, "ilp" for solve_flow and the Euler walk."""
     with pytest.MonkeyPatch.context() as mp:
         if name == "ilp":
             send_probes_to_ilp(mp)
-        elif name == "walk":
-            mp.setattr(solver, "WALK_STATE_LIMIT", None)
-        else:
-            mp.setattr(solver, "WALK_STATE_LIMIT", 3)
-            mp.setattr(solver, "lp_tools_installed", lambda: True)
         yield
 
 
@@ -251,9 +246,37 @@ def test_differential_engines_on_random_uniform_instances(seed, span):
         random.Random(seed), max_types=3, max_size=3, max_weight=3
     )
     assume(wg.graph.n <= 7)
-    _differential(
-        wg, span, lambda: solve_ca_uniform(wg, partition, span), ("walk", "ilp", "switch")
-    )
+    _differential(wg, span, lambda: solve_ca_uniform(wg, partition, span))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.sampled_from(((2, 1), (3, 2), (1, 1))))
+@settings(max_examples=40, deadline=None)
+def test_differential_engines_on_random_vc_and_labeling_instances(seed, span, p):
+    # a random weighted graph on the vertex-cover route and a random L(p)
+    # labeling on the twin partition: both engines, minimize_span and the
+    # brute-force oracles agree, and every labeling verifies
+    rng = random.Random(seed)
+    wg = random_weighted_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.6), 3)
+    assume(len(min_vertex_cover(wg.graph).cover) <= 3)
+    g = random_graph(rng, rng.randint(1, 6), rng.random())
+    dc = DistanceConstraints(p)
+    lwg = labeling_to_ca(g, dc)
+    if full_digraph_exceeds(wg, "vc", None, DIGRAPH_GUARD) or full_digraph_exceeds(
+        lwg, "uniform", nd_partition(g), DIGRAPH_GUARD
+    ):
+        reject()
+
+    _differential(wg, span, lambda: solve_ca_vc(wg, span))
+    least, labeling = minimize_span(wg, "vc")
+    assert least == _least_feasible_span(wg), wg.weights
+    assert verify_assignment(wg, labeling).ok
+
+    feasible = _differential(lwg, span, lambda: solve_labeling(g, dc, span))
+    assert feasible == lp_feasible_brute(g, p, span), (sorted(g.edges), p, span)
+    least, labeling = minimize_span(lwg, "uniform", nd_partition(g))
+    assert least == lp_min_span_brute(g, p), (sorted(g.edges), p)
+    assert verify_assignment(lwg, labeling).ok
+    assert lp_labeling_valid(g, p, labeling.labels, least)
 
 
 def test_criterion_3_labeling_pipeline_minimum_spans(labeling_fixture_records):
@@ -274,36 +297,34 @@ def test_criterion_3_labeling_pipeline_minimum_spans(labeling_fixture_records):
 
 
 def test_minimize_span_one_search_per_part(monkeypatch):
-    # each part gets one least-span search and then one probe at the least
-    # span, which never comes back infeasible
-    searched, probed = [], []
-    original_search = solver._WalkSearch.least_span
-    original_solve = solver._ComponentPipeline.solve
+    # each part gets one shortest-walk search and no span probe: its own
+    # walk, padded to the largest least span, is the witness
+    searched = []
+    original_search = solver._WalkSearch.shortest_walk
 
-    def recorded_search(self):
+    def recorded_search(self, span=None):
+        assert span is None
         searched.append(self)
-        return original_search(self)
+        return original_search(self, span)
 
-    def recorded_solve(self, span, stats=None):
-        probed.append(self.walk_search)
-        labeling = original_solve(self, span, stats)
-        assert labeling is not None, span
-        return labeling
+    def no_probe(self, span):
+        raise AssertionError(f"minimize_span probed span {span}")
 
-    monkeypatch.setattr(solver._WalkSearch, "least_span", recorded_search)
-    monkeypatch.setattr(solver._ComponentPipeline, "solve", recorded_solve)
+    monkeypatch.setattr(solver._WalkSearch, "shortest_walk", recorded_search)
+    monkeypatch.setattr(solver._ComponentPipeline, "solve", no_probe)
     k20_20 = Graph.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40)])
     cases = [(g, p) for _, g in FIXTURE_GRAPHS for p in FIXTURE_CONSTRAINTS]
     cases.append((k20_20, (3, 2)))
     for g, p in cases:
         wg = labeling_to_ca(g, DistanceConstraints(p))
+        partition = nd_partition(g)
         searched.clear()
-        probed.clear()
-        span, _ = minimize_span(wg, "uniform", nd_partition(g))
-        assert len(set(searched)) == len(searched) > 0, (g, p)
-        assert probed == searched, (g, p)
+        span, labeling = minimize_span(wg, "uniform", partition)
+        _, _, pipelines = solver._pipelines(wg, "uniform", partition)
+        assert len(set(searched)) == len(searched) == len(pipelines) > 0, (g, p)
+        assert verify_assignment(wg, labeling).ok
     assert span == 79  # K20,20 under L(3,2): each side 2 * 19, and 3 between them
-    _passed("minimize_span searches", f"{len(cases)} instances, one search and probe per part")
+    _passed("minimize_span searches", f"{len(cases)} instances, one search per part")
 
 
 def _least_feasible_span(wg):
@@ -470,8 +491,7 @@ def test_criterion_8_lazy_cut_sanity():
 
     # an instance whose first solutions come back disconnected, forcing the
     # cut loop to add cuts before reaching a connected support; solve_flow is
-    # called directly because the solve entry points route small instances
-    # to the walk search, which has no cut loop
+    # called directly so that its stats count the cuts
     g3 = path_graph(3)
     wg3 = labeling_to_ca(g3, DistanceConstraints((1,)))
     partition3 = nd_partition(g3)
@@ -535,8 +555,9 @@ def test_cut_separators_on_walk_supports(uniform_route_records):
         for pipeline, _ in pipelines:
             full = pipeline.digraph
             tg = pipeline.reduction.type_graph
-            walk = pipeline.walk_search.search(span)
-            assert walk is not None
+            prefix = pipeline.walk_search.shortest_walk(span)
+            assert prefix is not None
+            walk = pipeline.walk_search.closed_walk(prefix, span)
             d, capacity, edge_map = solver._pruned_digraph(full, tg, span)
             index = {pair: ei for ei, pair in enumerate(full.edges)}
             pruned_index = {full_ei: ei for ei, full_ei in enumerate(edge_map)}

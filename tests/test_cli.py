@@ -72,13 +72,22 @@ class TestSolve:
         assert code == 2
         assert "uniform" in err
 
-    def test_route_auto_falls_back_to_vc(self, tmp_path, capsys):
+    def test_route_auto_falls_back_to_vc(self, tmp_path, capsys, monkeypatch):
+        # where the twin partition is not weight-uniform, auto solves on it
+        # refined to uniform weights (here three singletons) instead of
+        # falling back to the vertex-cover route, and searches no cover
+        def no_cover(*args):
+            raise AssertionError("auto searched a vertex cover")
+
+        monkeypatch.setattr("ndchan.solver.min_vertex_cover", no_cover)
         path = write_instance(
             tmp_path, '{"n":3,"edges":[[0,1,1],[0,2,2],[1,2,3]]}'
         )
         code, out, _ = run(capsys, ["solve", "--instance", path, "--lambda", "5"])
         assert code == 0
-        assert json.loads(out)["feasible"] is True
+        payload = json.loads(out)
+        assert payload["feasible"] is True
+        assert payload["stats"]["types"] == 3
 
     def test_solve_ms_keeps_fractions(self, tmp_path, capsys):
         path = write_instance(tmp_path, '{"n":4,"edges":[[0,1,2],[2,3,2]]}')
@@ -90,7 +99,7 @@ class TestSolve:
         "payload, checks",
         [
             ('{"n":4,"edges":[[0,1,2],[2,3,2]]}', 1),  # uniform on the twin partition
-            ('{"n":3,"edges":[[0,1,1],[0,2,2],[1,2,3]]}', 2),  # one check per route tried
+            ('{"n":3,"edges":[[0,1,1],[0,2,2],[1,2,3]]}', 1),  # uniform once refined
         ],
     )
     def test_uniformity_checked_once_per_route(self, tmp_path, capsys, monkeypatch, payload, checks):
@@ -155,21 +164,31 @@ class TestSolve:
         assert json.loads(out)["stats"]["digraph_nodes"] == 6
 
     def test_dump_on_vc_fallback(self, tmp_path, capsys):
+        # not uniform on the twin partition: auto dumps the refined twin
+        # partition's digraph, vc the cover partition's, as each solves on it
         path = write_instance(
             tmp_path, '{"n":3,"edges":[[0,1,1],[0,2,2],[1,2,3]]}'
         )
-        code, out, err = run(
-            capsys,
-            ["solve", "--instance", path, "--lambda", "5", "--dump-digraph", "--dump-ilp"],
-        )
-        assert code == 0
-        nodes = [
-            int(line.split("nodes=")[1].split()[0])
-            for line in err.splitlines()
-            if line.startswith("# shift digraph")
-        ]
-        assert nodes and "# ilp" in err
-        assert sum(nodes) == json.loads(out)["stats"]["digraph_nodes"]
+        for route in ("auto", "vc"):
+            code, out, err = run(
+                capsys,
+                [
+                    "solve",
+                    "--instance",
+                    path,
+                    "--lambda",
+                    "5",
+                    "--route",
+                    route,
+                    "--dump-digraph",
+                    "--dump-ilp",
+                ],
+            )
+            assert code == 0
+            headers = [line for line in err.splitlines() if line.startswith("# shift digraph")]
+            assert headers == ["# shift digraph: types=3 z=3 nodes=18 edges=42"], route
+            assert "# ilp" in err
+            assert json.loads(out)["stats"]["digraph_nodes"] == 18
 
     def test_dimacs_input(self, tmp_path, capsys):
         path = write_instance(tmp_path, "p edge 3 3\ne 1 2 2\ne 2 3 2\ne 1 3 2\n", "g.col")

@@ -16,7 +16,6 @@ from ndchan.ilp import (
     EQ,
     LE,
     dump_model,
-    lp_tools_installed,
     refute_by_certificate,
     relaxation_point,
 )
@@ -218,7 +217,6 @@ class TestRelaxationTools:
         model = IlpModel(2, (2, 2), (Constraint.build([(0, 1), (1, 1)], EQ, 9),))
         assert relaxation_point(model) is None
         assert not refute_by_certificate(model)
-        assert not lp_tools_installed()
 
     @given(st.integers(0, 9999))
     @settings(max_examples=60, deadline=None)

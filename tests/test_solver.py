@@ -300,23 +300,10 @@ class TestSolveCaUniform:
         assert stats.digraph_nodes > 0
 
 
-class TestEngineRouter:
-    def test_state_limit(self):
-        # one clique type of size 3 with loop weight 2: the span-4 walk
-        # enters five states without a dead end; at span 3 the three copies
-        # need five positions, which refutes it before any state is entered
-        _, reduction, digraph = uniform_pipeline(k3_instance())
-        search = solver._WalkSearch(digraph, reduction.type_graph)
-        with pytest.raises(GuardExceeded):
-            search.search(4, 4)
-        assert search.search(4, 5) is not None
-        assert search.search(3, 0) is None
-
-    def test_dead_memo_keeps_the_step(self):
+class TestWalkSearch:
+    def test_two_clique_classes_match_the_oracle(self):
         # a K3 clique class (weight 2) joined by weight 2 to a K4 clique
-        # class (weight 3): the depth-first search at span 12 meets states
-        # that died at a later step before it meets them at an earlier one,
-        # so a memo that forgot the step would refute this feasible span
+        # class (weight 3), at its least span 12 and on either side of it
         triples = [(u, v, 2) for u in range(3) for v in range(u + 1, 3)]
         triples += [(u, v, 3) for u in range(3, 7) for v in range(u + 1, 7)]
         triples += [(u, v, 2) for u in range(3) for v in range(3, 7)]
@@ -325,50 +312,58 @@ class TestEngineRouter:
             (frozenset(range(3)), frozenset(range(3, 7))), (CLIQUE, CLIQUE)
         )
         _, _, [(pipeline, _)] = solver._pipelines(wg, "uniform", partition)
-        assert pipeline.walk_search.least_span() == 12
-        for span in (12, 13):
-            walk = pipeline.walk_search.search(span)
-            assert walk is not None and brute_force_ca(wg, span, guard=10**9) is not None
-        assert pipeline.walk_search.search(11) is None
-        assert brute_force_ca(wg, 11) is None
+        assert len(pipeline.walk_search.shortest_walk()) - 2 == 12
+        for span in (11, 12, 13):
+            labeling = solve_ca_uniform(wg, partition, span)
+            oracle = brute_force_ca(wg, span, guard=10**9)
+            assert (labeling is None) == (oracle is None) == (span == 11), span
+            if labeling is not None:
+                assert verify_assignment(wg, labeling).ok
+        assert pipeline.walk_search.shortest_walk(11) is None
 
-    def test_small_search_takes_the_walk_search(self, monkeypatch):
+    def test_pads_above_the_least_span(self):
+        # K20,20 under L(3,2): least span 79 (each side 2 * 19, and 3 between
+        # them); a larger span takes the same walk padded with empty slices
+        g = Graph.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40)])
+        dc = DistanceConstraints((3, 2))
+        wg = labeling_to_ca(g, dc)
+        assert solve_labeling(g, dc, 78) is None
+        for span in (79, 200):
+            labeling = solve_labeling(g, dc, span)
+            assert labeling is not None and labeling.span == span
+            assert verify_assignment(wg, labeling).ok
+            assert max(labeling.labels) <= 79
+
+    def test_no_entry_point_reaches_the_ilp(self, monkeypatch, tmp_path, capsys):
+        # the walk search answers every probe, with or without scipy
         def no_ilp(*args, **kwargs):
-            raise AssertionError("the ILP ran under the state limit")
+            raise AssertionError("a solving entry point reached the flow ILP")
 
         monkeypatch.setattr(solver, "solve_flow", no_ilp)
-        wg = k3_instance()
-        assert solve_ca_uniform(wg, nd_partition(wg.graph), 3) is None
-        labeling = solve_ca_uniform(wg, nd_partition(wg.graph), 4)
-        assert verify_assignment(wg, labeling).ok
+        monkeypatch.setattr(solver, "euler_walk", no_ilp)
+        wg = WeightedGraph.from_edges(
+            6, [(0, 1, 3), (0, 2, 1), (1, 2, 2), (3, 4, 2), (3, 5, 2), (4, 5, 2)]
+        )
+        g = cycle_graph(5)
+        dc = DistanceConstraints((2, 1))
+        assert solve_ca_vc(wg, 3) is None
+        assert verify_assignment(wg, solve_ca_vc(wg, 4)).ok
+        k3 = k3_instance()
+        assert solve_ca_uniform(k3, nd_partition(k3.graph), 3) is None
+        assert verify_assignment(k3, solve_ca_uniform(k3, nd_partition(k3.graph), 4)).ok
+        assert minimize_span(wg, "vc")[0] == 4
+        assert minimize_span(k3, "uniform", nd_partition(k3.graph))[0] == 4
+        assert solve_labeling(g, dc, 3) is None
+        assert solve_labeling(g, dc, 4) is not None
 
-    def test_search_over_the_limit_takes_the_ilp(self, monkeypatch):
-        spans = []
-        original = solver.solve_flow
+        from ndchan.cli import main
 
-        def recorded(d, tg, span, **kwargs):
-            spans.append(span)
-            return original(d, tg, span, **kwargs)
-
-        monkeypatch.setattr(solver, "solve_flow", recorded)
-        monkeypatch.setattr(solver, "WALK_STATE_LIMIT", 4)
-        monkeypatch.setattr(solver, "lp_tools_installed", lambda: True)
-        wg = k3_instance()
-        assert solve_ca_uniform(wg, nd_partition(wg.graph), 3) is None
-        labeling = solve_ca_uniform(wg, nd_partition(wg.graph), 4)
-        assert verify_assignment(wg, labeling).ok
-        assert spans == [4]
-
-    def test_no_limit_without_lp_tools(self, monkeypatch):
-        def no_ilp(*args, **kwargs):
-            raise AssertionError("the ILP ran without its LP tools")
-
-        monkeypatch.setattr(solver, "solve_flow", no_ilp)
-        monkeypatch.setattr(solver, "WALK_STATE_LIMIT", 4)
-        monkeypatch.setattr(solver, "lp_tools_installed", lambda: False)
-        wg = k3_instance()
-        labeling = solve_ca_uniform(wg, nd_partition(wg.graph), 4)
-        assert verify_assignment(wg, labeling).ok
+        path = tmp_path / "instance.json"
+        path.write_text('{"n":3,"edges":[[0,1,1],[0,2,2],[1,2,3]]}')
+        for route in ("auto", "vc"):
+            assert main(["solve", "--instance", str(path), "--minimize", "--route", route]) == 0
+        assert main(["label", "--instance", str(path), "--p", "2,1", "--minimize"]) == 0
+        capsys.readouterr()
 
 
 class TestGuards:
