@@ -10,7 +10,10 @@ are built: a labeling uses each type exactly its class size many times, so
 no walk can visit any other window.  Directed edges connect windows that
 overlap on z-1 positions, so the closed walks through the all-empty window
 whose type counts equal the class sizes are exactly the labelings' slice
-sequences padded with empty slices on both sides.
+sequences padded with empty slices on both sides.  The digraph is built as
+the breadth-first closure of the all-empty window: windows are numbered in
+the order the closure reaches them, and edges are grouped by source window
+in slice-mask order.
 """
 
 from __future__ import annotations
@@ -69,18 +72,21 @@ class ShiftDigraph:
 
 
 def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) -> ShiftDigraph:
-    """Enumerate the valid windows of length z over a reflexive weighted type
-    graph that hold no type in more coordinates than its class size.
+    """Build the valid windows of length z over a reflexive weighted type
+    graph that hold no type in more coordinates than its class size, and
+    the edges between them.
 
     A closed walk through the all-empty window visits each type exactly its
     class size many times, one label position per coordinate, so a window
     over a size is on no walk; it is left out, with every edge into or out
-    of it.  Only valid prefixes within the sizes are extended, so
-    construction cost tracks the window count rather than the full
-    2^(tau*z) candidate space.  Windows come in lexicographic order of
-    their slice masks, the all-empty one first, and edges in order of
-    their source windows.  max_nodes is a resource guard on the window
-    count: exceeding it raises GuardExceeded.
+    of it.  The digraph is the breadth-first closure of the all-empty
+    window: every window within the sizes is reached by shifting in its own
+    slices one at a time, so construction cost tracks the window and edge
+    counts rather than the full 2^(tau*z) candidate space.  Windows come in
+    breadth-first order from the all-empty one, which is first, and edges
+    are grouped by source window, each source's edges in slice-mask order.
+    max_nodes is a resource guard on the window count: exceeding it raises
+    GuardExceeded.
     """
     if z < 1:
         raise ValueError("window length must be positive")
@@ -116,63 +122,36 @@ def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) 
 
     position_sets = [m for m in range(size) if confmask[0][m] & m == 0]
     sizes = tg.sizes
-
-    windows: list[tuple[int, ...]] = []
-    # per window, the types its last z-1 slices hold at their class size
-    tail_full: list[int] = []
-    prefix = [0] * z
-    counts = [0] * tau
-
-    def extend(depth: int, full: int):
-        # full: the types the prefix already holds at their class size
-        if depth == z:
-            windows.append(tuple(prefix))
-            tail_full.append(full & ~prefix[0])
-            if max_nodes is not None and len(windows) > max_nodes:
-                raise GuardExceeded(f"window count exceeds guard of {max_nodes}")
-            return
-        for m in position_sets:
-            if m & full:
-                continue
-            for i in range(depth):
-                if confmask[depth - i][prefix[i]] & m:
-                    break
-            else:
-                prefix[depth] = m
-                next_full = full
-                for t in iter_bits(m):
-                    counts[t] += 1
-                    if counts[t] == sizes[t]:
-                        next_full |= 1 << t
-                extend(depth + 1, next_full)
-                for t in iter_bits(m):
-                    counts[t] -= 1
-
-    extend(0, 0)
-    index = {w: i for i, w in enumerate(windows)}
-    if windows[0] != (0,) * z:
-        raise InternalSolverError("all-empty window missing or misplaced")
-
-    edges: list[tuple[int, int]] = []
     slice_row = confmask[z]
-    for si, w in enumerate(windows):
+
+    windows = [(0,) * z]
+    index = {windows[0]: 0}
+    edges: list[tuple[int, int]] = []
+    for si, w in enumerate(windows):  # the loop also visits the windows it appends
         tail = w[1:]
         # the (z+1)-slice separation, and no type past its size in the shift
-        barred = slice_row[w[0]] | tail_full[si]
+        barred = slice_row[w[0]]
+        counts = [0] * tau
+        for mask in tail:
+            for t in iter_bits(mask):
+                counts[t] += 1
+                if counts[t] == sizes[t]:
+                    barred |= 1 << t
         for m in position_sets:
             if barred & m:
                 continue
-            ok = True
             for i in range(1, z):
                 if confmask[z - i][w[i]] & m:
-                    ok = False
                     break
-            if not ok:
-                continue
-            di = index.get(tail + (m,))
-            if di is None:
-                raise InternalSolverError("shifted window escaped the node set")
-            edges.append((si, di))
+            else:
+                shifted = tail + (m,)
+                di = index.get(shifted)
+                if di is None:
+                    di = index[shifted] = len(windows)
+                    windows.append(shifted)
+                    if max_nodes is not None and len(windows) > max_nodes:
+                        raise GuardExceeded(f"window count exceeds guard of {max_nodes}")
+                edges.append((si, di))
 
     d = ShiftDigraph(tau, z, tuple(windows), tuple(edges))
     if (0, 0) not in d.edges:

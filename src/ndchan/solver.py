@@ -10,7 +10,7 @@ the class sizes.  A span-lambda labeling of a part is a closed walk of
 lambda + z + 1 edges through the all-empty window whose per-type counts
 match the class sizes.  One exact engine finds it: a breadth-first search
 over (window, per-type counts) for the shortest such walk
-(_WalkSearch.shortest_walk), padded with empty slices to the span and
+(_ComponentPipeline.shortest_walk), padded with empty slices to the span and
 decoded into vertex labels by walk_to_labeling, which checks its length,
 its end points and its per-type counts.  A least span is the largest of
 the parts' least spans, with each part's own walk padded to it.
@@ -669,54 +669,54 @@ def walk_to_labeling(
     return Labeling(tuple(labels), span)
 
 
-class _WalkSearch:
-    """Exact search for the walk itself, over the states (window, per-type
-    counts) of walk prefixes from the all-empty window.
+class _ComponentPipeline:
+    """One connected part of the type graph: its reflexive reduction, shift
+    digraph and the exact search for the walk itself, reusable across span
+    probes.
 
-    A span-lambda labeling is a walk of lambda + 1 steps from the all-empty
-    window, step k putting the new window's last slice at label position k,
-    whose per-type counts end equal to the class sizes; z empty slices then
-    close it at the all-empty window.  Empty slices can always be appended,
-    so a state reached at step k can do everything the same state can do
-    when reached later: the step need not be part of the state, and the
-    shortest walk to the class sizes serves every span from its own up.
-    Count vectors are mixed-radix codes and a state is one int, which keeps
-    the search's dict small.
+    The search runs over the states (window, per-type counts) of walk
+    prefixes from the all-empty window.  A span-lambda labeling is a walk of
+    lambda + 1 steps from the all-empty window, step k putting the new
+    window's last slice at label position k, whose per-type counts end equal
+    to the class sizes; z empty slices then close it at the all-empty
+    window.  Empty slices can always be appended, so a state reached at
+    step k can do everything the same state can do when reached later: the
+    step need not be part of the state, and the shortest walk to the class
+    sizes serves every span from its own up.  Count vectors are mixed-radix
+    codes and a state is one int, which keeps the search's dict small.
     """
 
-    def __init__(self, d: ShiftDigraph, tg: TypeGraph):
-        self.digraph = d
-        self.sizes = tg.sizes
+    def __init__(self, tg, partition, *, max_digraph_nodes=None):
+        self.vertex_count = sum(tg.sizes)
+        self.reduction = preprocess_reflexive(tg, partition)
+        rtg = self.reduction.type_graph
+        self.z = rtg.wmax
+        self.digraph = d = build_shift_digraph(rtg, self.z, max_nodes=max_digraph_nodes)
+        self.sizes = rtg.sizes
         self.radix = []
         code_space = 1
-        for size in tg.sizes:
+        for size in rtg.sizes:
             self.radix.append(code_space)
             code_space *= size + 1
         self.code_space = code_space
-        self.loop_weights = [tg.weights[(t, t)] for t in range(tg.node_count)]
-        self._successors = None
+        self.loop_weights = [rtg.weights[(t, t)] for t in range(rtg.node_count)]
         # count code -> (mask of types at their class size, label positions
         # the remaining copies need at least); the same for every span
         self._count_info: dict[int, tuple[int, int]] = {}
 
-    def _successor_table(self):
-        """Per window: (next window, its new slice, count code step) for
-        every out-edge, fuller slices first.  Built on first use."""
-        if self._successors is not None:
-            return self._successors
-        windows = self.digraph.windows
-        table = [[] for _ in windows]
+        # per window: (next window, its new slice, count code step) for every
+        # out-edge, fuller slices first
+        table = [[] for _ in d.windows]
         steps: dict[int, int] = {}
-        for src, dst in self.digraph.edges:
-            mask = windows[dst][-1]
+        for src, dst in d.edges:
+            mask = d.windows[dst][-1]
             step = steps.get(mask)
             if step is None:
                 step = steps[mask] = sum(self.radix[t] for t in iter_bits(mask))
             table[src].append((dst, mask, step))
         for succ in table:
             succ.sort(key=lambda entry: -entry[1].bit_count())
-        self._successors = table = [tuple(succ) for succ in table]
-        return table
+        self.successors = [tuple(succ) for succ in table]
 
     def _info(self, code: int) -> tuple[int, int]:
         info = self._count_info.get(code)
@@ -745,7 +745,7 @@ class _WalkSearch:
         every state within them tried.  Without a span there is no state
         limit.
         """
-        table = self._successor_table()
+        table = self.successors
         info = self._info
         code_space = self.code_space
         goal = code_space - 1  # every digit at its class size
@@ -787,34 +787,19 @@ class _WalkSearch:
         """The walk prefix padded with empty slices to span + 1 steps, then
         closed with z more at the all-empty window; the last successor of a
         window is the one that shifts in an empty slice."""
-        table = self._successor_table()
         path = list(prefix)
-        for _ in range(span + self.digraph.window_length + 2 - len(path)):
-            path.append(table[path[-1]][-1][0])
+        for _ in range(span + self.z + 2 - len(path)):
+            path.append(self.successors[path[-1]][-1][0])
         return Walk(tuple(path))
-
-
-class _ComponentPipeline:
-    """Prebuilt digraph and reduction for one connected part of the type
-    graph, reusable across span probes."""
-
-    def __init__(self, tg, partition, *, max_digraph_nodes=None):
-        self.vertex_count = sum(tg.sizes)
-        self.reduction = preprocess_reflexive(tg, partition)
-        self.z = self.reduction.type_graph.wmax
-        self.digraph = build_shift_digraph(
-            self.reduction.type_graph, self.z, max_nodes=max_digraph_nodes
-        )
-        self.walk_search = _WalkSearch(self.digraph, self.reduction.type_graph)
 
     def labeling(self, prefix: list[int], span: int) -> Labeling:
         """Labels from a shortest walk prefix padded to the span."""
-        walk = self.walk_search.closed_walk(prefix, span)
+        walk = self.closed_walk(prefix, span)
         return walk_to_labeling(walk, self.digraph, self.reduction, span, self.vertex_count)
 
     def solve(self, span: int):
         """Labeling of the component at this span, or None when there is none."""
-        prefix = self.walk_search.shortest_walk(span)
+        prefix = self.shortest_walk(span)
         return None if prefix is None else self.labeling(prefix, span)
 
 
@@ -905,7 +890,7 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
         stats.digraph_nodes += sum(len(p.digraph.windows) for p, _ in pipelines)
 
     if span is None:
-        prefixes = [p.walk_search.shortest_walk() for p, _ in pipelines]
+        prefixes = [p.shortest_walk() for p, _ in pipelines]
         # the parts are independent, so the least span is the largest of theirs
         at = max((len(prefix) - 2 for prefix in prefixes), default=0)
         subs = (p.labeling(prefix, at) for (p, _), prefix in zip(pipelines, prefixes))

@@ -300,7 +300,7 @@ def test_minimize_span_one_search_per_part(monkeypatch):
     # each part gets one shortest-walk search and no span probe: its own
     # walk, padded to the largest least span, is the witness
     searched = []
-    original_search = solver._WalkSearch.shortest_walk
+    original_search = solver._ComponentPipeline.shortest_walk
 
     def recorded_search(self, span=None):
         assert span is None
@@ -310,7 +310,7 @@ def test_minimize_span_one_search_per_part(monkeypatch):
     def no_probe(self, span):
         raise AssertionError(f"minimize_span probed span {span}")
 
-    monkeypatch.setattr(solver._WalkSearch, "shortest_walk", recorded_search)
+    monkeypatch.setattr(solver._ComponentPipeline, "shortest_walk", recorded_search)
     monkeypatch.setattr(solver._ComponentPipeline, "solve", no_probe)
     k20_20 = Graph.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40)])
     cases = [(g, p) for _, g in FIXTURE_GRAPHS for p in FIXTURE_CONSTRAINTS]
@@ -555,9 +555,9 @@ def test_cut_separators_on_walk_supports(uniform_route_records):
         for pipeline, _ in pipelines:
             full = pipeline.digraph
             tg = pipeline.reduction.type_graph
-            prefix = pipeline.walk_search.shortest_walk(span)
+            prefix = pipeline.shortest_walk(span)
             assert prefix is not None
-            walk = pipeline.walk_search.closed_walk(prefix, span)
+            walk = pipeline.closed_walk(prefix, span)
             d, capacity, edge_map = solver._pruned_digraph(full, tg, span)
             index = {pair: ei for ei, pair in enumerate(full.edges)}
             pruned_index = {full_ei: ei for ei, full_ei in enumerate(edge_map)}

@@ -72,7 +72,7 @@ class TestSolve:
         assert code == 2
         assert "uniform" in err
 
-    def test_route_auto_falls_back_to_vc(self, tmp_path, capsys, monkeypatch):
+    def test_route_auto_solves_on_the_refined_twin_partition(self, tmp_path, capsys, monkeypatch):
         # where the twin partition is not weight-uniform, auto solves on it
         # refined to uniform weights (here three singletons) instead of
         # falling back to the vertex-cover route, and searches no cover
@@ -163,7 +163,7 @@ class TestSolve:
         assert headers == ["# shift digraph: types=1 z=2 nodes=3 edges=5"] * 2
         assert json.loads(out)["stats"]["digraph_nodes"] == 6
 
-    def test_dump_on_vc_fallback(self, tmp_path, capsys):
+    def test_dump_on_auto_and_vc_routes(self, tmp_path, capsys):
         # not uniform on the twin partition: auto dumps the refined twin
         # partition's digraph, vc the cover partition's, as each solves on it
         path = write_instance(

@@ -113,29 +113,42 @@ class TestBuildShiftDigraph:
     def test_matches_exhaustive_enumeration(self):
         # sizes go up to z, where the size bound no longer removes anything
         rng = random.Random(5)
+        cases = []
         for tau in (1, 2):
             for z in (1, 2, 3):
                 for _ in range(8):
                     sizes = tuple(rng.randint(1, z) for _ in range(tau))
                     loops = {(t, t): rng.randint(1, 3) for t in range(tau)}
-                    adjacency = set()
                     weights = dict(loops)
                     if tau == 2 and rng.random() < 0.7:
-                        adjacency.add((0, 1))
                         weights[(0, 1)] = rng.randint(1, 3)
-                    tg = TypeGraph(sizes, frozenset(range(tau)), frozenset(adjacency), weights)
-                    d = build_shift_digraph(tg, z)
-                    nodes, edges = brute_force_digraph(tg, z)
-                    got_nodes = {as_sets(d, i) for i in range(len(d.windows))}
-                    got_edges = {(as_sets(d, a), as_sets(d, b)) for a, b in d.edges}
-                    assert got_nodes == {w for w in nodes if within_sizes(w, sizes)}
-                    assert got_edges <= edges
-                    for a, b in edges:
-                        if within_sizes(a, sizes):
-                            # absent exactly when the shifted window is over a size
-                            assert ((a, b) in got_edges) == within_sizes(b, sizes)
-                    if all(size == z for size in sizes):
-                        assert got_nodes == nodes and got_edges == edges
+                    cases.append((sizes, weights, z))
+        # three types under every pattern of pair weights up to 2 (0: not
+        # adjacent), so that windows holding all three occur, within their
+        # sizes or past them
+        pairs = list(itertools.combinations(range(3), 2))
+        for z in (1, 2):
+            for pattern in itertools.product(range(3), repeat=len(pairs)):
+                sizes = tuple(rng.randint(1, z) for _ in range(3))
+                weights = {(t, t): rng.randint(1, 3) for t in range(3)}
+                weights.update((pair, w) for pair, w in zip(pairs, pattern) if w)
+                cases.append((sizes, weights, z))
+        for sizes, weights, z in cases:
+            tau = len(sizes)
+            adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
+            tg = TypeGraph(sizes, frozenset(range(tau)), adjacency, weights)
+            d = build_shift_digraph(tg, z)
+            nodes, edges = brute_force_digraph(tg, z)
+            got_nodes = {as_sets(d, i) for i in range(len(d.windows))}
+            got_edges = {(as_sets(d, a), as_sets(d, b)) for a, b in d.edges}
+            assert got_nodes == {w for w in nodes if within_sizes(w, sizes)}
+            assert got_edges <= edges
+            for a, b in edges:
+                if within_sizes(a, sizes):
+                    # absent exactly when the shifted window is over a size
+                    assert ((a, b) in got_edges) == within_sizes(b, sizes)
+            if all(size == z for size in sizes):
+                assert got_nodes == nodes and got_edges == edges
 
 
 class TestDump:

@@ -312,14 +312,14 @@ class TestWalkSearch:
             (frozenset(range(3)), frozenset(range(3, 7))), (CLIQUE, CLIQUE)
         )
         _, _, [(pipeline, _)] = solver._pipelines(wg, "uniform", partition)
-        assert len(pipeline.walk_search.shortest_walk()) - 2 == 12
+        assert len(pipeline.shortest_walk()) - 2 == 12
         for span in (11, 12, 13):
             labeling = solve_ca_uniform(wg, partition, span)
             oracle = brute_force_ca(wg, span, guard=10**9)
             assert (labeling is None) == (oracle is None) == (span == 11), span
             if labeling is not None:
                 assert verify_assignment(wg, labeling).ok
-        assert pipeline.walk_search.shortest_walk(11) is None
+        assert pipeline.shortest_walk(11) is None
 
     def test_pads_above_the_least_span(self):
         # K20,20 under L(3,2): least span 79 (each side 2 * 19, and 3 between
