@@ -12,8 +12,7 @@ from dataclasses import asdict
 
 from .decomposition import check_uniform, nd_partition, refine_uniform
 from .errors import GuardExceeded, InstanceFormatError, InternalSolverError, NotUniformError
-from .graph import Labeling, verify_assignment, trivial_upper_bound
-from .ilp import dump_model
+from .graph import Labeling, verify_assignment
 from .instances import InstanceFile, SolveOutcome, emit_instance, emit_result, parse_instance
 from .oracle import brute_force_ca, brute_force_nd
 from .reduction import DistanceConstraints, labeling_to_ca
@@ -21,7 +20,6 @@ from .shift_digraph import dump_digraph
 from .solver import (
     SolveStats,
     _pipelines,
-    build_flow_model,
     minimize_span,
     solve_ca_uniform,
     solve_ca_vc,
@@ -59,17 +57,12 @@ def _constraints(args, instance: InstanceFile) -> DistanceConstraints:
 
 
 def _dump_debug(args, wg, route, partition):
-    """Each component's shift digraph and flow model, as the solver builds them."""
-    if not (getattr(args, "dump_digraph", False) or getattr(args, "dump_ilp", False)):
+    """Each component's shift digraph, as the solver builds it."""
+    if not getattr(args, "dump_digraph", False):
         return
-    span = args.span if args.span is not None else trivial_upper_bound(wg)
     _, _, pipelines = _pipelines(wg, route, partition)
     for pipeline, _ in pipelines:
-        if args.dump_digraph:
-            print(dump_digraph(pipeline.digraph), file=sys.stderr)
-        if args.dump_ilp:
-            model, _ = build_flow_model(pipeline.digraph, pipeline.reduction.type_graph, span)
-            print(dump_model(model), file=sys.stderr)
+        print(dump_digraph(pipeline.digraph), file=sys.stderr)
 
 
 def _run(args, instance, wg, route, partition) -> int:
@@ -240,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--route", choices=("uniform", "vc", "auto"), default="auto")
     solve.add_argument("--verify", action="store_true")
     solve.add_argument("--dump-digraph", action="store_true")
-    solve.add_argument("--dump-ilp", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
     label = sub.add_parser("label", help="distance-constrained labeling via reduction")

@@ -9,7 +9,6 @@ a loop for clique classes, and an edge where two classes are fully joined.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .graph import Graph, WeightedGraph, normalize_edge
 
@@ -38,10 +37,6 @@ class NdPartition:
     @property
     def count(self) -> int:
         return len(self.classes)
-
-    @cached_property
-    def class_of(self) -> dict:
-        return {v: i for i, cls in enumerate(self.classes) for v in cls}
 
 
 @dataclass(frozen=True)

@@ -433,22 +433,3 @@ def refute_by_certificate(model: IlpModel) -> bool:
         if residual[j] < 0:  # absorbed by w+, which costs ub
             value += -residual[j] * model.upper_bounds[j]
     return value < 0
-
-
-def dump_model(model: IlpModel) -> str:
-    """Human-readable listing: bounds, then one constraint per line."""
-    lines = [f"# ilp: {model.var_count} vars, {len(model.constraints)} constraints"]
-    for j, ub in enumerate(model.upper_bounds):
-        lines.append(f"0 <= x{j} <= {ub}")
-    for c in model.constraints:
-        parts = []
-        for var, coef in c.terms:
-            if not parts:
-                parts.append(f"{coef} x{var}")
-            elif coef < 0:
-                parts.append(f"- {-coef} x{var}")
-            else:
-                parts.append(f"+ {coef} x{var}")
-        body = " ".join(parts) if parts else "0"
-        lines.append(f"{body} {c.relation} {c.rhs}")
-    return "\n".join(lines)

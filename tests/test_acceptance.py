@@ -327,6 +327,37 @@ def test_minimize_span_one_search_per_part(monkeypatch):
     _passed("minimize_span searches", f"{len(cases)} instances, one search per part")
 
 
+def test_walk_search_does_not_depend_on_successor_order(monkeypatch):
+    # a window's successor order picks the walk among the shortest ones, so
+    # reversed successors may give other labels, but the same least spans
+    # and decisions, and every labeling still verifies
+    k20_20 = Graph.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40)])
+    cases = [(g, p) for _, g in FIXTURE_GRAPHS for p in FIXTURE_CONSTRAINTS]
+    cases.append((k20_20, (3, 2)))
+    instances = [
+        (labeling_to_ca(g, DistanceConstraints(p)), nd_partition(g)) for g, p in cases
+    ]
+    least_spans = [minimize_span(wg, "uniform", partition)[0] for wg, partition in instances]
+    original_init = solver._ComponentPipeline.__init__
+
+    def reversed_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        self.successors = [succ[::-1] for succ in self.successors]
+
+    monkeypatch.setattr(solver._ComponentPipeline, "__init__", reversed_init)
+    for (wg, partition), least in zip(instances, least_spans):
+        span, labeling = minimize_span(wg, "uniform", partition)
+        assert span == least
+        assert verify_assignment(wg, labeling).ok
+        for at in (least, least + 1):
+            labeling = solve_ca_uniform(wg, partition, at)
+            assert labeling is not None and verify_assignment(wg, labeling).ok
+        if least > 0:
+            assert solve_ca_uniform(wg, partition, least - 1) is None
+    assert least_spans[-1] == 79
+    _passed("successor order", f"{len(cases)} instances, reversed successors")
+
+
 def _least_feasible_span(wg):
     span = 0
     while brute_force_ca(wg, span, guard=ORACLE_GUARD) is None:
@@ -555,14 +586,22 @@ def test_cut_separators_on_walk_supports(uniform_route_records):
         for pipeline, _ in pipelines:
             full = pipeline.digraph
             tg = pipeline.reduction.type_graph
-            prefix = pipeline.shortest_walk(span)
-            assert prefix is not None
-            walk = pipeline.closed_walk(prefix, span)
+            slices = pipeline.shortest_walk(span)
+            assert slices is not None
+            # the closed walk of span + z + 1 steps that shifts in these
+            # slices and then empty ones, as windows of the built digraph
+            z = full.window_length
+            window_index = {w: i for i, w in enumerate(full.windows)}
+            window = (0,) * z
+            nodes = [window_index[window]]
+            for mask in slices + [0] * (span + z + 1 - len(slices)):
+                window = window[1:] + (mask,)
+                nodes.append(window_index[window])
             d, capacity, edge_map = solver._pruned_digraph(full, tg, span)
             index = {pair: ei for ei, pair in enumerate(full.edges)}
             pruned_index = {full_ei: ei for ei, full_ei in enumerate(edge_map)}
             values = [0] * len(d.edges)
-            for pair in zip(walk.nodes, walk.nodes[1:]):
+            for pair in zip(nodes, nodes[1:]):
                 values[pruned_index[index[pair]]] += 1
             big_m = span + d.window_length + 1
             assert connectivity_violation(values, d, big_m, capacity) is None

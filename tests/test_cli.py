@@ -1,9 +1,12 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from ndchan import check_uniform
-from ndchan.cli import main
+from ndchan import check_uniform, solver
+from ndchan.cli import build_parser, main
 from helpers import send_probes_to_ilp
 
 
@@ -144,12 +147,10 @@ class TestSolve:
                 "--lambda",
                 "2",
                 "--dump-digraph",
-                "--dump-ilp",
             ],
         )
         assert code == 0
         assert "# shift digraph" in err
-        assert "# ilp" in err
         json.loads(out)  # stdout still clean JSON
 
     def test_dump_has_one_digraph_per_component(self, tmp_path, capsys):
@@ -181,13 +182,11 @@ class TestSolve:
                     "--route",
                     route,
                     "--dump-digraph",
-                    "--dump-ilp",
                 ],
             )
             assert code == 0
             headers = [line for line in err.splitlines() if line.startswith("# shift digraph")]
             assert headers == ["# shift digraph: types=3 z=3 nodes=18 edges=42"], route
-            assert "# ilp" in err
             assert json.loads(out)["stats"]["digraph_nodes"] == 18
 
     def test_dimacs_input(self, tmp_path, capsys):
@@ -199,14 +198,14 @@ class TestSolve:
         code, _, err = run(capsys, ["solve", "--instance", "/nope/missing", "--lambda", "1"])
         assert code == 2
 
-    def test_iteration_cap_env(self, tmp_path, capsys, monkeypatch):
+    def test_iteration_cap(self, tmp_path, capsys, monkeypatch):
         # the cap bounds the ILP's cut loop, so the probe is sent to the ILP;
         # P3 at span 1 needs cuts with and without scipy
         send_probes_to_ilp(monkeypatch)
         path = write_instance(tmp_path, '{"n":3,"edges":[[0,1,1],[1,2,1]]}')
         code, _, _ = run(capsys, ["solve", "--instance", path, "--lambda", "1"])
         assert code == 0
-        monkeypatch.setenv("NDCHAN_ITER_CAP", "0")
+        monkeypatch.setattr(solver, "CUT_ROUNDS_PER_EDGE", 0)
         code, _, err = run(capsys, ["solve", "--instance", path, "--lambda", "1"])
         assert code == 70
         assert "iteration cap of 0" in err
@@ -306,3 +305,24 @@ class TestOther:
             capsys, ["verify", "--instance", path, "--labels", "0", "--lambda", "2"]
         )
         assert code == 2
+
+
+def test_readme_synopsis_matches_the_parser():
+    # the first code block under README's "## CLI" lists every subcommand
+    # with all of its flags; a continuation line is indented
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("ndchan "):
+            command = line.split()[1]
+            documented[command] = set()
+        documented[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    parser = build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    built = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == built

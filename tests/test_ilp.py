@@ -15,7 +15,6 @@ from ndchan.errors import GuardExceeded
 from ndchan.ilp import (
     EQ,
     LE,
-    dump_model,
     refute_by_certificate,
     relaxation_point,
 )
@@ -224,17 +223,3 @@ class TestRelaxationTools:
         model = random_model(random.Random(seed))
         if solve_feasibility(model) is not None:
             assert not refute_by_certificate(model)
-
-
-class TestDump:
-    def test_format(self):
-        model = IlpModel(
-            3,
-            (7, 7, 7),
-            (Constraint.build([(0, 3), (2, -1)], LE, 7),
-             Constraint.build([(1, 1)], EQ, 2)),
-        )
-        text = dump_model(model)
-        assert "3 x0 - 1 x2 <= 7" in text
-        assert "1 x1 = 2" in text
-        assert "0 <= x0 <= 7" in text

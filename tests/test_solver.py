@@ -312,7 +312,7 @@ class TestWalkSearch:
             (frozenset(range(3)), frozenset(range(3, 7))), (CLIQUE, CLIQUE)
         )
         _, _, [(pipeline, _)] = solver._pipelines(wg, "uniform", partition)
-        assert len(pipeline.shortest_walk()) - 2 == 12
+        assert len(pipeline.shortest_walk()) - 1 == 12
         for span in (11, 12, 13):
             labeling = solve_ca_uniform(wg, partition, span)
             oracle = brute_force_ca(wg, span, guard=10**9)
