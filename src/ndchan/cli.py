@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 feasible/success, 1 proven infeasible (or failed verification
-in `verify`), 2 input error, 3 resource guard tripped, 70 internal error.
+in `verify`), 2 input error, 3 resource guard tripped, 70 internal error
+(a solved labeling that fails verification among them).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _dump_debug(args, wg, route, partition):
 
 
 def _run(args, instance, wg, route, partition) -> int:
-    """Decide or minimize on the route, verify if asked, and print the result."""
+    """Decide or minimize on the route and print the result."""
     _dump_debug(args, wg, route, partition)
     stats = SolveStats()
     if args.minimize:
@@ -77,13 +78,6 @@ def _run(args, instance, wg, route, partition) -> int:
             labeling = solve_ca_uniform(wg, partition, span, stats=stats)
         else:
             labeling = solve_ca_vc(wg, span, stats=stats)
-    if args.verify and labeling is not None:
-        verdict = verify_assignment(wg, labeling)
-        if not verdict.ok:
-            raise InternalSolverError(
-                f"emitted labeling failed verification: edges {verdict.violated_edges}, "
-                f"out of range {verdict.out_of_range}"
-            )
     outcome = SolveOutcome(
         labeling is not None,
         span,
@@ -231,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--lambda", dest="span", type=int, default=None)
     solve.add_argument("--minimize", action="store_true")
     solve.add_argument("--route", choices=("uniform", "vc", "auto"), default="auto")
-    solve.add_argument("--verify", action="store_true")
     solve.add_argument("--dump-digraph", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
@@ -240,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     label.add_argument("--p", default=None, help="comma-separated constraints, e.g. 2,1")
     label.add_argument("--lambda", dest="span", type=int, default=None)
     label.add_argument("--minimize", action="store_true")
-    label.add_argument("--verify", action="store_true")
     label.set_defaults(func=_cmd_label)
 
     nd = sub.add_parser("nd", help="neighborhood diversity decomposition")

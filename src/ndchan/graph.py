@@ -197,9 +197,7 @@ def verify_assignment(wg: WeightedGraph, labeling: Labeling) -> VerificationResu
         v for v, lab in enumerate(labels) if not 0 <= lab <= labeling.span
     )
     violated = tuple(
-        (u, v)
-        for (u, v), w in sorted(wg.weights.items())
-        if abs(labels[u] - labels[v]) < w
+        sorted((u, v) for (u, v), w in wg.weights.items() if abs(labels[u] - labels[v]) < w)
     )
     return VerificationResult(not violated and not out_of_range, violated, out_of_range)
 

@@ -24,6 +24,8 @@ from functools import cached_property
 from .decomposition import TypeGraph
 from .errors import GuardExceeded, InternalSolverError
 
+# The walk search's count space, the product of (size + 1) over a part's
+# types, is at least 2^tau and has no guard of its own; this bounds it.
 _MAX_TYPES = 16
 
 
@@ -97,7 +99,9 @@ def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) 
     if missing:
         raise ValueError(f"type {missing[0]} has no loop; apply reflexivity preprocessing")
     if tau > _MAX_TYPES:
-        raise GuardExceeded(f"{tau} types exceed the materialization limit of {_MAX_TYPES}")
+        raise GuardExceeded(
+            f"{tau} types exceed the limit of {_MAX_TYPES} on the walk search's count space"
+        )
 
     # conflict[d][t]: types that may not appear d positions away from t
     conflict = [[0] * tau for _ in range(z + 1)]
@@ -110,48 +114,37 @@ def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) 
                 conflict[d][i] |= 1 << j
                 conflict[d][j] |= 1 << i
 
-    size = 1 << tau
-    confmask = []
-    for d in range(z + 1):
-        row = [0] * size
-        cd = conflict[d]
-        for m in range(1, size):
-            low = m & -m
-            row[m] = row[m ^ low] | cd[low.bit_length() - 1]
-        confmask.append(row)
-
-    position_sets = [m for m in range(size) if confmask[0][m] & m == 0]
     sizes = tg.sizes
-    slice_row = confmask[z]
-
     windows = [(0,) * z]
     index = {windows[0]: 0}
     edges: list[tuple[int, int]] = []
     for si, w in enumerate(windows):  # the loop also visits the windows it appends
-        tail = w[1:]
-        # the (z+1)-slice separation, and no type past its size in the shift
-        barred = slice_row[w[0]]
+        # types the new slice z - i positions after slice i may not hold, and
+        # no type past its size in the shift
+        barred = 0
         counts = [0] * tau
-        for mask in tail:
+        for i, mask in enumerate(w):
             for t in iter_bits(mask):
-                counts[t] += 1
-                if counts[t] == sizes[t]:
-                    barred |= 1 << t
-        for m in position_sets:
-            if barred & m:
-                continue
-            for i in range(1, z):
-                if confmask[z - i][w[i]] & m:
-                    break
-            else:
-                shifted = tail + (m,)
-                di = index.get(shifted)
-                if di is None:
-                    di = index[shifted] = len(windows)
-                    windows.append(shifted)
-                    if max_nodes is not None and len(windows) > max_nodes:
-                        raise GuardExceeded(f"window count exceeds guard of {max_nodes}")
-                edges.append((si, di))
+                barred |= conflict[z - i][t]
+                if i:
+                    counts[t] += 1
+                    if counts[t] == sizes[t]:
+                        barred |= 1 << t
+        # the independent sets of conflict[0] within the allowed types: the
+        # sets with type t come after all sets of lower types, so the masks
+        # ascend
+        slices = [0]
+        for t in iter_bits(~barred & ((1 << tau) - 1)):
+            slices += [m | 1 << t for m in slices if not conflict[0][t] & m]
+        for m in slices:
+            shifted = w[1:] + (m,)
+            di = index.get(shifted)
+            if di is None:
+                di = index[shifted] = len(windows)
+                windows.append(shifted)
+                if max_nodes is not None and len(windows) > max_nodes:
+                    raise GuardExceeded(f"window count exceeds guard of {max_nodes}")
+            edges.append((si, di))
 
     d = ShiftDigraph(tau, z, tuple(windows), tuple(edges))
     if (0, 0) not in d.edges:

@@ -2,18 +2,18 @@
 
 Front end: pick the route's partition (given, or from a minimum vertex
 cover refined to uniform weights), check it once with check_uniform, which
-condenses the instance to its weighted type graph, and split that graph
-into its connected parts over type adjacency; nothing after the check reads
-the vertex graph.  Each part's type graph is made reflexive and gets a
-shift digraph with window length z = wmax, holding only the windows within
-the class sizes.  A span-lambda labeling of a part is a closed walk of
-lambda + z + 1 edges through the all-empty window whose per-type counts
-match the class sizes.  One exact engine finds it: a breadth-first search
-over (window, per-type counts) for the shortest such walk
-(_ComponentPipeline.shortest_walk), which returns the slices it shifted in,
-one per label position; they are padded with empty slices to the span and
-decoded into vertex labels.  A least span is the largest of the parts'
-least spans, with each part's own slices padded to it.
+condenses the instance to its weighted type graph, make that graph
+reflexive once and split it into its connected parts over type adjacency.
+Each part gets a shift digraph with window length z = wmax, holding only
+the windows within the class sizes.  A span-lambda labeling of a part is a
+closed walk of lambda + z + 1 edges through the all-empty window whose
+per-type counts match the class sizes.  One exact engine finds it: a
+breadth-first search over (window, per-type counts) for the shortest such
+walk (_ComponentPipeline.shortest_walk), which returns the slices it
+shifted in, one per label position; later positions are empty.  A least
+span is the largest of the parts' least spans.  One decode maps every
+part's slices through its type ids onto the instance's vertices, and
+verify_assignment checks the labeling before any entry point returns it.
 
 The flow ILP (build_flow_model, solve_flow, euler_walk) is the paper's
 formulation of the same walk as an integer edge multiset: Kirchhoff
@@ -40,7 +40,7 @@ from .decomposition import (
     vc_partition,
 )
 from .errors import GuardExceeded, InternalSolverError, NotUniformError
-from .graph import Labeling, WeightedGraph
+from .graph import Labeling, WeightedGraph, verify_assignment
 from .ilp import (
     EQ,
     LE,
@@ -624,17 +624,11 @@ def euler_walk(ms: EdgeMultiset, d: ShiftDigraph) -> Walk:
     return Walk(tuple(circuit))
 
 
-def walk_to_labeling(
-    walk: Walk,
-    d: ShiftDigraph,
-    reduction: ReflexiveReduction,
-    span: int,
-    vertex_count: int,
-) -> Labeling:
-    """Decode a closed walk into labels.
+def _walk_slices(walk: Walk, d: ShiftDigraph, tg: TypeGraph, span: int) -> list[int]:
+    """Slices at label positions 0..span of a closed walk, once its length,
+    end points and per-type counts are checked.
 
     The walk node at index z + i carries label position i in its first slice.
-    The walk's length, end points and per-type counts are checked first.
     """
     z = d.window_length
     nodes = walk.nodes
@@ -645,43 +639,55 @@ def walk_to_labeling(
     if nodes[0] != d.empty_index or nodes[-1] != d.empty_index:
         raise InternalSolverError("walk does not start and end at the all-empty window")
 
-    tg = reduction.type_graph
     counts = [0] * tg.node_count
     for node in nodes[:-1]:
         for t in iter_bits(d.windows[node][0]):
             counts[t] += 1
     if counts != list(tg.sizes):
         raise InternalSolverError("per-type occurrence counts do not match class sizes")
-    slices = [d.windows[node][0] for node in nodes[z : z + span + 1]]
-    return _decode(slices, reduction, vertex_count)
+    return [d.windows[node][0] for node in nodes[z : z + span + 1]]
 
 
-def _decode(slices: list[int], reduction: ReflexiveReduction, vertex_count: int) -> Labeling:
-    """Labels from the slice at each label position 0..span.
+def walk_to_labeling(
+    walk: Walk,
+    d: ShiftDigraph,
+    reduction: ReflexiveReduction,
+    span: int,
+    vertex_count: int,
+) -> Labeling:
+    """Decode a closed walk over the whole reflexive type graph into labels."""
+    tg = reduction.type_graph
+    slices = _walk_slices(walk, d, tg, span)
+    return _decode([(slices, range(tg.node_count))], reduction, span, vertex_count)
 
+
+def _decode(parts, reduction: ReflexiveReduction, span: int, vertex_count: int) -> Labeling:
+    """Labels from each part's slices, one per label position from 0 on.
+
+    A part comes as (slices, type_ids): its slices name types by their
+    place in the part, and type_ids[t] is the reduction's type at place t.
     Each type in slice i consumes its next kept vertex in ascending id
     order, and dropped vertices copy their keeper's label afterwards.
     """
-    tg = reduction.type_graph
     labels: list[int | None] = [None] * vertex_count
-    used = [0] * tg.node_count
-    for i, mask in enumerate(slices):
-        for t in iter_bits(mask):
-            labels[reduction.kept[t][used[t]]] = i
-            used[t] += 1
-    for t in range(tg.node_count):
-        keeper_label = labels[reduction.kept[t][0]]
-        for v in reduction.dropped[t]:
-            labels[v] = keeper_label
+    used = [0] * reduction.type_graph.node_count
+    for slices, type_ids in parts:
+        for i, mask in enumerate(slices):
+            for t in iter_bits(mask):
+                t = type_ids[t]
+                labels[reduction.kept[t][used[t]]] = i
+                used[t] += 1
+    for kept, dropped in zip(reduction.kept, reduction.dropped):
+        for v in dropped:
+            labels[v] = labels[kept[0]]
     if any(lab is None for lab in labels):
         raise InternalSolverError("decode left unlabeled vertices")
-    return Labeling(tuple(labels), len(slices) - 1)
+    return Labeling(tuple(labels), span)
 
 
 class _ComponentPipeline:
-    """One connected part of the type graph: its reflexive reduction, shift
-    digraph and the exact search for the walk itself, reusable across span
-    probes.
+    """One connected part of the reflexive type graph: its shift digraph and
+    the exact search for the walk itself, reusable across span probes.
 
     The search runs over the states (window, per-type counts) of walk
     prefixes from the all-empty window.  A span-lambda labeling is a walk of
@@ -695,19 +701,17 @@ class _ComponentPipeline:
     codes and a state is one int, which keeps the search's dict small.
     """
 
-    def __init__(self, tg, partition, *, max_digraph_nodes=None):
-        self.vertex_count = sum(tg.sizes)
-        self.reduction = preprocess_reflexive(tg, partition)
-        rtg = self.reduction.type_graph
-        self.digraph = d = build_shift_digraph(rtg, rtg.wmax, max_nodes=max_digraph_nodes)
-        self.sizes = rtg.sizes
+    def __init__(self, tg: TypeGraph, *, max_digraph_nodes=None):
+        self.type_graph = tg
+        self.digraph = d = build_shift_digraph(tg, tg.wmax, max_nodes=max_digraph_nodes)
+        self.sizes = tg.sizes
         self.radix = []
         code_space = 1
-        for size in rtg.sizes:
+        for size in tg.sizes:
             self.radix.append(code_space)
             code_space *= size + 1
         self.code_space = code_space
-        self.loop_weights = [rtg.weights[(t, t)] for t in range(rtg.node_count)]
+        self.loop_weights = [tg.weights[(t, t)] for t in range(tg.node_count)]
         # count code -> (mask of types at their class size, label positions
         # the remaining copies need at least); the same for every span
         self._count_info: dict[int, tuple[int, int]] = {}
@@ -798,25 +802,15 @@ class _ComponentPipeline:
             raise InternalSolverError("no walk reaches the class sizes at any span")
         return None
 
-    def labeling(self, slices: list[int], span: int) -> Labeling:
-        """Labels from a shortest walk's slices padded with empty ones to the span."""
-        padded = slices + [0] * (span + 1 - len(slices))
-        return _decode(padded, self.reduction, self.vertex_count)
 
-    def solve(self, span: int):
-        """Labeling of the component at this span, or None when there is none."""
-        slices = self.shortest_walk(span)
-        return None if slices is None else self.labeling(slices, span)
-
-
-def _type_parts(tg: TypeGraph, partition: NdPartition):
+def _type_parts(tg: TypeGraph):
     """Connected parts of the type graph over type adjacency.
 
-    Each part comes as (type graph restricted to it, partition on local
-    vertex ids, its vertices in local order).  No edge joins two parts, so
-    each is solved on its own.  A class of isolated vertices stays one
-    part: its vertices are unconstrained, and the reflexive reduction
-    labels them all from one kept vertex.
+    Each part comes as (type graph restricted to it, its type ids in
+    ascending order); the restricted graph numbers them 0, 1, ... in that
+    order.  No edge joins two parts, so each is solved on its own.  A class
+    of isolated vertices stays one part: its vertices are unconstrained,
+    and the reflexive reduction labels them all from one kept vertex.
     """
     neighbors = [[] for _ in tg.sizes]
     for i, j in tg.adjacency:
@@ -836,30 +830,25 @@ def _type_parts(tg: TypeGraph, partition: NdPartition):
                     part.append(r)
         part.sort()
         local = {t: i for i, t in enumerate(part)}
-        vertices = sorted(v for t in part for v in partition.classes[t])
-        to_local = {v: i for i, v in enumerate(vertices)}
-        sub_partition = NdPartition(
-            tuple(frozenset(to_local[v] for v in partition.classes[t]) for t in part),
-            tuple(partition.kinds[t] for t in part),
-        )
         sub_tg = TypeGraph(
             sizes=tuple(tg.sizes[t] for t in part),
             loops=frozenset(local[t] for t in tg.loops if t in local),
             adjacency=frozenset((local[i], local[j]) for i, j in tg.adjacency if i in local),
             weights={(local[i], local[j]): w for (i, j), w in tg.weights.items() if i in local},
         )
-        parts.append((sub_tg, sub_partition, vertices))
+        parts.append((sub_tg, part))
     return parts
 
 
 def _pipelines(wg: WeightedGraph, route: str, partition, max_digraph_nodes=None):
-    """The route's partition, checked once, and one pipeline per connected
-    part of its type graph.
+    """The route's partition, checked once, its type graph made reflexive
+    once, and one pipeline per connected part of the reflexive type graph.
 
-    Returns (partition before weight refinement, refined partition, list of
-    (pipeline, the part's vertices)).  Raises ValueError on an unknown route
-    or a missing partition, and NotUniformError (a ValueError) on weights
-    that are not uniform on the partition.
+    Returns (partition before weight refinement, reflexive reduction of the
+    refined partition, list of (pipeline, the part's type ids)).  Raises
+    ValueError on an unknown route or a missing partition, and
+    NotUniformError (a ValueError) on weights that are not uniform on the
+    partition.
     """
     if route == "uniform":
         if partition is None:
@@ -873,50 +862,53 @@ def _pipelines(wg: WeightedGraph, route: str, partition, max_digraph_nodes=None)
     ok, tg = check_uniform(wg, refined)
     if not ok:
         raise NotUniformError("edge weights are not uniform on the given partition")
+    reduction = preprocess_reflexive(tg, refined)
     pipelines = [
-        (_ComponentPipeline(sub_tg, sub_partition, max_digraph_nodes=max_digraph_nodes), vertices)
-        for sub_tg, sub_partition, vertices in _type_parts(tg, refined)
+        (_ComponentPipeline(sub_tg, max_digraph_nodes=max_digraph_nodes), type_ids)
+        for sub_tg, type_ids in _type_parts(reduction.type_graph)
     ]
-    return base, refined, pipelines
+    return base, reduction, pipelines
 
 
 def _solve(wg, route, partition, span, stats, max_digraph_nodes):
     """Labeling at `span`, or (least span, labeling) when span is None.
 
-    Fills nd, types and digraph_nodes of stats and adds the call's wall
-    time, from the route's partition on, to solve_ms.
+    Every labeling returned has passed verify_assignment on wg; one that
+    fails raises InternalSolverError.  Fills nd, types and digraph_nodes of
+    stats and adds the call's wall time, from the route's partition on, to
+    solve_ms.
     """
     if span is not None and span < 0:
         raise ValueError("span must be nonnegative")
     start = time.perf_counter()
-    base, refined, pipelines = _pipelines(wg, route, partition, max_digraph_nodes)
+    base, reduction, pipelines = _pipelines(wg, route, partition, max_digraph_nodes)
     if stats is not None:
         stats.nd = base.count
-        stats.types = refined.count
+        stats.types = reduction.type_graph.node_count
         stats.digraph_nodes += sum(len(p.digraph.windows) for p, _ in pipelines)
 
-    if span is None:
-        walks = [p.shortest_walk() for p, _ in pipelines]
-        # the parts are independent, so the least span is the largest of theirs
-        at = max((len(slices) - 1 for slices in walks), default=0)
-        subs = (p.labeling(slices, at) for (p, _), slices in zip(pipelines, walks))
+    minimize = span is None
+    labeling = None
+    parts = []
+    for pipeline, type_ids in pipelines:
+        slices = pipeline.shortest_walk(span)
+        if slices is None:
+            break  # this part has no labeling within the span
+        parts.append((slices, type_ids))
     else:
-        at = span
-        subs = (p.solve(span) for p, _ in pipelines)
-    labels: list[int | None] = [None] * wg.graph.n
-    for sub, (_, vertices) in zip(subs, pipelines):
-        if sub is None:
-            result = None
-            break
-        for local, vertex in enumerate(vertices):
-            labels[vertex] = sub.labels[local]
-    else:
-        result = Labeling(tuple(labels), at)
-    if span is None:
-        result = at, result
+        if minimize:
+            # the parts are independent, so the least span is the largest of theirs
+            span = max((len(slices) - 1 for slices, _ in parts), default=0)
+        labeling = _decode(parts, reduction, span, wg.graph.n)
+        verdict = verify_assignment(wg, labeling)
+        if not verdict.ok:
+            raise InternalSolverError(
+                f"labeling failed verification: edges {verdict.violated_edges}, "
+                f"out of range {verdict.out_of_range}"
+            )
     if stats is not None:
         stats.solve_ms = round(stats.solve_ms + (time.perf_counter() - start) * 1000, 3)
-    return result
+    return (span, labeling) if minimize else labeling
 
 
 def solve_ca_uniform(
@@ -929,8 +921,8 @@ def solve_ca_uniform(
 ):
     """Decide channel assignment at the given span on a uniform instance.
 
-    Connected parts of the type graph are solved independently and merged.
-    Raises NotUniformError, a ValueError, when the weights are not uniform
+    Connected parts of the type graph are searched independently, and the
+    labeling is decoded from all of them at once.  Raises NotUniformError, a ValueError, when the weights are not uniform
     with respect to the partition.
     """
     return _solve(wg, "uniform", partition, span, stats, max_digraph_nodes)
@@ -960,8 +952,8 @@ def minimize_span(
 
     Each connected part of the type graph gets one breadth-first walk search
     for its shortest walk, and the answer is the largest of their least
-    spans; each part's own walk, padded to that span, is decoded and checked
-    as for a fixed span.  No span is refuted.
+    spans, at which every part's own walk is decoded and checked as for a
+    fixed span.  No span is refuted.
     """
     return _solve(wg, route, partition, None, stats, max_digraph_nodes)
 

@@ -29,20 +29,23 @@ from ndchan.errors import GuardExceeded
 
 
 def send_probes_to_ilp(mp) -> None:
-    """Solve every component probe with the flow ILP through `mp` (a pytest
-    MonkeyPatch): solve_flow picks the edge multiset, an Euler walk orders
-    it and walk_to_labeling decodes it, in place of the walk search."""
+    """Answer every span probe of a part with the flow ILP through `mp` (a
+    pytest MonkeyPatch): solve_flow picks the edge multiset, an Euler walk
+    orders it and _walk_slices checks and reads its slices, in place of the
+    walk search.  Searches for a least span (no span) still use the walk
+    search."""
+    search = solver._ComponentPipeline.shortest_walk
 
-    def by_ilp(self, span):
-        ms = solver.solve_flow(self.digraph, self.reduction.type_graph, span)
+    def by_ilp(self, span=None):
+        if span is None:
+            return search(self, span)
+        ms = solver.solve_flow(self.digraph, self.type_graph, span)
         if ms is None:
             return None
         walk = solver.euler_walk(ms, self.digraph)
-        return solver.walk_to_labeling(
-            walk, self.digraph, self.reduction, span, self.vertex_count
-        )
+        return solver._walk_slices(walk, self.digraph, self.type_graph, span)
 
-    mp.setattr(solver._ComponentPipeline, "solve", by_ilp)
+    mp.setattr(solver._ComponentPipeline, "shortest_walk", by_ilp)
 
 
 def full_digraph_exceeds(wg: WeightedGraph, route: str, partition, guard: int) -> bool:
@@ -58,8 +61,7 @@ def full_digraph_exceeds(wg: WeightedGraph, route: str, partition, guard: int) -
     if route == "vc":
         partition = refine_uniform(wg, vc_partition(wg.graph, min_vertex_cover(wg.graph)))
     _, tg = check_uniform(wg, partition)
-    for sub_tg, sub_partition, _ in solver._type_parts(tg, partition):
-        reduced = preprocess_reflexive(sub_tg, sub_partition).type_graph
+    for reduced, _ in solver._type_parts(preprocess_reflexive(tg, partition).type_graph):
         z = reduced.wmax
         unbounded = replace(reduced, sizes=(z,) * reduced.node_count)
         try:

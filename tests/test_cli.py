@@ -129,13 +129,6 @@ class TestSolve:
         assert code == 3
         assert out == "" and "17 types" in err
 
-    def test_verify_flag(self, tmp_path, capsys):
-        path = write_instance(tmp_path, '{"n":2,"edges":[[0,1,5]]}')
-        code, _, _ = run(
-            capsys, ["solve", "--instance", path, "--lambda", "5", "--verify"]
-        )
-        assert code == 0
-
     def test_dump_flags_go_to_stderr(self, tmp_path, capsys):
         path = write_instance(tmp_path, '{"n":2,"edges":[[0,1,2]]}')
         code, out, err = run(

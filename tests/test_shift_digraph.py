@@ -150,6 +150,44 @@ class TestBuildShiftDigraph:
             if all(size == z for size in sizes):
                 assert got_nodes == nodes and got_edges == edges
 
+    def test_breadth_first_window_and_edge_order(self):
+        # windows are numbered in the order a breadth-first closure from the
+        # all-empty window first reaches them, and each source's edges come
+        # in ascending order of the slice they shift in
+        rng = random.Random(11)
+        for _ in range(200):
+            tau, z = rng.randint(1, 4), rng.randint(1, 3)
+            sizes = tuple(rng.randint(1, 3) for _ in range(tau))
+            weights = {(t, t): rng.randint(1, z) for t in range(tau)}
+            weights.update(
+                ((t, r), rng.randint(1, z))
+                for t, r in itertools.combinations(range(tau), 2)
+                if rng.random() < 0.5
+            )
+            adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
+            d = build_shift_digraph(TypeGraph(sizes, frozenset(range(tau)), adjacency, weights), z)
+            sources = [src for src, _ in d.edges]
+            assert sources == sorted(sources)
+            for src, group in itertools.groupby(d.edges, key=lambda edge: edge[0]):
+                masks = [d.windows[dst][-1] for _, dst in group]
+                assert masks == sorted(set(masks)), src
+            reached = [d.empty_index]
+            for _, dst in d.edges:
+                if dst not in reached:
+                    reached.append(dst)
+            assert reached == list(range(len(d.windows)))
+
+    def test_sixteen_types_build(self):
+        # K16 of singleton classes: every slice is empty or one type
+        tau = 16
+        pairs = list(itertools.combinations(range(tau), 2))
+        weights = {pair: 1 for pair in pairs}
+        weights.update({(t, t): 1 for t in range(tau)})
+        tg = TypeGraph((1,) * tau, frozenset(range(tau)), frozenset(pairs), weights)
+        d = build_shift_digraph(tg, 1)
+        assert [w[0] for w in d.windows] == [0] + [1 << t for t in range(tau)]
+        assert len(d.edges) == (tau + 1) ** 2
+
 
 class TestDump:
     def test_edge_list_format(self):

@@ -6,6 +6,7 @@ from ndchan import (
     DistanceConstraints,
     EdgeMultiset,
     Graph,
+    Labeling,
     NdPartition,
     WeightedGraph,
     build_flow_model,
@@ -517,14 +518,16 @@ class TestFrontEnd:
     MULTI = [(0, 1, 3), (2, 3, 2), (4, 5, 1), (4, 6, 1), (5, 6, 1)]
 
     def test_one_uniformity_check_per_call(self, monkeypatch):
+        # and one reflexive reduction, however many parts the type graph has
         calls = []
-        original = solver.check_uniform
+        for name in ("check_uniform", "preprocess_reflexive"):
+            original = getattr(solver, name)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "check_uniform", counted)
+            monkeypatch.setattr(solver, name, counted)
         wg = WeightedGraph.from_edges(9, self.MULTI)
         partition = nd_partition(wg.graph)
         for solve in (
@@ -535,13 +538,14 @@ class TestFrontEnd:
         ):
             calls.clear()
             solve()
-            assert len(calls) == 1
+            assert calls == ["check_uniform", "preprocess_reflexive"]
 
     def test_isolated_class_is_one_part(self):
         wg = WeightedGraph.from_edges(7, [(0, 1, 2)])
         partition = nd_partition(wg.graph)
         _, _, pipelines = solver._pipelines(wg, "uniform", partition)
-        assert [vertices for _, vertices in pipelines] == [[0, 1], [2, 3, 4, 5, 6]]
+        assert partition.classes == (frozenset({0, 1}), frozenset({2, 3, 4, 5, 6}))
+        assert [type_ids for _, type_ids in pipelines] == [[0], [1]]
         stats = SolveStats()
         labeling = solve_ca_uniform(wg, partition, 2, stats=stats)
         assert verify_assignment(wg, labeling).ok
@@ -554,3 +558,45 @@ class TestFrontEnd:
         minimize_span(wg, "vc", stats=minimized)
         assert (decided.nd, decided.types) == (minimized.nd, minimized.types)
         assert decided.types > decided.nd
+
+    def test_labeling_that_fails_verification_is_an_internal_error(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # a decode that gives vertex 1 the label of its neighbour 0: no entry
+        # point may return its labeling, and the CLI exits 70 printing nothing
+        original = solver._decode
+
+        def broken(*args, **kwargs):
+            labeling = original(*args, **kwargs)
+            labels = list(labeling.labels)
+            labels[1] = labels[0]
+            return Labeling(tuple(labels), labeling.span)
+
+        monkeypatch.setattr(solver, "_decode", broken)
+        g = path_graph(3)
+        wg = WeightedGraph(g, {e: 1 for e in g.edges})
+        partition = nd_partition(g)
+        dc = DistanceConstraints((2, 1))
+        for solve in (
+            lambda: solve_ca_uniform(wg, partition, 2),
+            lambda: solve_ca_vc(wg, 2),
+            lambda: minimize_span(wg, "uniform", partition),
+            lambda: minimize_span(wg, "vc"),
+            lambda: solve_labeling(g, dc, 4),
+        ):
+            with pytest.raises(InternalSolverError, match="failed verification"):
+                solve()
+
+        from ndchan.cli import main
+
+        path = tmp_path / "instance.json"
+        path.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+        for argv in (
+            ["solve", "--lambda", "2"],
+            ["solve", "--minimize"],
+            ["label", "--p", "2,1", "--lambda", "4"],
+            ["label", "--p", "2,1", "--minimize"],
+        ):
+            assert main(argv + ["--instance", str(path)]) == 70, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "failed verification" in captured.err
