@@ -58,7 +58,7 @@ def _constraints(args, instance: InstanceFile) -> DistanceConstraints:
 
 
 def _dump_debug(args, wg, route, partition):
-    """Each component's shift digraph, as the solver builds it."""
+    """Each component's whole shift digraph, which no solve builds."""
     if not getattr(args, "dump_digraph", False):
         return
     _, _, pipelines = _pipelines(wg, route, partition)

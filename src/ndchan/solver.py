@@ -4,14 +4,15 @@ Front end: pick the route's partition (given, or from a minimum vertex
 cover refined to uniform weights), check it once with check_uniform, which
 condenses the instance to its weighted type graph, make that graph
 reflexive once and split it into its connected parts over type adjacency.
-Each part gets a shift digraph with window length z = wmax, holding only
+Each part has a shift digraph with window length z = wmax, holding only
 the windows within the class sizes.  A span-lambda labeling of a part is a
 closed walk of lambda + z + 1 edges through the all-empty window whose
 per-type counts match the class sizes.  One exact engine finds it: a
 breadth-first search over (window, per-type counts) for the shortest such
-walk (_ComponentPipeline.shortest_walk), which returns the slices it
-shifted in, one per label position; later positions are empty.  A least
-span is the largest of the parts' least spans.  One decode maps every
+walk (_ComponentPipeline.shortest_walk), which generates a window's
+out-edges when it first leaves it and returns the slices it shifted in,
+one per label position; later positions are empty.  A least span is the
+largest of the parts' least spans.  One decode maps every
 part's slices through its type ids onto the instance's vertices, and
 verify_assignment checks the labeling before any entry point returns it.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .decomposition import (
     NdPartition,
@@ -52,7 +54,7 @@ from .ilp import (
     solve_feasibility,
 )
 from .reduction import labeling_to_ca
-from .shift_digraph import ShiftDigraph, build_shift_digraph, iter_bits
+from .shift_digraph import ShiftClosure, ShiftDigraph, build_shift_digraph, iter_bits
 
 # solve_flow gives up after this many cut rounds per digraph edge
 CUT_ROUNDS_PER_EDGE = 10
@@ -67,7 +69,7 @@ class SolveStats:
 
     nd: int | None = None
     types: int | None = None
-    digraph_nodes: int = 0
+    digraph_nodes: int = 0  # windows the walk searches created
     cuts_added: int = 0
     solve_ms: float = 0.0
 
@@ -686,8 +688,10 @@ def _decode(parts, reduction: ReflexiveReduction, span: int, vertex_count: int) 
 
 
 class _ComponentPipeline:
-    """One connected part of the reflexive type graph: its shift digraph and
-    the exact search for the walk itself, reusable across span probes.
+    """One connected part of the reflexive type graph: the exact search for
+    the walk, reusable across span probes.  Its shift digraph grows on
+    demand: the search generates a window's successors when it first
+    expands it, and keeps them; digraph, the whole one, is for the dump.
 
     The search runs over the states (window, per-type counts) of walk
     prefixes from the all-empty window.  A span-lambda labeling is a walk of
@@ -703,7 +707,7 @@ class _ComponentPipeline:
 
     def __init__(self, tg: TypeGraph, *, max_digraph_nodes=None):
         self.type_graph = tg
-        self.digraph = d = build_shift_digraph(tg, tg.wmax, max_nodes=max_digraph_nodes)
+        self.closure = ShiftClosure(tg, tg.wmax, max_nodes=max_digraph_nodes)
         self.sizes = tg.sizes
         self.radix = []
         code_space = 1
@@ -715,25 +719,30 @@ class _ComponentPipeline:
         # count code -> (mask of types at their class size, label positions
         # the remaining copies need at least); the same for every span
         self._count_info: dict[int, tuple[int, int]] = {}
+        self._steps: dict[int, int] = {}  # slice -> its count code step
+        self.successors: list[list | None] = [None]  # per window, once expanded
 
-        # per window: (next window, its new slice, count code step) for every
-        # out-edge.  Fuller slices first: the search stops at the first state
-        # at the class sizes, and the last layer meets them sooner this way
-        # (bench minimize-label solve_tail_ms 0.55-0.59 ms, against
-        # 0.63-0.65 ms in edge order, 5 runs each on 2 shared vCPUs).  The
-        # order picks the walk among the shortest ones and so the labels,
-        # never the span.
-        table = [[] for _ in d.windows]
-        steps: dict[int, int] = {}
-        for src, dst in d.edges:
-            mask = d.windows[dst][-1]
+    @cached_property
+    def digraph(self) -> ShiftDigraph:
+        """The part's whole shift digraph; no search needs it."""
+        return build_shift_digraph(self.type_graph, self.closure.z, max_nodes=self.closure.max_nodes)
+
+    def _successors(self, node: int) -> list[tuple[int, int, int]]:
+        """(next window, its new slice, count code step) per out-edge of the
+        window, fuller slices first: the search stops at the first state at
+        the class sizes, and the last layer meets them sooner this way
+        (bench minimize-label solve_tail_ms 0.55-0.59 ms, against 0.63-0.65
+        ms in edge order, 5 runs each on 2 shared vCPUs).  The order picks
+        the walk among the shortest ones and so the labels, never the span.
+        """
+        succ, steps, radix = [], self._steps, self.radix
+        for dst, mask in self.closure.out(node):
             step = steps.get(mask)
             if step is None:
-                step = steps[mask] = sum(self.radix[t] for t in iter_bits(mask))
-            table[src].append((dst, mask, step))
-        for succ in table:
-            succ.sort(key=lambda entry: -entry[1].bit_count())
-        self.successors = [tuple(succ) for succ in table]
+                step = steps[mask] = sum(radix[t] for t in iter_bits(mask))
+            succ.append((dst, mask, step))
+        succ.sort(key=lambda entry: -entry[1].bit_count())
+        return succ
 
     def _info(self, code: int) -> tuple[int, int]:
         info = self._count_info.get(code)
@@ -764,11 +773,11 @@ class _ComponentPipeline:
         limit.
         """
         table = self.successors
-        windows = self.digraph.windows
+        windows = self.closure.windows
         info = self._info
         code_space = self.code_space
         goal = code_space - 1  # every digit at its class size
-        start = self.digraph.empty_index * code_space
+        start = 0  # the all-empty window with no type counted
         last = float("inf") if span is None else span + 1
         parent = {start: None}
         layer = [start]
@@ -780,7 +789,11 @@ class _ComponentPipeline:
             for state in layer:
                 node, code = divmod(state, code_space)
                 full = info(code)[0]
-                for dst, mask, step in table[node]:
+                succ = table[node]
+                if succ is None:
+                    succ = table[node] = self._successors(node)
+                    table += [None] * (len(windows) - len(table))
+                for dst, mask, step in succ:
                     if mask & full:
                         continue
                     next_code = code + step
@@ -874,9 +887,9 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
     """Labeling at `span`, or (least span, labeling) when span is None.
 
     Every labeling returned has passed verify_assignment on wg; one that
-    fails raises InternalSolverError.  Fills nd, types and digraph_nodes of
-    stats and adds the call's wall time, from the route's partition on, to
-    solve_ms.
+    fails raises InternalSolverError.  Fills nd and types of stats, adds the
+    windows the walk searches created to digraph_nodes, and adds the call's
+    wall time, from the route's partition on, to solve_ms.
     """
     if span is not None and span < 0:
         raise ValueError("span must be nonnegative")
@@ -885,7 +898,6 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
     if stats is not None:
         stats.nd = base.count
         stats.types = reduction.type_graph.node_count
-        stats.digraph_nodes += sum(len(p.digraph.windows) for p, _ in pipelines)
 
     minimize = span is None
     labeling = None
@@ -907,6 +919,7 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
                 f"out of range {verdict.out_of_range}"
             )
     if stats is not None:
+        stats.digraph_nodes += sum(len(p.closure.windows) for p, _ in pipelines)
         stats.solve_ms = round(stats.solve_ms + (time.perf_counter() - start) * 1000, 3)
     return (span, labeling) if minimize else labeling
 

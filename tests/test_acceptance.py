@@ -334,13 +334,12 @@ def test_walk_search_does_not_depend_on_successor_order(monkeypatch):
         (labeling_to_ca(g, DistanceConstraints(p)), nd_partition(g)) for g, p in cases
     ]
     least_spans = [minimize_span(wg, "uniform", partition)[0] for wg, partition in instances]
-    original_init = solver._ComponentPipeline.__init__
+    original_successors = solver._ComponentPipeline._successors
 
-    def reversed_init(self, *args, **kwargs):
-        original_init(self, *args, **kwargs)
-        self.successors = [succ[::-1] for succ in self.successors]
+    def reversed_successors(self, node):
+        return original_successors(self, node)[::-1]
 
-    monkeypatch.setattr(solver._ComponentPipeline, "__init__", reversed_init)
+    monkeypatch.setattr(solver._ComponentPipeline, "_successors", reversed_successors)
     for (wg, partition), least in zip(instances, least_spans):
         span, labeling = minimize_span(wg, "uniform", partition)
         assert span == least

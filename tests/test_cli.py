@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ndchan import check_uniform, solver
+from ndchan import build_shift_digraph, check_uniform, solver
 from ndchan.cli import build_parser, main
 from helpers import send_probes_to_ilp
 
@@ -156,6 +156,23 @@ class TestSolve:
         headers = [line for line in err.splitlines() if line.startswith("# shift digraph")]
         assert headers == ["# shift digraph: types=1 z=2 nodes=3 edges=5"] * 2
         assert json.loads(out)["stats"]["digraph_nodes"] == 6
+
+    def test_dump_builds_each_digraph_once(self, tmp_path, capsys, monkeypatch):
+        # the solve never builds a whole digraph; the dump builds each
+        # part's once
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_shift_digraph(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "build_shift_digraph", counted)
+        path = write_instance(tmp_path, '{"n":4,"edges":[[0,1,2],[2,3,2]]}')
+        for flags, builds in (([], 0), (["--dump-digraph"], 2)):
+            calls.clear()
+            code, _, _ = run(capsys, ["solve", "--instance", path, "--lambda", "2"] + flags)
+            assert code == 0
+            assert len(calls) == builds, flags
 
     def test_dump_on_auto_and_vc_routes(self, tmp_path, capsys):
         # not uniform on the twin partition: auto dumps the refined twin

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ndchan import build_shift_digraph, dump_digraph
+from ndchan import build_shift_digraph, dump_digraph, solver
 from ndchan.decomposition import TypeGraph
 from ndchan.errors import GuardExceeded
 from ndchan.shift_digraph import iter_bits
@@ -47,6 +47,21 @@ def brute_force_digraph(tg, z):
             if a[1:] == b[:-1] and tuple_ok(a + (b[-1],)):
                 edges.add((a, b))
     return set(nodes), edges
+
+
+def random_type_graph(rng):
+    """A reflexive type graph of one to four types and a window length up
+    to 3, with random sizes, loop weights and pair weights up to it."""
+    tau, z = rng.randint(1, 4), rng.randint(1, 3)
+    sizes = tuple(rng.randint(1, 3) for _ in range(tau))
+    weights = {(t, t): rng.randint(1, z) for t in range(tau)}
+    weights.update(
+        ((t, r), rng.randint(1, z))
+        for t, r in itertools.combinations(range(tau), 2)
+        if rng.random() < 0.5
+    )
+    adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
+    return TypeGraph(sizes, frozenset(range(tau)), adjacency, weights), z
 
 
 def within_sizes(window, sizes):
@@ -156,16 +171,7 @@ class TestBuildShiftDigraph:
         # in ascending order of the slice they shift in
         rng = random.Random(11)
         for _ in range(200):
-            tau, z = rng.randint(1, 4), rng.randint(1, 3)
-            sizes = tuple(rng.randint(1, 3) for _ in range(tau))
-            weights = {(t, t): rng.randint(1, z) for t in range(tau)}
-            weights.update(
-                ((t, r), rng.randint(1, z))
-                for t, r in itertools.combinations(range(tau), 2)
-                if rng.random() < 0.5
-            )
-            adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
-            d = build_shift_digraph(TypeGraph(sizes, frozenset(range(tau)), adjacency, weights), z)
+            d = build_shift_digraph(*random_type_graph(rng))
             sources = [src for src, _ in d.edges]
             assert sources == sorted(sources)
             for src, group in itertools.groupby(d.edges, key=lambda edge: edge[0]):
@@ -187,6 +193,34 @@ class TestBuildShiftDigraph:
         d = build_shift_digraph(tg, 1)
         assert [w[0] for w in d.windows] == [0] + [1 << t for t in range(tau)]
         assert len(d.edges) == (tau + 1) ** 2
+
+
+class TestOnDemandSuccessors:
+    def test_expanded_windows_match_the_full_digraph(self):
+        # every window the walk search expands has build_shift_digraph's
+        # out-edges, matched by window, with fuller slices first
+        rng = random.Random(12)
+        expanded = 0
+        for _ in range(200):
+            tg, _ = random_type_graph(rng)
+            pipeline = solver._ComponentPipeline(tg)
+            least = len(pipeline.shortest_walk()) - 1
+            for span in range(least):
+                assert pipeline.shortest_walk(span) is None
+            d = build_shift_digraph(tg, tg.wmax)
+            index = {w: i for i, w in enumerate(d.windows)}
+            windows = pipeline.closure.windows
+            for node, succ in enumerate(pipeline.successors):
+                if succ is None:
+                    continue
+                full = [d.windows[d.edges[ei][1]] for ei in d.out_edges[index[windows[node]]]]
+                full.sort(key=lambda w: -w[-1].bit_count())
+                assert [(windows[dst], mask) for dst, mask, _ in succ] == [
+                    (w, w[-1]) for w in full
+                ]
+            assert set(windows) <= set(d.windows)
+            expanded += sum(succ is not None for succ in pipeline.successors)
+        assert expanded > 200
 
 
 class TestDump:

@@ -381,15 +381,44 @@ class TestGuards:
                 solve()
 
     def test_window_count_guard(self):
+        # the guard counts the windows the walk searches create
         wg = k3_instance()
         partition = nd_partition(wg.graph)
-        _, _, pipelines = solver._pipelines(wg, "uniform", partition)
-        windows = len(pipelines[0][0].digraph.windows)
-        assert solve_ca_uniform(wg, partition, 4, max_digraph_nodes=windows) is not None
-        with pytest.raises(GuardExceeded):
-            solve_ca_uniform(wg, partition, 4, max_digraph_nodes=windows - 1)
-        with pytest.raises(GuardExceeded):
-            minimize_span(wg, "uniform", partition, max_digraph_nodes=windows - 1)
+        for solve in (
+            lambda **kw: solve_ca_uniform(wg, partition, 4, **kw),
+            lambda **kw: minimize_span(wg, "uniform", partition, **kw),
+        ):
+            stats = SolveStats()
+            solve(stats=stats)
+            windows = stats.digraph_nodes
+            assert solve(max_digraph_nodes=windows) is not None
+            with pytest.raises(GuardExceeded):
+                solve(max_digraph_nodes=windows - 1)
+
+    def test_search_expands_fewer_windows_than_the_digraph_has(self, monkeypatch):
+        # a minimize-vc bench witness (criterion 4's draw 176): the search
+        # expands a window only when it first leaves it, and never builds
+        # the whole digraph
+        wg = WeightedGraph.from_edges(
+            7, [(0, 5, 2), (1, 4, 1), (1, 5, 2), (1, 6, 2), (2, 4, 1), (2, 6, 2), (3, 6, 1)]
+        )
+        expanded = []
+        original = solver._ComponentPipeline._successors
+
+        def counted(self, node):
+            expanded.append(node)
+            return original(self, node)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a solve built the whole shift digraph")
+
+        monkeypatch.setattr(solver._ComponentPipeline, "_successors", counted)
+        monkeypatch.setattr(solver, "build_shift_digraph", no_build)
+        span, labeling = minimize_span(wg, "vc")
+        assert verify_assignment(wg, labeling).ok
+        monkeypatch.undo()
+        _, _, pipelines = solver._pipelines(wg, "vc", None)
+        assert 0 < len(expanded) < sum(len(p.digraph.windows) for p, _ in pipelines)
 
 
 class TestSolveCaVc:
@@ -549,7 +578,9 @@ class TestFrontEnd:
         stats = SolveStats()
         labeling = solve_ca_uniform(wg, partition, 2, stats=stats)
         assert verify_assignment(wg, labeling).ok
-        assert stats.digraph_nodes == sum(len(p.digraph.windows) for p, _ in pipelines)
+        for pipeline, _ in pipelines:
+            assert pipeline.shortest_walk(2) is not None
+        assert stats.digraph_nodes == sum(len(p.closure.windows) for p, _ in pipelines)
 
     def test_vc_routes_report_the_same_decomposition(self):
         wg = WeightedGraph.from_edges(9, self.MULTI + [(0, 7, 1), (0, 8, 2)])
