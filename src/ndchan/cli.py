@@ -8,6 +8,7 @@ in `verify`), 2 input error, 3 resource guard tripped, 70 internal error
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import asdict
 
@@ -68,16 +69,16 @@ def _dump_debug(args, wg, route, partition):
 
 def _run(args, instance, wg, route, partition) -> int:
     """Decide or minimize on the route and print the result."""
+    # a missing or negative span is an input error, reported before any dump
+    span = None if args.minimize else _resolve_span(args, instance)
     _dump_debug(args, wg, route, partition)
     stats = SolveStats()
     if args.minimize:
         span, labeling = minimize_span(wg, route, partition, stats=stats)
+    elif route == "uniform":
+        labeling = solve_ca_uniform(wg, partition, span, stats=stats)
     else:
-        span = _resolve_span(args, instance)
-        if route == "uniform":
-            labeling = solve_ca_uniform(wg, partition, span, stats=stats)
-        else:
-            labeling = solve_ca_vc(wg, span, stats=stats)
+        labeling = solve_ca_vc(wg, span, stats=stats)
     outcome = SolveOutcome(
         labeling is not None,
         span,
@@ -119,8 +120,6 @@ def _cmd_nd(args) -> int:
     wg = instance.weighted_graph()
     partition = nd_partition(wg.graph)
     ok, _ = check_uniform(wg, partition)
-    import json
-
     print(
         json.dumps(
             {
@@ -150,8 +149,6 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = _read_instance(args.instance)
-    import json
-
     if args.nd:
         print(json.dumps({"nd": brute_force_nd(instance.graph())}))
         return EXIT_FEASIBLE
@@ -196,8 +193,6 @@ def _cmd_verify(args) -> int:
             f"{len(labels)} labels for {wg.graph.n} vertices"
         )
     verdict = verify_assignment(wg, Labeling(labels, span))
-    import json
-
     print(
         json.dumps(
             {

@@ -8,7 +8,7 @@ a loop for clique classes, and an edge where two classes are fully joined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graph import Graph, WeightedGraph, normalize_edge
 
@@ -50,18 +50,19 @@ class TypeGraph:
 
     def __post_init__(self):
         tau = len(self.sizes)
-        if any(s < 1 for s in self.sizes):
+        if min(self.sizes, default=1) < 1:
             raise ValueError("class sizes must be positive")
-        if any(not 0 <= i < j < tau for i, j in self.adjacency):
-            raise ValueError("type adjacency out of range or not normalized")
-        if any(not 0 <= t < tau for t in self.loops):
+        for i, j in self.adjacency:
+            if not 0 <= i < j < tau:
+                raise ValueError("type adjacency out of range or not normalized")
+        if self.loops and not 0 <= min(self.loops) <= max(self.loops) < tau:
             raise ValueError("loop on unknown type")
         if self.weights is not None:
-            expected = set(self.adjacency) | {(t, t) for t in self.loops}
-            if set(self.weights) != expected:
+            if self.weights.keys() != self.adjacency | {(t, t) for t in self.loops}:
                 raise ValueError("weights must cover exactly adjacency and loops")
-            if any(not isinstance(w, int) or w < 1 for w in self.weights.values()):
-                raise ValueError("type weights must be positive integers")
+            for w in self.weights.values():
+                if not isinstance(w, int) or w < 1:
+                    raise ValueError("type weights must be positive integers")
             object.__setattr__(self, "weights", dict(self.weights))
 
     @property
@@ -145,6 +146,11 @@ def type_graph(g: Graph, p: NdPartition) -> TypeGraph:
     Loops mark clique classes of size at least two; singleton classes stay
     loopless here, the solver's reflexivity preprocessing adds their loops.
     """
+    return TypeGraph(*_condense(g, p))
+
+
+def _condense(g: Graph, p: NdPartition):
+    """type_graph's (sizes, loops, adjacency), unweighted."""
     class_masks = _validate_partition(g, p)
     masks = g.adjacency_masks
     loops = set()
@@ -156,8 +162,7 @@ def type_graph(g: Graph, p: NdPartition) -> TypeGraph:
         for cj in range(ci + 1, len(p.classes)):
             if masks[some] & class_masks[cj]:
                 adjacency.add((ci, cj))
-    sizes = tuple(len(cls) for cls in p.classes)
-    return TypeGraph(sizes, frozenset(loops), frozenset(adjacency))
+    return tuple(len(cls) for cls in p.classes), frozenset(loops), frozenset(adjacency)
 
 
 def _inner_weights(wg: WeightedGraph, cls) -> set[int]:
@@ -173,19 +178,19 @@ def check_uniform(wg: WeightedGraph, p: NdPartition):
 
     Returns (True, weighted TypeGraph) or (False, None).
     """
-    tg = type_graph(wg.graph, p)
+    sizes, loops, adjacency = _condense(wg.graph, p)
     weights = {}
-    for i, j in sorted(tg.adjacency):
+    for i, j in sorted(adjacency):
         seen = {wg.weight(u, v) for u in p.classes[i] for v in p.classes[j]}
         if len(seen) != 1:
             return False, None
         weights[(i, j)] = seen.pop()
-    for t in sorted(tg.loops):
+    for t in sorted(loops):
         seen = _inner_weights(wg, p.classes[t])
         if len(seen) != 1:
             return False, None
         weights[(t, t)] = seen.pop()
-    return True, replace(tg, weights=weights)
+    return True, TypeGraph(sizes, loops, adjacency, weights)
 
 
 def min_vertex_cover(g: Graph) -> VertexCover:

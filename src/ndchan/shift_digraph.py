@@ -14,6 +14,8 @@ sequences padded with empty slices on both sides.  ShiftClosure is the
 step that closes the all-empty window, which the walk search runs on
 demand; build_shift_digraph runs it to closure, numbering windows in
 breadth-first order and grouping edges by source window in slice-mask order.
+The closure keeps a window as one int in window_code's layout (slice i at
+bits (z-1-i)*tau), so a shift is a left shift and a bar one AND per type.
 """
 
 from __future__ import annotations
@@ -74,11 +76,13 @@ class ShiftDigraph:
 
 
 class ShiftClosure:
-    """The shift digraph's closure step.  out(node) gives a window's
-    out-edges as (next window, new slice) in slice-mask order, numbering
-    windows as they are first met (the all-empty one is 0; more than
-    max_nodes raises GuardExceeded).  Run on every window in turn it is
-    build_shift_digraph; the walk search runs it on the windows it expands."""
+    """The shift digraph's closure step over int window codes.  Per type r
+    it masks the bits of the types closer to a new slice than their weight
+    to r, and, if size(r) < z, r's bits in the z - 1 slices a shift keeps;
+    barred(code) tests them.  slices(barred), memoised on this closure,
+    lists the slices allowed in ascending mask order; shift(node, masks)
+    numbers the windows they lead to as first met (the all-empty one is 0;
+    over max_nodes raises GuardExceeded)."""
 
     def __init__(self, tg: TypeGraph, z: int, *, max_nodes: int | None = None):
         if z < 1:
@@ -93,53 +97,65 @@ class ShiftClosure:
             raise GuardExceeded(
                 f"{tau} types exceed the limit of {_MAX_TYPES} on the walk search's count space"
             )
-        # conflict[d][t]: types that may not appear d positions away from t
-        conflict = [[0] * tau for _ in range(z + 1)]
+        # newest[k]: the bits of the newest k slices; column: type 0's bits
+        newest = [(1 << k * tau) - 1 for k in range(z + 1)]
+        column = sum(1 << d * tau for d in range(z))
+        bars, clash = [0] * tau, [0] * tau
         for (i, j), w in tg.weights.items():
-            if i == j:
-                for d in range(1, min(w, z + 1)):
-                    conflict[d][i] |= 1 << i
-            else:
-                for d in range(min(w, z + 1)):
-                    conflict[d][i] |= 1 << j
-                    conflict[d][j] |= 1 << i
-        self.type_count, self.z, self.sizes = tau, z, tg.sizes
-        self.conflict, self.max_nodes = conflict, max_nodes
-        self.windows = [(0,) * z]
-        self.index = {self.windows[0]: 0}
+            near = column & newest[min(w - 1, z)]  # 1 to w - 1 positions back
+            bars[i] |= near << j
+            bars[j] |= near << i
+            if i != j:
+                clash[i] |= 1 << j
+                clash[j] |= 1 << i
+        self.bars = [(1 << r, bar) for r, bar in enumerate(bars) if bar]
+        keep = column & newest[z - 1]
+        self.size_bars = [(1 << r, keep << r, s) for r, s in enumerate(tg.sizes) if s < z]
+        self.type_count, self.z, self.clash, self.max_nodes = tau, z, clash, max_nodes
+        self.slice_mask, self.window_mask = newest[1], newest[z]
+        self.windows, self.index, self._slices = [0], {0: 0}, {}
 
-    def out(self, node: int) -> list[tuple[int, int]]:
-        w, conflict, z, sizes = self.windows[node], self.conflict, self.z, self.sizes
-        # types the new slice z - i positions after slice i may not hold, and
-        # no type past its size in the shift
+    def window(self, node: int) -> tuple[int, ...]:
+        """The window's slice masks, oldest first."""
+        code, tau = self.windows[node], self.type_count
+        return tuple(code >> (self.z - 1 - i) * tau & self.slice_mask for i in range(self.z))
+
+    def barred(self, code: int) -> int:
         barred = 0
-        counts = [0] * self.type_count
-        for i, mask in enumerate(w):
-            for t in iter_bits(mask):
-                barred |= conflict[z - i][t]
-                if i:
-                    counts[t] += 1
-                    if counts[t] == sizes[t]:
-                        barred |= 1 << t
-        # the independent sets of conflict[0] within the allowed types: the
-        # sets with type t come after all sets of lower types, so the masks
-        # ascend
-        slices = [0]
-        for t in iter_bits(~barred & ((1 << self.type_count) - 1)):
-            slices += [m | 1 << t for m in slices if not conflict[0][t] & m]
-        edges, head, index, windows = [], w[1:], self.index, self.windows
-        for m in slices:
-            shifted = head + (m,)
-            di = index.get(shifted)
+        for bit, bar in self.bars:
+            if code & bar:
+                barred |= bit
+        for bit, keep, size in self.size_bars:
+            if (code & keep).bit_count() >= size:
+                barred |= bit
+        return barred
+
+    def slices(self, barred: int) -> list[int]:
+        slices = self._slices.get(barred)
+        if slices is None:
+            # the sets of types not barred with no two of them adjacent (a
+            # clash); the sets with type t come after all sets of lower types
+            slices = [0]
+            for t in iter_bits(~barred & self.slice_mask):
+                slices += [m | 1 << t for m in slices if not self.clash[t] & m]
+            self._slices[barred] = slices
+        return slices
+
+    def shift(self, node: int, masks) -> list[int]:
+        head = self.windows[node] << self.type_count & self.window_mask
+        dsts, index, windows = [], self.index, self.windows
+        for m in masks:
+            code = head | m
+            di = index.get(code)
             if di is None:
-                di = index[shifted] = len(windows)
-                windows.append(shifted)
+                di = index[code] = len(windows)
+                windows.append(code)
                 if self.max_nodes is not None and len(windows) > self.max_nodes:
                     raise GuardExceeded(f"window count exceeds guard of {self.max_nodes}")
-            edges.append((di, m))
-        if not node and edges[0] != (0, 0):  # both paths expand the all-empty window first
+            dsts.append(di)
+        if not node and (0 not in masks or dsts[masks.index(0)]):
             raise InternalSolverError("all-empty window lost its self-loop")
-        return edges
+        return dsts
 
 
 def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) -> ShiftDigraph:
@@ -159,9 +175,14 @@ def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) 
     count as in ShiftClosure.
     """
     closure = ShiftClosure(tg, z, max_nodes=max_nodes)
-    # enumerate() also reaches the windows that out() appends
-    edges = [(si, di) for si, _ in enumerate(closure.windows) for di, _ in closure.out(si)]
-    return ShiftDigraph(closure.type_count, z, tuple(closure.windows), tuple(edges))
+    # enumerate() also reaches the windows that shift() appends
+    edges = [
+        (si, di)
+        for si, code in enumerate(closure.windows)
+        for di in closure.shift(si, closure.slices(closure.barred(code)))
+    ]
+    windows = tuple(closure.window(node) for node in range(len(closure.windows)))
+    return ShiftDigraph(closure.type_count, z, windows, tuple(edges))
 
 
 def dump_digraph(d: ShiftDigraph) -> str:

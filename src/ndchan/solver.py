@@ -692,6 +692,8 @@ class _ComponentPipeline:
     the walk, reusable across span probes.  Its shift digraph grows on
     demand: the search generates a window's successors when it first
     expands it, and keeps them; digraph, the whole one, is for the dump.
+    Windows are the closure's int codes; windows that bar the same types
+    share one memoised list of (slice, count code step), fullest first.
 
     The search runs over the states (window, per-type counts) of walk
     prefixes from the all-empty window.  A span-lambda labeling is a walk of
@@ -719,7 +721,8 @@ class _ComponentPipeline:
         # count code -> (mask of types at their class size, label positions
         # the remaining copies need at least); the same for every span
         self._count_info: dict[int, tuple[int, int]] = {}
-        self._steps: dict[int, int] = {}  # slice -> its count code step
+        # barred set -> its slices fullest first, and their count code steps
+        self._moves: dict[int, tuple[list[int], list[int]]] = {}
         self.successors: list[list | None] = [None]  # per window, once expanded
 
     @cached_property
@@ -735,14 +738,15 @@ class _ComponentPipeline:
         ms in edge order, 5 runs each on 2 shared vCPUs).  The order picks
         the walk among the shortest ones and so the labels, never the span.
         """
-        succ, steps, radix = [], self._steps, self.radix
-        for dst, mask in self.closure.out(node):
-            step = steps.get(mask)
-            if step is None:
-                step = steps[mask] = sum(radix[t] for t in iter_bits(mask))
-            succ.append((dst, mask, step))
-        succ.sort(key=lambda entry: -entry[1].bit_count())
-        return succ
+        closure = self.closure
+        barred = closure.barred(closure.windows[node])
+        moves = self._moves.get(barred)
+        if moves is None:
+            masks = sorted(closure.slices(barred), key=lambda m: -m.bit_count())
+            steps = [sum(self.radix[t] for t in iter_bits(m)) for m in masks]
+            moves = self._moves[barred] = (masks, steps)
+        masks, steps = moves
+        return list(zip(closure.shift(node, masks), masks, steps))
 
     def _info(self, code: int) -> tuple[int, int]:
         info = self._count_info.get(code)
@@ -773,7 +777,7 @@ class _ComponentPipeline:
         limit.
         """
         table = self.successors
-        windows = self.closure.windows
+        windows, newest = self.closure.windows, self.closure.slice_mask
         info = self._info
         code_space = self.code_space
         goal = code_space - 1  # every digit at its class size
@@ -800,7 +804,7 @@ class _ComponentPipeline:
                     if next_code == goal:
                         slices = [mask]
                         while state != start:
-                            slices.append(windows[state // code_space][-1])
+                            slices.append(windows[state // code_space] & newest)
                             state = parent[state]
                         slices.reverse()
                         return slices
@@ -821,9 +825,10 @@ def _type_parts(tg: TypeGraph):
 
     Each part comes as (type graph restricted to it, its type ids in
     ascending order); the restricted graph numbers them 0, 1, ... in that
-    order.  No edge joins two parts, so each is solved on its own.  A class
-    of isolated vertices stays one part: its vertices are unconstrained,
-    and the reflexive reduction labels them all from one kept vertex.
+    order, and a part of every type is tg itself.  No edge joins two parts,
+    so each is solved on its own.  A class of isolated vertices stays one
+    part: its vertices are unconstrained, and the reflexive reduction
+    labels them all from one kept vertex.
     """
     neighbors = [[] for _ in tg.sizes]
     for i, j in tg.adjacency:
@@ -841,6 +846,8 @@ def _type_parts(tg: TypeGraph):
                 if not seen[r]:
                     seen[r] = True
                     part.append(r)
+        if len(part) == tg.node_count:
+            return [(tg, list(range(tg.node_count)))]  # one part holds every type
         part.sort()
         local = {t: i for i, t in enumerate(part)}
         sub_tg = TypeGraph(

@@ -249,8 +249,10 @@ def test_differential_engines_on_random_uniform_instances(seed, span):
     _differential(wg, span, lambda: solve_ca_uniform(wg, partition, span))
 
 
+# derandomized: the ILP is slow on some draws, so fresh draws on every run
+# gave this test no time bound
 @given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.sampled_from(((2, 1), (3, 2), (1, 1))))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_differential_engines_on_random_vc_and_labeling_instances(seed, span, p):
     # a random weighted graph on the vertex-cover route and a random L(p)
     # labeling on the twin partition: both engines, minimize_span and the

@@ -204,6 +204,73 @@ class TestSolve:
         code, out, _ = run(capsys, ["solve", "--instance", path, "--lambda", "4"])
         assert code == 0
 
+    # a weight-2 edge and a weight-1 edge on a path; its digraph at --lambda 3
+    PATH3 = '{"n":3,"edges":[[0,1,2],[1,2,1]]}'
+    PATH3_DUMP = """\
+# shift digraph: types=3 z=2 nodes=13 edges=43
+0x0 -> 0x0
+0x0 -> 0x1
+0x0 -> 0x2
+0x0 -> 0x4
+0x0 -> 0x5
+0x1 -> 0x8
+0x1 -> 0xc
+0x2 -> 0x10
+0x2 -> 0x14
+0x4 -> 0x20
+0x4 -> 0x21
+0x4 -> 0x22
+0x5 -> 0x28
+0x8 -> 0x0
+0x8 -> 0x1
+0x8 -> 0x2
+0x8 -> 0x4
+0x8 -> 0x5
+0xc -> 0x20
+0xc -> 0x21
+0xc -> 0x22
+0x10 -> 0x0
+0x10 -> 0x1
+0x10 -> 0x2
+0x10 -> 0x4
+0x10 -> 0x5
+0x14 -> 0x20
+0x14 -> 0x21
+0x14 -> 0x22
+0x20 -> 0x0
+0x20 -> 0x1
+0x20 -> 0x2
+0x20 -> 0x4
+0x20 -> 0x5
+0x21 -> 0x8
+0x21 -> 0xc
+0x22 -> 0x10
+0x22 -> 0x14
+0x28 -> 0x0
+0x28 -> 0x1
+0x28 -> 0x2
+0x28 -> 0x4
+0x28 -> 0x5
+"""
+
+    def test_span_errors_come_before_the_dump(self, tmp_path, capsys):
+        # no span, or a negative one, exits 2 before any digraph is built
+        path = write_instance(tmp_path, self.PATH3)
+        for flags in ([], ["--lambda", "-1"]):
+            code, out, err = run(capsys, ["solve", "--instance", path, "--dump-digraph"] + flags)
+            assert code == 2, flags
+            assert out == "" and "shift digraph" not in err and "span" in err
+
+    def test_dump_text_is_pinned(self, tmp_path, capsys):
+        # the windows, their hex codes and the edge order, byte for byte
+        path = write_instance(tmp_path, self.PATH3)
+        code, out, err = run(
+            capsys, ["solve", "--instance", path, "--lambda", "3", "--dump-digraph"]
+        )
+        assert code == 0
+        assert err == self.PATH3_DUMP
+        assert json.loads(out)["stats"]["digraph_nodes"] == 13
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, ["solve", "--instance", "/nope/missing", "--lambda", "1"])
         assert code == 2

@@ -198,7 +198,8 @@ class TestBuildShiftDigraph:
 class TestOnDemandSuccessors:
     def test_expanded_windows_match_the_full_digraph(self):
         # every window the walk search expands has build_shift_digraph's
-        # out-edges, matched by window, with fuller slices first
+        # out-edges, matched by window, with fuller slices first; the search
+        # keeps windows as int codes, decoded here through its closure
         rng = random.Random(12)
         expanded = 0
         for _ in range(200):
@@ -209,7 +210,9 @@ class TestOnDemandSuccessors:
                 assert pipeline.shortest_walk(span) is None
             d = build_shift_digraph(tg, tg.wmax)
             index = {w: i for i, w in enumerate(d.windows)}
-            windows = pipeline.closure.windows
+            closure = pipeline.closure
+            windows = [closure.window(node) for node in range(len(closure.windows))]
+            assert [d.window_code(index[w]) for w in windows] == closure.windows
             for node, succ in enumerate(pipeline.successors):
                 if succ is None:
                     continue

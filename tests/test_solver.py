@@ -582,6 +582,27 @@ class TestFrontEnd:
             assert pipeline.shortest_walk(2) is not None
         assert stats.digraph_nodes == sum(len(p.closure.windows) for p, _ in pipelines)
 
+    def test_type_graphs_built_per_solve(self, monkeypatch):
+        # one weighted type graph from the uniformity check, one reflexive
+        # one, and one more per part only when the reflexive graph has
+        # several parts
+        built = []
+        original = TypeGraph.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(TypeGraph, "__post_init__", counted)
+        # a star of one part, and test_isolated_class_is_one_part's two parts
+        for wg, expected in (
+            (WeightedGraph.from_edges(3, [(0, 1, 2), (0, 2, 2)]), 2),
+            (WeightedGraph.from_edges(7, [(0, 1, 2)]), 2 + 2),
+        ):
+            built.clear()
+            assert solve_ca_uniform(wg, nd_partition(wg.graph), 3) is not None
+            assert len(built) == expected
+
     def test_vc_routes_report_the_same_decomposition(self):
         wg = WeightedGraph.from_edges(9, self.MULTI + [(0, 7, 1), (0, 8, 2)])
         decided, minimized = SolveStats(), SolveStats()
