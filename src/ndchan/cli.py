@@ -13,10 +13,10 @@ import sys
 from dataclasses import asdict
 
 from .decomposition import check_uniform, nd_partition, refine_uniform
-from .errors import GuardExceeded, InstanceFormatError, InternalSolverError, NotUniformError
+from .errors import GuardExceeded, InstanceFormatError, InternalSolverError
 from .graph import Labeling, verify_assignment
 from .instances import InstanceFile, SolveOutcome, emit_instance, emit_result, parse_instance
-from .oracle import brute_force_ca, brute_force_nd
+from .oracle import DEFAULT_GUARD, brute_force_ca, brute_force_nd
 from .reduction import DistanceConstraints, labeling_to_ca
 from .shift_digraph import dump_digraph
 from .solver import (
@@ -95,17 +95,9 @@ def _cmd_solve(args) -> int:
     wg = instance.weighted_graph()
     if args.route == "vc":
         return _run(args, instance, wg, "vc", None)
-    partition = nd_partition(wg.graph)
-    if args.route == "auto":
-        # the twin partition refined to uniform weights, uniform on every input
-        partition = refine_uniform(wg, partition)
-    try:
-        return _run(args, instance, wg, "uniform", partition)
-    except NotUniformError:
-        # the library checks uniformity before it builds or prints anything
-        raise InstanceFormatError(
-            "instance is not nd-uniform; use --route vc or auto"
-        ) from None
+    # the twin partition refined to uniform weights, uniform on every input
+    # and unchanged where the twin partition is uniform already
+    return _run(args, instance, wg, "uniform", refine_uniform(wg, nd_partition(wg.graph)))
 
 
 def _cmd_label(args) -> int:
@@ -219,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance(solve)
     solve.add_argument("--lambda", dest="span", type=int, default=None)
     solve.add_argument("--minimize", action="store_true")
-    solve.add_argument("--route", choices=("uniform", "vc", "auto"), default="auto")
+    solve.add_argument("--route", choices=("auto", "vc"), default="auto")
     solve.add_argument("--dump-digraph", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
@@ -244,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--lambda", dest="span", type=int, default=None)
     oracle.add_argument("--minimize", action="store_true")
     oracle.add_argument("--nd", action="store_true", help="brute-force class count")
-    oracle.add_argument("--guard", type=int, default=100_000_000)
+    oracle.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     oracle.set_defaults(func=_cmd_oracle)
 
     verify = sub.add_parser("verify", help="check a labeling against an instance")

@@ -3,14 +3,15 @@
 A partition is a valid decomposition when every class induces a clique or an
 independent set and edges between any two classes are all-or-none.  The
 condensed form is the type graph: one node per class carrying the class size,
-a loop for clique classes, and an edge where two classes are fully joined.
+a loop for clique classes, and an edge where two classes are fully joined,
+each loop and edge with the weight its class pair carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, WeightedGraph, normalize_edge
+from .graph import Graph, WeightedGraph
 
 CLIQUE = "clique"
 INDEPENDENT = "independent"
@@ -41,12 +42,12 @@ class NdPartition:
 
 @dataclass(frozen=True)
 class TypeGraph:
-    """Condensation of a graph under a decomposition; weights are optional."""
+    """Condensation of a weighted graph under a decomposition."""
 
     sizes: tuple[int, ...]
     loops: frozenset[int]
     adjacency: frozenset[tuple[int, int]]
-    weights: dict | None = None
+    weights: dict
 
     def __post_init__(self):
         tau = len(self.sizes)
@@ -57,13 +58,12 @@ class TypeGraph:
                 raise ValueError("type adjacency out of range or not normalized")
         if self.loops and not 0 <= min(self.loops) <= max(self.loops) < tau:
             raise ValueError("loop on unknown type")
-        if self.weights is not None:
-            if self.weights.keys() != self.adjacency | {(t, t) for t in self.loops}:
-                raise ValueError("weights must cover exactly adjacency and loops")
-            for w in self.weights.values():
-                if not isinstance(w, int) or w < 1:
-                    raise ValueError("type weights must be positive integers")
-            object.__setattr__(self, "weights", dict(self.weights))
+        if self.weights.keys() != self.adjacency | {(t, t) for t in self.loops}:
+            raise ValueError("weights must cover exactly adjacency and loops")
+        for w in self.weights.values():
+            if not isinstance(w, int) or w < 1:
+                raise ValueError("type weights must be positive integers")
+        object.__setattr__(self, "weights", dict(self.weights))
 
     @property
     def node_count(self) -> int:
@@ -71,12 +71,7 @@ class TypeGraph:
 
     @property
     def wmax(self) -> int:
-        if not self.weights:
-            return 1
-        return max(self.weights.values())
-
-    def weight(self, i: int, j: int) -> int:
-        return self.weights[normalize_edge(i, j) if i != j else (i, i)]
+        return max(self.weights.values(), default=1)
 
 
 @dataclass(frozen=True)
@@ -141,28 +136,13 @@ def _validate_partition(g: Graph, p: NdPartition) -> list[int]:
 
 
 def type_graph(g: Graph, p: NdPartition) -> TypeGraph:
-    """Condense g under p; raises ValueError when p violates the decomposition axioms.
+    """Condense g under p with every weight 1; raises ValueError when p
+    violates the decomposition axioms.
 
     Loops mark clique classes of size at least two; singleton classes stay
     loopless here, the solver's reflexivity preprocessing adds their loops.
     """
-    return TypeGraph(*_condense(g, p))
-
-
-def _condense(g: Graph, p: NdPartition):
-    """type_graph's (sizes, loops, adjacency), unweighted."""
-    class_masks = _validate_partition(g, p)
-    masks = g.adjacency_masks
-    loops = set()
-    adjacency = set()
-    for ci, cls in enumerate(p.classes):
-        some = min(cls)
-        if len(cls) >= 2 and masks[some] & class_masks[ci]:
-            loops.add(ci)
-        for cj in range(ci + 1, len(p.classes)):
-            if masks[some] & class_masks[cj]:
-                adjacency.add((ci, cj))
-    return tuple(len(cls) for cls in p.classes), frozenset(loops), frozenset(adjacency)
+    return check_uniform(WeightedGraph(g, dict.fromkeys(g.edges, 1)), p)[1]
 
 
 def _inner_weights(wg: WeightedGraph, cls) -> set[int]:
@@ -174,11 +154,22 @@ def _inner_weights(wg: WeightedGraph, cls) -> set[int]:
 
 
 def check_uniform(wg: WeightedGraph, p: NdPartition):
-    """Test whether weights are constant per class pair (and inside clique classes).
+    """Test whether weights are constant per class pair (and inside clique
+    classes); raises ValueError when p violates the decomposition axioms.
 
     Returns (True, weighted TypeGraph) or (False, None).
     """
-    sizes, loops, adjacency = _condense(wg.graph, p)
+    class_masks = _validate_partition(wg.graph, p)
+    masks = wg.graph.adjacency_masks
+    loops = set()
+    adjacency = set()
+    for ci, cls in enumerate(p.classes):
+        some = min(cls)
+        if len(cls) >= 2 and masks[some] & class_masks[ci]:
+            loops.add(ci)
+        for cj in range(ci + 1, len(p.classes)):
+            if masks[some] & class_masks[cj]:
+                adjacency.add((ci, cj))
     weights = {}
     for i, j in sorted(adjacency):
         seen = {wg.weight(u, v) for u in p.classes[i] for v in p.classes[j]}
@@ -190,7 +181,8 @@ def check_uniform(wg: WeightedGraph, p: NdPartition):
         if len(seen) != 1:
             return False, None
         weights[(t, t)] = seen.pop()
-    return True, TypeGraph(sizes, loops, adjacency, weights)
+    sizes = tuple(len(cls) for cls in p.classes)
+    return True, TypeGraph(sizes, frozenset(loops), frozenset(adjacency), weights)
 
 
 def min_vertex_cover(g: Graph) -> VertexCover:

@@ -87,8 +87,6 @@ class ShiftClosure:
     def __init__(self, tg: TypeGraph, z: int, *, max_nodes: int | None = None):
         if z < 1:
             raise ValueError("window length must be positive")
-        if tg.weights is None:
-            raise ValueError("weighted type graph required")
         tau = tg.node_count
         missing = [t for t in range(tau) if t not in tg.loops]
         if missing:

@@ -112,8 +112,6 @@ class Walk:
 
 def preprocess_reflexive(tg: TypeGraph, partition: NdPartition) -> ReflexiveReduction:
     """Give every type a loop, shrinking loopless classes to one kept vertex."""
-    if tg.weights is None:
-        raise ValueError("weighted type graph required")
     if tg.node_count != partition.count:
         raise ValueError("type graph and partition disagree on class count")
     sizes = []
@@ -866,15 +864,17 @@ def _pipelines(wg: WeightedGraph, route: str, partition, max_digraph_nodes=None)
 
     Returns (partition before weight refinement, reflexive reduction of the
     refined partition, list of (pipeline, the part's type ids)).  Raises
-    ValueError on an unknown route or a missing partition, and
-    NotUniformError (a ValueError) on weights that are not uniform on the
-    partition.
+    ValueError on an unknown route, a missing partition on the uniform
+    route or a given one on the vc route, and NotUniformError (a
+    ValueError) on weights that are not uniform on the partition.
     """
     if route == "uniform":
         if partition is None:
             raise ValueError("uniform route requires a partition")
         base = refined = partition
     elif route == "vc":
+        if partition is not None:
+            raise ValueError("vc route takes no partition; it builds its own")
         base = vc_partition(wg.graph, min_vertex_cover(wg.graph))
         refined = refine_uniform(wg, base)
     else:
@@ -942,7 +942,9 @@ def solve_ca_uniform(
     """Decide channel assignment at the given span on a uniform instance.
 
     Connected parts of the type graph are searched independently, and the
-    labeling is decoded from all of them at once.  Raises NotUniformError, a ValueError, when the weights are not uniform
+    labeling is decoded from all of them at once.
+
+    Raises NotUniformError, a ValueError, when the weights are not uniform
     with respect to the partition.
     """
     return _solve(wg, "uniform", partition, span, stats, max_digraph_nodes)

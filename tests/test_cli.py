@@ -64,17 +64,6 @@ class TestSolve:
         assert code == 2
         assert "span" in err or "lambda" in err
 
-    def test_route_uniform_rejects_nonuniform(self, tmp_path, capsys):
-        path = write_instance(
-            tmp_path, '{"n":3,"edges":[[0,1,1],[0,2,2],[1,2,3]]}'
-        )
-        code, _, err = run(
-            capsys,
-            ["solve", "--instance", path, "--lambda", "5", "--route", "uniform"],
-        )
-        assert code == 2
-        assert "uniform" in err
-
     def test_route_auto_solves_on_the_refined_twin_partition(self, tmp_path, capsys, monkeypatch):
         # where the twin partition is not weight-uniform, auto solves on it
         # refined to uniform weights (here three singletons) instead of
@@ -123,9 +112,7 @@ class TestSolve:
         # P17's twin partition: 17 singleton classes in one part
         edges = [[i, i + 1] for i in range(16)]
         path = write_instance(tmp_path, json.dumps({"n": 17, "edges": edges}))
-        code, out, err = run(
-            capsys, ["solve", "--instance", path, "--lambda", "4", "--route", "uniform"]
-        )
+        code, out, err = run(capsys, ["solve", "--instance", path, "--lambda", "4"])
         assert code == 3
         assert out == "" and "17 types" in err
 

@@ -64,6 +64,7 @@ class TestTypeGraph:
         assert tg.sizes == (3,)
         assert tg.loops == frozenset({0})
         assert tg.adjacency == frozenset()
+        assert tg.weights == {(0, 0): 1}
 
     def test_c4_two_nodes_one_edge_no_loops(self):
         g = cycle_graph(4)
@@ -71,6 +72,7 @@ class TestTypeGraph:
         assert tg.sizes == (2, 2)
         assert tg.loops == frozenset()
         assert tg.adjacency == frozenset({(0, 1)})
+        assert tg.weights == {(0, 1): 1}
 
     def test_star_sizes_and_edge(self):
         g = star_graph(3)
@@ -225,8 +227,14 @@ class TestRefineUniform:
     @settings(max_examples=50, deadline=None)
     def test_refined_twin_partition_is_uniform(self, n, prob, seed, wmax):
         wg = random_weighted_graph(random.Random(seed), n, prob, wmax)
-        ok, _ = check_uniform(wg, refine_uniform(wg, nd_partition(wg.graph)))
+        twins = nd_partition(wg.graph)
+        refined = refine_uniform(wg, twins)
+        ok, _ = check_uniform(wg, refined)
         assert ok
+        # a twin partition that is uniform already comes back unchanged, so
+        # solving on the refined one covers solving on the twin partition
+        if check_uniform(wg, twins)[0]:
+            assert refined == twins
 
     @given(st.integers(1, 8), st.floats(0, 1), st.integers(0, 9999), st.integers(1, 3))
     @settings(max_examples=50, deadline=None)

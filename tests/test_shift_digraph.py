@@ -110,11 +110,6 @@ class TestBuildShiftDigraph:
         with pytest.raises(ValueError):
             build_shift_digraph(single_loop_type(1), 0)
 
-    def test_rejects_missing_weights(self):
-        tg = TypeGraph((1,), frozenset({0}), frozenset())
-        with pytest.raises(ValueError, match="weighted"):
-            build_shift_digraph(tg, 1)
-
     def test_rejects_loopless_type(self):
         tg = TypeGraph((2, 1), frozenset({1}), frozenset(), {(1, 1): 1})
         with pytest.raises(ValueError, match="loop"):

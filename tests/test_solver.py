@@ -77,14 +77,6 @@ class TestPreprocessReflexive:
         assert reduction.type_graph.sizes == (1, 1)
         assert all(len(d) == 1 for d in reduction.dropped)
 
-    def test_requires_weights(self):
-        g = star_graph(2)
-        p = nd_partition(g)
-        from ndchan.decomposition import type_graph
-
-        with pytest.raises(ValueError):
-            preprocess_reflexive(type_graph(g, p), p)
-
 
 class TestBuildFlowModel:
     def test_single_type_counts(self):
@@ -468,6 +460,11 @@ class TestMinimizeSpan:
     def test_uniform_route_needs_partition(self):
         with pytest.raises(ValueError):
             minimize_span(k3_instance(), "uniform")
+
+    def test_vc_route_takes_no_partition(self):
+        wg = k3_instance()
+        with pytest.raises(ValueError, match="no partition"):
+            minimize_span(wg, "vc", nd_partition(wg.graph))
 
     def test_unknown_route(self):
         with pytest.raises(ValueError):
