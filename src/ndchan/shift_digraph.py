@@ -79,8 +79,9 @@ class ShiftClosure:
     """The shift digraph's closure step over int window codes.  Per type r
     it masks the bits of the types closer to a new slice than their weight
     to r, and, if size(r) < z, r's bits in the z - 1 slices a shift keeps;
-    barred(code) tests them.  slices(barred), memoised on this closure,
-    lists the slices allowed in ascending mask order; shift(node, masks)
+    barred(code) tests them.  independent_sets(allowed) lists the slices of
+    allowed types in ascending mask order, and slices(barred) those of the
+    types not barred, memoised on this closure; shift(node, masks)
     numbers the windows they lead to as first met (the all-empty one is 0;
     over max_nodes raises GuardExceeded)."""
 
@@ -131,13 +132,16 @@ class ShiftClosure:
     def slices(self, barred: int) -> list[int]:
         slices = self._slices.get(barred)
         if slices is None:
-            # the sets of types not barred with no two of them adjacent (a
-            # clash); the sets with type t come after all sets of lower types
-            slices = [0]
-            for t in iter_bits(~barred & self.slice_mask):
-                slices += [m | 1 << t for m in slices if not self.clash[t] & m]
-            self._slices[barred] = slices
+            slices = self._slices[barred] = self.independent_sets(~barred & self.slice_mask)
         return slices
+
+    def independent_sets(self, allowed: int) -> list[int]:
+        # the sets of allowed types with no two of them adjacent (a clash);
+        # the sets with type t come after all sets of lower types
+        sets = [0]
+        for t in iter_bits(allowed):
+            sets += [m | 1 << t for m in sets if not self.clash[t] & m]
+        return sets
 
     def shift(self, node: int, masks) -> list[int]:
         head = self.windows[node] << self.type_count & self.window_mask

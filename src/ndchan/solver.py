@@ -9,9 +9,13 @@ the windows within the class sizes.  A span-lambda labeling of a part is a
 closed walk of lambda + z + 1 edges through the all-empty window whose
 per-type counts match the class sizes.  One exact engine finds it: a
 breadth-first search over (window, per-type counts) for the shortest such
-walk (_ComponentPipeline.shortest_walk), which generates a window's
-out-edges when it first leaves it and returns the slices it shifted in,
-one per label position; later positions are empty.  A least span is the
+walk (_ComponentPipeline.shortest_walk), which works out a window's moves
+when it first leaves it and returns the slices it shifted in, one per
+label position; later positions are empty.  It comes in two forms, chosen
+by the part's class sizes: where all are 1, as on every part of the
+vertex-cover route, _placed_search keeps the counts as the mask of types
+placed and needs only the closure's bars; otherwise _count_search keeps
+mixed-radix count codes and numbered windows.  A least span is the
 largest of the parts' least spans.  One decode maps every
 part's slices through its type ids onto the instance's vertices, and
 verify_assignment checks the labeling before any entry point returns it.
@@ -69,7 +73,7 @@ class SolveStats:
 
     nd: int | None = None
     types: int | None = None
-    digraph_nodes: int = 0  # windows the walk searches created
+    digraph_nodes: int = 0  # windows the walk searches expanded
     cuts_added: int = 0
     solve_ms: float = 0.0
 
@@ -688,10 +692,9 @@ def _decode(parts, reduction: ReflexiveReduction, span: int, vertex_count: int) 
 class _ComponentPipeline:
     """One connected part of the reflexive type graph: the exact search for
     the walk, reusable across span probes.  Its shift digraph grows on
-    demand: the search generates a window's successors when it first
-    expands it, and keeps them; digraph, the whole one, is for the dump.
-    Windows are the closure's int codes; windows that bar the same types
-    share one memoised list of (slice, count code step), fullest first.
+    demand: a search works out a window's moves when it first expands it,
+    and keeps them; digraph, the whole one, is for the dump.  Windows are
+    the closure's int codes.
 
     The search runs over the states (window, per-type counts) of walk
     prefixes from the all-empty window.  A span-lambda labeling is a walk of
@@ -701,13 +704,30 @@ class _ComponentPipeline:
     window.  Empty slices can always be appended, so a state reached at
     step k can do everything the same state can do when reached later: the
     step need not be part of the state, and the shortest walk to the class
-    sizes serves every span from its own up.  Count vectors are mixed-radix
-    codes and a state is one int, which keeps the search's dict small.
+    sizes serves every span from its own up.  A state is one int, which
+    keeps the search's dict small, and one of two searches runs, chosen by
+    the class sizes:
+
+    - _placed_search, when every class size is 1 (every part of the vc
+      route, whose classes outside the cover are independent sets, and of
+      any partition without a clique class): the counts are the mask of
+      types placed, and a window's kept slices hold only placed types, so
+      the closure's bars alone give the types a new slice may hold.
+    - _count_search otherwise: the counts are a mixed-radix code, and the
+      closure numbers every window an expanded one leads to; windows that
+      bar the same types share one memoised list of (slice, count code
+      step).
+
+    Both list a window's slices fullest first and so return the same walk
+    on a part of size-1 classes.  expanded counts the windows either search
+    expanded, and more than max_windows of them raise GuardExceeded.
     """
 
     def __init__(self, tg: TypeGraph, *, max_digraph_nodes=None):
         self.type_graph = tg
-        self.closure = ShiftClosure(tg, tg.wmax, max_nodes=max_digraph_nodes)
+        self.closure = ShiftClosure(tg, tg.wmax)
+        self.max_windows = max_digraph_nodes
+        self.expanded = 0
         self.sizes = tg.sizes
         self.radix = []
         code_space = 1
@@ -722,11 +742,21 @@ class _ComponentPipeline:
         # barred set -> its slices fullest first, and their count code steps
         self._moves: dict[int, tuple[list[int], list[int]]] = {}
         self.successors: list[list | None] = [None]  # per window, once expanded
+        # _placed_search: window code -> types its bars allow in a new slice,
+        # and a set of free types -> its slices fullest first
+        self._allowed: dict[int, int] = {}
+        self._free_moves: dict[int, list[int]] = {}
 
     @cached_property
     def digraph(self) -> ShiftDigraph:
         """The part's whole shift digraph; no search needs it."""
-        return build_shift_digraph(self.type_graph, self.closure.z, max_nodes=self.closure.max_nodes)
+        return build_shift_digraph(self.type_graph, self.closure.z, max_nodes=self.max_windows)
+
+    def _expanding(self) -> None:
+        """Count one more window expanded, past max_windows raising."""
+        self.expanded += 1
+        if self.max_windows is not None and self.expanded > self.max_windows:
+            raise GuardExceeded(f"expanded window count exceeds guard of {self.max_windows}")
 
     def _successors(self, node: int) -> list[tuple[int, int, int]]:
         """(next window, its new slice, count code step) per out-edge of the
@@ -736,6 +766,7 @@ class _ComponentPipeline:
         ms in edge order, 5 runs each on 2 shared vCPUs).  The order picks
         the walk among the shortest ones and so the labels, never the span.
         """
+        self._expanding()
         closure = self.closure
         barred = closure.barred(closure.windows[node])
         moves = self._moves.get(barred)
@@ -745,6 +776,17 @@ class _ComponentPipeline:
             moves = self._moves[barred] = (masks, steps)
         masks, steps = moves
         return list(zip(closure.shift(node, masks), masks, steps))
+
+    def _allow(self, window: int) -> int:
+        """The types the closure's bars allow in the slice shifted in after
+        this window, memoised per window; _placed_search's expansion."""
+        self._expanding()
+        barred = 0
+        for bit, bar in self.closure.bars:
+            if window & bar:
+                barred |= bit
+        allowed = self._allowed[window] = self.closure.slice_mask & ~barred
+        return allowed
 
     def _info(self, code: int) -> tuple[int, int]:
         info = self._count_info.get(code)
@@ -768,12 +810,68 @@ class _ComponentPipeline:
 
         A breadth-first search: layer k holds the states first entered after
         k steps, each with the state it was entered from, since reaching a
-        state later can only lengthen the walk.  Under a span, states whose
-        remaining copies need more label positions than are left are not
-        expanded, and after span + 1 steps the search gives up with None,
-        every state within them tried.  Without a span there is no state
-        limit.
+        state later can only lengthen the walk.  Under a span, after span + 1
+        steps the search gives up with None, every state within them tried.
+        Without a span there is no state limit.
         """
+        if max(self.sizes, default=1) == 1:
+            return self._placed_search(span)
+        return self._count_search(span)
+
+    def _placed_search(self, span: int | None) -> list[int] | None:
+        """shortest_walk over the states window << tau | placed, for a part
+        whose class sizes are all 1.  A state's moves are the independent
+        sets of the types its window allows and it has not placed, each kept
+        as the step mask << tau | mask that shifts it into both fields; the
+        one that places every type left is the fullest, so it comes first.
+        Under a span no state is pruned for its remaining copies: each type
+        left needs one label position, and a state of the last layer is
+        never expanded anyway."""
+        closure = self.closure
+        tau, everyone = closure.type_count, closure.slice_mask
+        keep = (closure.window_mask ^ everyone) << tau  # a window's z - 1 older slices, shifted
+        allowed_of, moves_of, allow = self._allowed, self._free_moves, self._allow
+        last = float("inf") if span is None else span + 1
+        parent = {0: None}  # the all-empty window with no type placed
+        layer = [0]
+        steps = 0
+        while layer and steps < last:
+            steps += 1
+            next_layer = []
+            for state in layer:
+                window, placed = state >> tau, state & everyone
+                allowed = allowed_of.get(window)
+                if allowed is None:
+                    allowed = allow(window)
+                free = allowed & ~placed
+                moves = moves_of.get(free)
+                if moves is None:
+                    # a stable sort, so _count_search's order
+                    masks = sorted(closure.independent_sets(free), key=int.bit_count, reverse=True)
+                    moves = moves_of[free] = [m << tau | m for m in masks]
+                if moves[0] & everyone == everyone ^ placed:
+                    slices = [moves[0] & everyone]
+                    while state:
+                        slices.append(state >> tau & everyone)
+                        state = parent[state]
+                    slices.reverse()
+                    return slices
+                head = state << tau & keep | placed
+                for move in moves:
+                    key = head | move
+                    if key in parent:
+                        continue
+                    parent[key] = state
+                    next_layer.append(key)
+            layer = next_layer
+        if span is None:
+            raise InternalSolverError("no walk reaches the class sizes at any span")
+        return None
+
+    def _count_search(self, span: int | None) -> list[int] | None:
+        """shortest_walk over the states window index * code_space + count
+        code.  Under a span, states whose remaining copies need more label
+        positions than are left are not expanded."""
         table = self.successors
         windows, newest = self.closure.windows, self.closure.slice_mask
         info = self._info
@@ -895,7 +993,7 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
 
     Every labeling returned has passed verify_assignment on wg; one that
     fails raises InternalSolverError.  Fills nd and types of stats, adds the
-    windows the walk searches created to digraph_nodes, and adds the call's
+    windows the walk searches expanded to digraph_nodes, and adds the call's
     wall time, from the route's partition on, to solve_ms.
     """
     if span is not None and span < 0:
@@ -926,7 +1024,7 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
                 f"out of range {verdict.out_of_range}"
             )
     if stats is not None:
-        stats.digraph_nodes += sum(len(p.closure.windows) for p, _ in pipelines)
+        stats.digraph_nodes += sum(p.expanded for p, _ in pipelines)
         stats.solve_ms = round(stats.solve_ms + (time.perf_counter() - start) * 1000, 3)
     return (span, labeling) if minimize else labeling
 

@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import replace
 
 from ndchan import (
-    DistanceConstraints,
     Graph,
     NdPartition,
     WeightedGraph,

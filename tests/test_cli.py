@@ -142,6 +142,7 @@ class TestSolve:
         assert code == 0
         headers = [line for line in err.splitlines() if line.startswith("# shift digraph")]
         assert headers == ["# shift digraph: types=1 z=2 nodes=3 edges=5"] * 2
+        # each part's search expands all three of its windows
         assert json.loads(out)["stats"]["digraph_nodes"] == 6
 
     def test_dump_builds_each_digraph_once(self, tmp_path, capsys, monkeypatch):
@@ -184,7 +185,8 @@ class TestSolve:
             assert code == 0
             headers = [line for line in err.splitlines() if line.startswith("# shift digraph")]
             assert headers == ["# shift digraph: types=3 z=3 nodes=18 edges=42"], route
-            assert json.loads(out)["stats"]["digraph_nodes"] == 18
+            # the search expands 14 of the digraph's windows
+            assert json.loads(out)["stats"]["digraph_nodes"] == 14
 
     def test_dimacs_input(self, tmp_path, capsys):
         path = write_instance(tmp_path, "p edge 3 3\ne 1 2 2\ne 2 3 2\ne 1 3 2\n", "g.col")
@@ -256,7 +258,8 @@ class TestSolve:
         )
         assert code == 0
         assert err == self.PATH3_DUMP
-        assert json.loads(out)["stats"]["digraph_nodes"] == 13
+        # the search expands 6 of the digraph's 13 windows
+        assert json.loads(out)["stats"]["digraph_nodes"] == 6
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, ["solve", "--instance", "/nope/missing", "--lambda", "1"])

@@ -13,7 +13,7 @@ from ndchan import (
     trivial_upper_bound,
     verify_assignment,
 )
-from helpers import bfs_distances, complete_graph, cycle_graph, path_graph, random_graph
+from helpers import bfs_distances, complete_graph, path_graph, random_graph
 
 INF = math.inf
 

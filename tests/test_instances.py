@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ndchan import InstanceFile, SolveOutcome, emit_instance, emit_result, parse_instance
+from ndchan import SolveOutcome, emit_instance, emit_result, parse_instance
 from ndchan.errors import InstanceFormatError
 
 

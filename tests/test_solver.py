@@ -25,7 +25,7 @@ from ndchan import (
     verify_assignment,
     walk_to_labeling,
 )
-from ndchan.decomposition import CLIQUE, INDEPENDENT, TypeGraph
+from ndchan.decomposition import CLIQUE, TypeGraph
 from ndchan import solver
 from ndchan.errors import GuardExceeded, InternalSolverError
 from ndchan.ilp import EQ, solve_feasibility
@@ -327,6 +327,46 @@ class TestWalkSearch:
             assert verify_assignment(wg, labeling).ok
             assert max(labeling.labels) <= 79
 
+    def test_placed_search_matches_the_count_search(self):
+        # on random parts of size-1 classes (up to 8 types, weights up to 4)
+        # the placed-type search returns the count-code search's slices for
+        # the least span and for the decisions just below and at it; the
+        # slices label the part's one-vertex-per-type graph, and the oracle
+        # agrees with the verdicts where its label space is small enough
+        rng = random.Random(15)
+        oracle_runs = 0
+        for _ in range(100):
+            tau = rng.randint(1, 8)
+            density = rng.random()
+            weights = {(t, t): rng.randint(1, 4) for t in range(tau)}
+            weights.update(
+                ((t, r), rng.randint(1, 4))
+                for t in range(tau)
+                for r in range(t + 1, tau)
+                if rng.random() < density
+            )
+            adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
+            tg = TypeGraph((1,) * tau, frozenset(range(tau)), adjacency, weights)
+            placed, counted = solver._ComponentPipeline(tg), solver._ComponentPipeline(tg)
+            slices = placed._placed_search(None)
+            assert slices == counted._count_search(None), tg
+            least = len(slices) - 1
+            assert placed._placed_search(least) == counted._count_search(least) == slices
+            if least > 0:
+                assert placed._placed_search(least - 1) is None, tg
+                assert counted._count_search(least - 1) is None, tg
+            wg = WeightedGraph.from_edges(tau, [(t, r, weights[(t, r)]) for t, r in adjacency])
+            labels = [next(i for i, mask in enumerate(slices) if mask >> t & 1) for t in range(tau)]
+            assert verify_assignment(wg, Labeling(tuple(labels), least)).ok
+            try:
+                below = least > 0 and brute_force_ca(wg, least - 1, guard=10**6)
+                at = brute_force_ca(wg, least, guard=10**6)
+            except GuardExceeded:
+                continue
+            assert not below and at is not None, tg
+            oracle_runs += 1
+        assert oracle_runs > 80
+
     def test_no_entry_point_reaches_the_ilp(self, monkeypatch, tmp_path, capsys):
         # the walk search answers every probe, with or without scipy
         def no_ilp(*args, **kwargs):
@@ -373,12 +413,16 @@ class TestGuards:
                 solve()
 
     def test_window_count_guard(self):
-        # the guard counts the windows the walk searches create
+        # the guard counts the windows the walk searches expand: K3's twin
+        # partition is one class of size 3, its cover partition three of
+        # size 1
         wg = k3_instance()
         partition = nd_partition(wg.graph)
         for solve in (
             lambda **kw: solve_ca_uniform(wg, partition, 4, **kw),
             lambda **kw: minimize_span(wg, "uniform", partition, **kw),
+            lambda **kw: solve_ca_vc(wg, 4, **kw),
+            lambda **kw: minimize_span(wg, "vc", **kw),
         ):
             stats = SolveStats()
             solve(stats=stats)
@@ -388,26 +432,33 @@ class TestGuards:
                 solve(max_digraph_nodes=windows - 1)
 
     def test_search_expands_fewer_windows_than_the_digraph_has(self, monkeypatch):
-        # a minimize-vc bench witness (criterion 4's draw 176): the search
-        # expands a window only when it first leaves it, and never builds
+        # a minimize-vc bench witness (criterion 4's draw 176): every class
+        # of the cover partition has size 1, so the placed-type search runs;
+        # it expands a window only when it first leaves it, and never builds
         # the whole digraph
         wg = WeightedGraph.from_edges(
             7, [(0, 5, 2), (1, 4, 1), (1, 5, 2), (1, 6, 2), (2, 4, 1), (2, 6, 2), (3, 6, 1)]
         )
         expanded = []
-        original = solver._ComponentPipeline._successors
+        original = solver._ComponentPipeline._allow
 
-        def counted(self, node):
-            expanded.append(node)
-            return original(self, node)
+        def counted(self, window):
+            expanded.append(window)
+            return original(self, window)
 
         def no_build(*args, **kwargs):
             raise AssertionError("a solve built the whole shift digraph")
 
-        monkeypatch.setattr(solver._ComponentPipeline, "_successors", counted)
+        def no_counts(*args, **kwargs):
+            raise AssertionError("a part of size-1 classes ran the count-code search")
+
+        monkeypatch.setattr(solver._ComponentPipeline, "_allow", counted)
+        monkeypatch.setattr(solver._ComponentPipeline, "_count_search", no_counts)
         monkeypatch.setattr(solver, "build_shift_digraph", no_build)
-        span, labeling = minimize_span(wg, "vc")
+        stats = SolveStats()
+        span, labeling = minimize_span(wg, "vc", stats=stats)
         assert verify_assignment(wg, labeling).ok
+        assert len(set(expanded)) == len(expanded) == stats.digraph_nodes
         monkeypatch.undo()
         _, _, pipelines = solver._pipelines(wg, "vc", None)
         assert 0 < len(expanded) < sum(len(p.digraph.windows) for p, _ in pipelines)
@@ -577,7 +628,9 @@ class TestFrontEnd:
         assert verify_assignment(wg, labeling).ok
         for pipeline, _ in pipelines:
             assert pipeline.shortest_walk(2) is not None
-        assert stats.digraph_nodes == sum(len(p.closure.windows) for p, _ in pipelines)
+        # the clique class's three windows, and the isolated class's empty one
+        assert [p.expanded for p, _ in pipelines] == [3, 1]
+        assert stats.digraph_nodes == 4
 
     def test_type_graphs_built_per_solve(self, monkeypatch):
         # one weighted type graph from the uniformity check, one reflexive
