@@ -105,34 +105,38 @@ def nd_partition(g: Graph) -> NdPartition:
     return NdPartition(classes, kinds)
 
 
-def _validate_partition(g: Graph, p: NdPartition) -> list[int]:
-    """Check the decomposition axioms; return per-class vertex bitmasks."""
-    covered = set()
-    for cls in p.classes:
-        covered |= cls
-    if covered != set(range(g.n)):
+def _condense(wg: WeightedGraph, p: NdPartition):
+    """wg condensed under p in one pass over its edges: (class sizes, the
+    first weight per class pair joined by edges, keyed (i, j) with i <= j,
+    whether every edge carries its pair's weight).  Raises ValueError when
+    p violates the decomposition axioms, the class checks first: on a
+    simple graph a class of size s is a clique or an independent set
+    exactly when C(s, 2) or no edges lie inside it, and two classes are
+    all-or-none exactly when s_i * s_j or no edges join them.
+    """
+    n = wg.graph.n
+    sizes = [len(cls) for cls in p.classes]
+    # the classes are disjoint, so they cover the vertices if they add up to n
+    if sum(sizes) != n or any(min(cls) < 0 or max(cls) >= n for cls in p.classes):
         raise ValueError("classes do not partition the vertex set")
-    masks = g.adjacency_masks
-    class_masks = []
-    for cls in p.classes:
-        m = 0
-        for v in cls:
-            m |= 1 << v
-        class_masks.append(m)
+    class_of = [0] * n
     for ci, cls in enumerate(p.classes):
-        cm = class_masks[ci]
-        clique_ok = all(masks[v] & cm == cm ^ (1 << v) for v in cls)
-        indep_ok = all(masks[v] & cm == 0 for v in cls)
-        if not (clique_ok or indep_ok):
-            raise ValueError(f"class {ci} induces neither a clique nor an independent set")
-    for i in range(len(p.classes)):
-        for j in range(i + 1, len(p.classes)):
-            cross = {masks[v] & class_masks[j] for v in p.classes[i]}
-            if cross == {0}:
-                continue
-            if cross != {class_masks[j]}:
-                raise ValueError(f"edges between classes {i} and {j} are not all-or-none")
-    return class_masks
+        for v in cls:
+            class_of[v] = ci
+    counts, weights, uniform = {}, {}, True  # per class pair: edges, first weight
+    for (u, v), w in wg.weights.items():
+        i, j = class_of[u], class_of[v]
+        pair = (i, j) if i <= j else (j, i)
+        counts[pair] = counts.get(pair, 0) + 1
+        uniform &= weights.setdefault(pair, w) == w
+    bad = [i for (i, j), c in counts.items() if i == j and c != sizes[i] * (sizes[i] - 1) // 2]
+    if bad:
+        raise ValueError(f"class {min(bad)} induces neither a clique nor an independent set")
+    bad = [(i, j) for (i, j), c in counts.items() if i != j and c != sizes[i] * sizes[j]]
+    if bad:
+        i, j = min(bad)
+        raise ValueError(f"edges between classes {i} and {j} are not all-or-none")
+    return sizes, weights, uniform
 
 
 def type_graph(g: Graph, p: NdPartition) -> TypeGraph:
@@ -157,32 +161,15 @@ def check_uniform(wg: WeightedGraph, p: NdPartition):
     """Test whether weights are constant per class pair (and inside clique
     classes); raises ValueError when p violates the decomposition axioms.
 
-    Returns (True, weighted TypeGraph) or (False, None).
+    Returns (True, weighted TypeGraph) or (False, None).  The solvers run
+    the same condensation, _condense, without building the TypeGraph.
     """
-    class_masks = _validate_partition(wg.graph, p)
-    masks = wg.graph.adjacency_masks
-    loops = set()
-    adjacency = set()
-    for ci, cls in enumerate(p.classes):
-        some = min(cls)
-        if len(cls) >= 2 and masks[some] & class_masks[ci]:
-            loops.add(ci)
-        for cj in range(ci + 1, len(p.classes)):
-            if masks[some] & class_masks[cj]:
-                adjacency.add((ci, cj))
-    weights = {}
-    for i, j in sorted(adjacency):
-        seen = {wg.weight(u, v) for u in p.classes[i] for v in p.classes[j]}
-        if len(seen) != 1:
-            return False, None
-        weights[(i, j)] = seen.pop()
-    for t in sorted(loops):
-        seen = _inner_weights(wg, p.classes[t])
-        if len(seen) != 1:
-            return False, None
-        weights[(t, t)] = seen.pop()
-    sizes = tuple(len(cls) for cls in p.classes)
-    return True, TypeGraph(sizes, frozenset(loops), frozenset(adjacency), weights)
+    sizes, weights, uniform = _condense(wg, p)
+    if not uniform:
+        return False, None
+    loops = frozenset(i for i, j in weights if i == j)
+    adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
+    return True, TypeGraph(tuple(sizes), loops, adjacency, weights)
 
 
 def min_vertex_cover(g: Graph) -> VertexCover:

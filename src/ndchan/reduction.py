@@ -37,15 +37,15 @@ def labeling_to_ca(g: Graph, constraints: DistanceConstraints) -> WeightedGraph:
     Pairs farther than k (or in different components) impose no constraint and
     produce no edge.
     """
-    dist = all_pairs_distance(g)
-    k = constraints.k
-    triples = []
-    for u in range(g.n):
+    values = constraints.values
+    k = len(values)
+    weights = {}
+    for u, row in enumerate(all_pairs_distance(g)):
         for v in range(u + 1, g.n):
-            d = dist[u][v]
-            if 1 <= d <= k:
-                triples.append((u, v, constraints.values[int(d) - 1]))
-    return WeightedGraph.from_edges(g.n, triples)
+            d = row[v]
+            if d <= k:  # pairs u < v are distinct and normalized already
+                weights[(u, v)] = values[d - 1]
+    return WeightedGraph(Graph(g.n, frozenset(weights)), weights)
 
 
 def scale_constraints(constraints: DistanceConstraints, span: int, c: int):

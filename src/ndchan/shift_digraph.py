@@ -76,20 +76,20 @@ class ShiftDigraph:
 
 
 class ShiftClosure:
-    """The shift digraph's closure step over int window codes.  Per type r
-    it masks the bits of the types closer to a new slice than their weight
-    to r, and, if size(r) < z, r's bits in the z - 1 slices a shift keeps;
-    barred(code) tests them.  independent_sets(allowed) lists the slices of
-    allowed types in ascending mask order, and slices(barred) those of the
-    types not barred, memoised on this closure; shift(node, masks)
-    numbers the windows they lead to as first met (the all-empty one is 0;
-    over max_nodes raises GuardExceeded)."""
+    """The shift digraph's closure step over int window codes, for a
+    TypeGraph's sizes and weights.  Per type r it masks the bits of the
+    types closer to a new slice than their weight to r, and, if size(r) < z,
+    r's bits in the z - 1 slices a shift keeps; barred(code) tests them.
+    independent_sets(allowed) lists the slices of allowed types in ascending
+    mask order, and slices(barred) those of the types not barred, memoised
+    on this closure; shift(node, masks) numbers the windows they lead to as
+    first met (the all-empty one is 0; over max_nodes raises GuardExceeded)."""
 
-    def __init__(self, tg: TypeGraph, z: int, *, max_nodes: int | None = None):
+    def __init__(self, sizes, weights: dict, z: int, *, max_nodes: int | None = None):
         if z < 1:
             raise ValueError("window length must be positive")
-        tau = tg.node_count
-        missing = [t for t in range(tau) if t not in tg.loops]
+        tau = len(sizes)
+        missing = [t for t in range(tau) if (t, t) not in weights]
         if missing:
             raise ValueError(f"type {missing[0]} has no loop; apply reflexivity preprocessing")
         if tau > _MAX_TYPES:
@@ -100,7 +100,7 @@ class ShiftClosure:
         newest = [(1 << k * tau) - 1 for k in range(z + 1)]
         column = sum(1 << d * tau for d in range(z))
         bars, clash = [0] * tau, [0] * tau
-        for (i, j), w in tg.weights.items():
+        for (i, j), w in weights.items():
             near = column & newest[min(w - 1, z)]  # 1 to w - 1 positions back
             bars[i] |= near << j
             bars[j] |= near << i
@@ -108,11 +108,15 @@ class ShiftClosure:
                 clash[i] |= 1 << j
                 clash[j] |= 1 << i
         self.bars = [(1 << r, bar) for r, bar in enumerate(bars) if bar]
-        keep = column & newest[z - 1]
-        self.size_bars = [(1 << r, keep << r, s) for r, s in enumerate(tg.sizes) if s < z]
-        self.type_count, self.z, self.clash, self.max_nodes = tau, z, clash, max_nodes
-        self.slice_mask, self.window_mask = newest[1], newest[z]
+        self.sizes, self.type_count, self.z, self.clash = sizes, tau, z, clash
+        self.slice_mask, self.window_mask, self.max_nodes = newest[1], newest[z], max_nodes
         self.windows, self.index, self._slices = [0], {0: 0}, {}
+
+    @cached_property
+    def size_bars(self) -> list[tuple[int, int, int]]:
+        """barred()'s (bit, bits in the z - 1 slices a shift keeps, size) per type under z."""
+        keep = sum(1 << d * self.type_count for d in range(self.z - 1))
+        return [(1 << r, keep << r, s) for r, s in enumerate(self.sizes) if s < self.z]
 
     def window(self, node: int) -> tuple[int, ...]:
         """The window's slice masks, oldest first."""
@@ -176,7 +180,7 @@ def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) 
     each source's edges in slice-mask order.  max_nodes guards the window
     count as in ShiftClosure.
     """
-    closure = ShiftClosure(tg, z, max_nodes=max_nodes)
+    closure = ShiftClosure(tg.sizes, tg.weights, z, max_nodes=max_nodes)
     # enumerate() also reaches the windows that shift() appends
     edges = [
         (si, di)

@@ -1,24 +1,25 @@
 """Channel assignment solving on uniform decompositions.
 
 Front end: pick the route's partition (given, or from a minimum vertex
-cover refined to uniform weights), check it once with check_uniform, which
-condenses the instance to its weighted type graph, make that graph
-reflexive once and split it into its connected parts over type adjacency.
-Each part has a shift digraph with window length z = wmax, holding only
-the windows within the class sizes.  A span-lambda labeling of a part is a
-closed walk of lambda + z + 1 edges through the all-empty window whose
-per-type counts match the class sizes.  One exact engine finds it: a
-breadth-first search over (window, per-type counts) for the shortest such
-walk (_ComponentPipeline.shortest_walk), which works out a window's moves
-when it first leaves it and returns the slices it shifted in, one per
-label position; later positions are empty.  It comes in two forms, chosen
-by the part's class sizes: where all are 1, as on every part of the
-vertex-cover route, _placed_search keeps the counts as the mask of types
-placed and needs only the closure's bars; otherwise _count_search keeps
-mixed-radix count codes and numbered windows.  A least span is the
-largest of the parts' least spans.  One decode maps every
-part's slices through its type ids onto the instance's vertices, and
-verify_assignment checks the labeling before any entry point returns it.
+cover refined to uniform weights), condense the instance under it in one
+pass over its edges (_condense, which also checks the axioms and the
+uniformity), make the result reflexive once and split it into connected
+parts, each handed to its search as class sizes and weights with no
+TypeGraph built.  Each part has a shift digraph with window length
+z = wmax, holding only the windows within the class sizes.  A span-lambda
+labeling of a part is a closed walk of lambda + z + 1 edges through the
+all-empty window whose per-type counts match the class sizes.  One exact
+engine finds it: a breadth-first search over (window, per-type counts) for
+the shortest such walk (_ComponentPipeline.shortest_walk), which works out
+a window's moves when it first leaves it and returns the slices it shifted
+in, one per label position; later positions are empty.  It comes in two
+forms, chosen by the part's class sizes: where all are 1, as on every part
+of the vertex-cover route, _placed_search keeps the counts as the mask of
+types placed and needs only the closure's bars; otherwise _count_search
+keeps mixed-radix count codes and numbered windows.  A least span is the
+largest of the parts' least spans.  One decode maps every part's slices
+through its type ids onto the instance's vertices, and verify_assignment
+checks the labeling before any entry point returns it.
 
 The flow ILP (build_flow_model, solve_flow, euler_walk) is the paper's
 formulation of the same walk as an integer edge multiset: Kirchhoff
@@ -39,7 +40,7 @@ from functools import cached_property
 from .decomposition import (
     NdPartition,
     TypeGraph,
-    check_uniform,
+    _condense,
     min_vertex_cover,
     nd_partition,
     refine_uniform,
@@ -114,35 +115,31 @@ class Walk:
     nodes: tuple[int, ...]
 
 
+def _reflexive(sizes, weights: dict, classes):
+    """Every type given a loop: a loopless class shrinks to its least
+    vertex, kept, with a weight-1 loop (a singleton never repeats, so any
+    weight works), and its other vertices are dropped.  Returns (sizes,
+    weights, kept, dropped), the inputs left as they were."""
+    sizes, weights = list(sizes), dict(weights)
+    kept, dropped = [], []
+    for t, cls in enumerate(classes):
+        members = tuple(sorted(cls))
+        if len(members) != sizes[t]:
+            raise ValueError(f"class {t} size mismatch")
+        if (t, t) not in weights:
+            sizes[t] = weights[(t, t)] = 1
+        kept.append(members[: sizes[t]])
+        dropped.append(members[sizes[t] :])
+    return sizes, weights, tuple(kept), tuple(dropped)
+
+
 def preprocess_reflexive(tg: TypeGraph, partition: NdPartition) -> ReflexiveReduction:
     """Give every type a loop, shrinking loopless classes to one kept vertex."""
     if tg.node_count != partition.count:
         raise ValueError("type graph and partition disagree on class count")
-    sizes = []
-    kept = []
-    dropped = []
-    weights = {pair: w for pair, w in tg.weights.items() if pair[0] != pair[1]}
-    for t in range(tg.node_count):
-        members = sorted(partition.classes[t])
-        if len(members) != tg.sizes[t]:
-            raise ValueError(f"class {t} size mismatch")
-        if t in tg.loops:
-            sizes.append(tg.sizes[t])
-            kept.append(tuple(members))
-            dropped.append(())
-            weights[(t, t)] = tg.weights[(t, t)]
-        else:
-            sizes.append(1)
-            kept.append((members[0],))
-            dropped.append(tuple(members[1:]))
-            weights[(t, t)] = 1  # a singleton never repeats, so any weight works
-    reduced = TypeGraph(
-        sizes=tuple(sizes),
-        loops=frozenset(range(tg.node_count)),
-        adjacency=tg.adjacency,
-        weights=weights,
-    )
-    return ReflexiveReduction(reduced, tuple(kept), tuple(dropped))
+    sizes, weights, kept, dropped = _reflexive(tg.sizes, tg.weights, partition.classes)
+    reduced = TypeGraph(tuple(sizes), frozenset(range(tg.node_count)), tg.adjacency, weights)
+    return ReflexiveReduction(reduced, kept, dropped)
 
 
 def build_flow_model(d: ShiftDigraph, tg: TypeGraph, span: int):
@@ -660,30 +657,31 @@ def walk_to_labeling(
     vertex_count: int,
 ) -> Labeling:
     """Decode a closed walk over the whole reflexive type graph into labels."""
-    tg = reduction.type_graph
-    slices = _walk_slices(walk, d, tg, span)
-    return _decode([(slices, range(tg.node_count))], reduction, span, vertex_count)
+    slices = _walk_slices(walk, d, reduction.type_graph, span)
+    parts = [(slices, range(len(reduction.kept)))]
+    return _decode(parts, reduction.kept, reduction.dropped, span, vertex_count)
 
 
-def _decode(parts, reduction: ReflexiveReduction, span: int, vertex_count: int) -> Labeling:
+def _decode(parts, kept, dropped, span: int, vertex_count: int) -> Labeling:
     """Labels from each part's slices, one per label position from 0 on.
 
     A part comes as (slices, type_ids): its slices name types by their
-    place in the part, and type_ids[t] is the reduction's type at place t.
+    place in the part, and type_ids[t] is the reduction's type at place t;
+    the reduction's type r keeps the vertices kept[r] and drops dropped[r].
     Each type in slice i consumes its next kept vertex in ascending id
     order, and dropped vertices copy their keeper's label afterwards.
     """
     labels: list[int | None] = [None] * vertex_count
-    used = [0] * reduction.type_graph.node_count
+    used = [0] * len(kept)
     for slices, type_ids in parts:
         for i, mask in enumerate(slices):
             for t in iter_bits(mask):
                 t = type_ids[t]
-                labels[reduction.kept[t][used[t]]] = i
+                labels[kept[t][used[t]]] = i
                 used[t] += 1
-    for kept, dropped in zip(reduction.kept, reduction.dropped):
-        for v in dropped:
-            labels[v] = labels[kept[0]]
+    for keepers, others in zip(kept, dropped):
+        for v in others:
+            labels[v] = labels[keepers[0]]
     if any(lab is None for lab in labels):
         raise InternalSolverError("decode left unlabeled vertices")
     return Labeling(tuple(labels), span)
@@ -720,32 +718,39 @@ class _ComponentPipeline:
 
     Both list a window's slices fullest first and so return the same walk
     on a part of size-1 classes.  expanded counts the windows either search
-    expanded, and more than max_windows of them raise GuardExceeded.
+    expanded, and more than max_windows of them raise GuardExceeded.  A
+    part comes as its sizes and weights, as in a reflexive TypeGraph, and
+    _count_search's tables are made on first use.
     """
 
-    def __init__(self, tg: TypeGraph, *, max_digraph_nodes=None):
-        self.type_graph = tg
-        self.closure = ShiftClosure(tg, tg.wmax)
-        self.max_windows = max_digraph_nodes
-        self.expanded = 0
-        self.sizes = tg.sizes
-        self.radix = []
-        code_space = 1
-        for size in tg.sizes:
-            self.radix.append(code_space)
-            code_space *= size + 1
-        self.code_space = code_space
-        self.loop_weights = [tg.weights[(t, t)] for t in range(tg.node_count)]
-        # count code -> (mask of types at their class size, label positions
-        # the remaining copies need at least); the same for every span
-        self._count_info: dict[int, tuple[int, int]] = {}
-        # barred set -> its slices fullest first, and their count code steps
-        self._moves: dict[int, tuple[list[int], list[int]]] = {}
-        self.successors: list[list | None] = [None]  # per window, once expanded
+    def __init__(self, sizes, weights: dict, *, max_digraph_nodes=None):
+        self.sizes, self.weights = sizes, weights
+        self.closure = ShiftClosure(sizes, weights, max(weights.values(), default=1))
+        self.max_windows, self.expanded = max_digraph_nodes, 0
         # _placed_search: window code -> types its bars allow in a new slice,
         # and a set of free types -> its slices fullest first
         self._allowed: dict[int, int] = {}
         self._free_moves: dict[int, list[int]] = {}
+        self.successors: list[list | None] = []  # per window, once _count_search expands it
+
+    def _count_tables(self) -> None:
+        """Make _count_search's tables, on its first call: each type's place
+        value in a count code, then the code space; per count code, the mask
+        of types at their class size and the label positions the remaining
+        copies need at least, the same for every span; per barred set, its
+        slices fullest first and their count code steps."""
+        self.radix = [1]
+        for size in self.sizes:
+            self.radix.append(self.radix[-1] * (size + 1))
+        self._count_info: dict[int, tuple[int, int]] = {}
+        self._moves: dict[int, tuple[list[int], list[int]]] = {}
+        self.successors.append(None)  # the all-empty window's
+
+    @cached_property
+    def type_graph(self) -> TypeGraph:
+        """The part as a reflexive TypeGraph, for the digraph and the flow ILP."""
+        pairs = frozenset(pair for pair in self.weights if pair[0] != pair[1])
+        return TypeGraph(tuple(self.sizes), frozenset(range(len(self.sizes))), pairs, self.weights)
 
     @cached_property
     def digraph(self) -> ShiftDigraph:
@@ -799,7 +804,7 @@ class _ComponentPipeline:
                     full |= 1 << t
                 else:
                     # left copies of a type sit at least w(t, t) apart
-                    need = max(need, (left - 1) * self.loop_weights[t] + 1)
+                    need = max(need, (left - 1) * self.weights[(t, t)] + 1)
             info = self._count_info[code] = (full, need)
         return info
 
@@ -872,10 +877,12 @@ class _ComponentPipeline:
         """shortest_walk over the states window index * code_space + count
         code.  Under a span, states whose remaining copies need more label
         positions than are left are not expanded."""
+        if not self.successors:
+            self._count_tables()
         table = self.successors
         windows, newest = self.closure.windows, self.closure.slice_mask
         info = self._info
-        code_space = self.code_space
+        code_space = self.radix[-1]
         goal = code_space - 1  # every digit at its class size
         start = 0  # the all-empty window with no type counted
         last = float("inf") if span is None else span + 1
@@ -916,55 +923,52 @@ class _ComponentPipeline:
         return None
 
 
-def _type_parts(tg: TypeGraph):
-    """Connected parts of the type graph over type adjacency.
-
-    Each part comes as (type graph restricted to it, its type ids in
-    ascending order); the restricted graph numbers them 0, 1, ... in that
-    order, and a part of every type is tg itself.  No edge joins two parts,
-    so each is solved on its own.  A class of isolated vertices stays one
-    part: its vertices are unconstrained, and the reflexive reduction
-    labels them all from one kept vertex.
+def _type_parts(sizes, weights: dict):
+    """Connected parts over type adjacency of a type graph's sizes and
+    weights, each as (its sizes, its weights, its type ids in ascending
+    order, which its sizes and weights number 0, 1, ...); a part of every
+    type is the input itself.  No edge joins two parts, so each is solved
+    on its own.  A class of isolated vertices stays one part: its vertices
+    are unconstrained, and the reflexive reduction labels them all from one
+    kept vertex.
     """
-    neighbors = [[] for _ in tg.sizes]
-    for i, j in tg.adjacency:
+    tau = len(sizes)
+    neighbors = [[] for _ in range(tau)]
+    for i, j in weights:  # a loop makes a type its own neighbor, which is harmless
         neighbors[i].append(j)
         neighbors[j].append(i)
-    seen = [False] * tg.node_count
+    part_of = [-1] * tau
     parts = []
-    for first in range(tg.node_count):
-        if seen[first]:
+    for first in range(tau):
+        if part_of[first] >= 0:
             continue
-        seen[first] = True
+        part_of[first] = len(parts)
         part = [first]
         for t in part:  # the loop also visits the types it appends
             for r in neighbors[t]:
-                if not seen[r]:
-                    seen[r] = True
+                if part_of[r] < 0:
+                    part_of[r] = len(parts)
                     part.append(r)
-        if len(part) == tg.node_count:
-            return [(tg, list(range(tg.node_count)))]  # one part holds every type
-        part.sort()
-        local = {t: i for i, t in enumerate(part)}
-        sub_tg = TypeGraph(
-            sizes=tuple(tg.sizes[t] for t in part),
-            loops=frozenset(local[t] for t in tg.loops if t in local),
-            adjacency=frozenset((local[i], local[j]) for i, j in tg.adjacency if i in local),
-            weights={(local[i], local[j]): w for (i, j), w in tg.weights.items() if i in local},
-        )
-        parts.append((sub_tg, part))
-    return parts
+        parts.append(sorted(part))
+    if len(parts) == 1:
+        return [(sizes, weights, parts[0])]
+    local = {t: i for part in parts for i, t in enumerate(part)}
+    part_weights = [{} for _ in parts]
+    for (i, j), w in weights.items():
+        part_weights[part_of[i]][(local[i], local[j])] = w
+    return [([sizes[t] for t in part], pw, part) for part, pw in zip(parts, part_weights)]
 
 
 def _pipelines(wg: WeightedGraph, route: str, partition, max_digraph_nodes=None):
-    """The route's partition, checked once, its type graph made reflexive
-    once, and one pipeline per connected part of the reflexive type graph.
+    """The route's partition, condensed once and made reflexive once, and
+    one pipeline per connected part of the reflexive type graph.
 
-    Returns (partition before weight refinement, reflexive reduction of the
-    refined partition, list of (pipeline, the part's type ids)).  Raises
+    Returns (partition before weight refinement, (kept, dropped) of the
+    reflexive reduction, list of (pipeline, the part's type ids)).  Raises
     ValueError on an unknown route, a missing partition on the uniform
-    route or a given one on the vc route, and NotUniformError (a
-    ValueError) on weights that are not uniform on the partition.
+    route or a given one on the vc route, or a partition that is no
+    decomposition, and NotUniformError (a ValueError) on weights that are
+    not uniform on the partition.
     """
     if route == "uniform":
         if partition is None:
@@ -977,15 +981,15 @@ def _pipelines(wg: WeightedGraph, route: str, partition, max_digraph_nodes=None)
         refined = refine_uniform(wg, base)
     else:
         raise ValueError(f"unknown route {route!r}")
-    ok, tg = check_uniform(wg, refined)
-    if not ok:
+    sizes, weights, uniform = _condense(wg, refined)
+    if not uniform:
         raise NotUniformError("edge weights are not uniform on the given partition")
-    reduction = preprocess_reflexive(tg, refined)
+    sizes, weights, kept, dropped = _reflexive(sizes, weights, refined.classes)
     pipelines = [
-        (_ComponentPipeline(sub_tg, max_digraph_nodes=max_digraph_nodes), type_ids)
-        for sub_tg, type_ids in _type_parts(reduction.type_graph)
+        (_ComponentPipeline(part_sizes, part_weights, max_digraph_nodes=max_digraph_nodes), ids)
+        for part_sizes, part_weights, ids in _type_parts(sizes, weights)
     ]
-    return base, reduction, pipelines
+    return base, (kept, dropped), pipelines
 
 
 def _solve(wg, route, partition, span, stats, max_digraph_nodes):
@@ -999,10 +1003,10 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
     if span is not None and span < 0:
         raise ValueError("span must be nonnegative")
     start = time.perf_counter()
-    base, reduction, pipelines = _pipelines(wg, route, partition, max_digraph_nodes)
+    base, (kept, dropped), pipelines = _pipelines(wg, route, partition, max_digraph_nodes)
     if stats is not None:
         stats.nd = base.count
-        stats.types = reduction.type_graph.node_count
+        stats.types = len(kept)
 
     minimize = span is None
     labeling = None
@@ -1016,7 +1020,7 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
         if minimize:
             # the parts are independent, so the least span is the largest of theirs
             span = max((len(slices) - 1 for slices, _ in parts), default=0)
-        labeling = _decode(parts, reduction, span, wg.graph.n)
+        labeling = _decode(parts, kept, dropped, span, wg.graph.n)
         verdict = verify_assignment(wg, labeling)
         if not verdict.ok:
             raise InternalSolverError(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import replace
 
 from ndchan import (
     Graph,
@@ -23,7 +22,7 @@ from ndchan import (
     vc_partition,
 )
 from ndchan import solver
-from ndchan.decomposition import CLIQUE, INDEPENDENT
+from ndchan.decomposition import CLIQUE, INDEPENDENT, TypeGraph
 from ndchan.errors import GuardExceeded
 
 
@@ -60,9 +59,11 @@ def full_digraph_exceeds(wg: WeightedGraph, route: str, partition, guard: int) -
     if route == "vc":
         partition = refine_uniform(wg, vc_partition(wg.graph, min_vertex_cover(wg.graph)))
     _, tg = check_uniform(wg, partition)
-    for reduced, _ in solver._type_parts(preprocess_reflexive(tg, partition).type_graph):
-        z = reduced.wmax
-        unbounded = replace(reduced, sizes=(z,) * reduced.node_count)
+    reduced = preprocess_reflexive(tg, partition).type_graph
+    for sizes, weights, _ in solver._type_parts(reduced.sizes, reduced.weights):
+        z = max(weights.values())
+        pairs = frozenset(pair for pair in weights if pair[0] != pair[1])
+        unbounded = TypeGraph((z,) * len(sizes), frozenset(range(len(sizes))), pairs, weights)
         try:
             build_shift_digraph(unbounded, z, max_nodes=guard)
         except GuardExceeded:

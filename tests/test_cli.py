@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ndchan import build_shift_digraph, check_uniform, solver
+from ndchan import build_shift_digraph, decomposition, solver
 from ndchan.cli import build_parser, main
 from helpers import send_probes_to_ilp
 
@@ -95,14 +95,21 @@ class TestSolve:
         ],
     )
     def test_uniformity_checked_once_per_route(self, tmp_path, capsys, monkeypatch, payload, checks):
+        # one condensation per solve, which check_uniform also runs; no
+        # TypeGraph is built on the way
         calls = []
+        condense = decomposition._condense
 
         def counted(*args):
             calls.append(args)
-            return check_uniform(*args)
+            return condense(*args)
 
-        monkeypatch.setattr("ndchan.cli.check_uniform", counted)
-        monkeypatch.setattr("ndchan.solver.check_uniform", counted)
+        def no_type_graph(self):
+            raise AssertionError("a solve built a TypeGraph")
+
+        monkeypatch.setattr(decomposition, "_condense", counted)
+        monkeypatch.setattr(solver, "_condense", counted)
+        monkeypatch.setattr(decomposition.TypeGraph, "__post_init__", no_type_graph)
         path = write_instance(tmp_path, payload)
         code, _, _ = run(capsys, ["solve", "--instance", path, "--lambda", "5"])
         assert code == 0

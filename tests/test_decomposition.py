@@ -14,7 +14,7 @@ from ndchan import (
     type_graph,
     vc_partition,
 )
-from ndchan.decomposition import CLIQUE, INDEPENDENT, VertexCover
+from ndchan.decomposition import CLIQUE, INDEPENDENT, TypeGraph, VertexCover
 from ndchan.oracle import brute_force_nd
 from helpers import (
     complete_graph,
@@ -122,6 +122,110 @@ class TestCheckUniform:
         assert ok
         assert tg.weights == {(0, 0): 2}
 
+
+
+def reference_condensation(wg, p):
+    """check_uniform from the definitions: a class's vertex pairs are all
+    adjacent or none, and so are the vertex pairs across two classes, each
+    with one weight.  Raises ValueError on the first axiom that fails."""
+    g = wg.graph
+    if set().union(*p.classes) != set(range(g.n)):
+        raise ValueError("classes do not partition the vertex set")
+
+    def weights_of(pairs):
+        """None when the pairs are neither all adjacent nor none, else their weights."""
+        adjacent = [g.has_edge(u, v) for u, v in pairs]
+        if any(adjacent) and not all(adjacent):
+            return None
+        return {wg.weight(u, v) for u, v in pairs if g.has_edge(u, v)}
+
+    inner, cross = {}, {}
+    for ci, cls in enumerate(p.classes):
+        inner[ci] = weights_of([(u, v) for u in cls for v in cls if u < v])
+        if inner[ci] is None:
+            raise ValueError(f"class {ci} induces neither a clique nor an independent set")
+    for i, ci in enumerate(p.classes):
+        for j in range(i + 1, len(p.classes)):
+            cross[(i, j)] = weights_of([(u, v) for u in ci for v in p.classes[j]])
+            if cross[(i, j)] is None:
+                raise ValueError(f"edges between classes {i} and {j} are not all-or-none")
+    seen = {(t, t): ws for t, ws in inner.items() if ws}
+    seen.update((pair, ws) for pair, ws in cross.items() if ws)
+    if any(len(ws) != 1 for ws in seen.values()):
+        return False, None
+    sizes = tuple(len(cls) for cls in p.classes)
+    loops = frozenset(t for t, _ in seen if (t, t) in seen)
+    adjacency = frozenset(pair for pair in seen if pair[0] != pair[1])
+    return True, TypeGraph(sizes, loops, adjacency, {pair: min(ws) for pair, ws in seen.items()})
+
+
+@st.composite
+def condensation_cases(draw):
+    """A decomposition with uniform weights on shuffled vertices, then at
+    most one perturbation: a vertex moved to another class, or left out,
+    an edge dropped, or a weight changed."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    cliques = [draw(st.booleans()) for _ in sizes]
+    order = draw(st.permutations(range(sum(sizes))))
+    classes, start = [], 0
+    for size in sizes:
+        classes.append([order[v] for v in range(start, start + size)])
+        start += size
+    weights = {}
+    for i, ci in enumerate(classes):
+        for j in range(i, len(classes)):
+            if (cliques[i] if i == j else draw(st.booleans())):
+                w = draw(st.integers(1, 3))
+                for u in ci:
+                    for v in classes[j]:
+                        if u != v:
+                            weights[(min(u, v), max(u, v))] = w
+    change = draw(st.sampled_from(("none", "move", "leave out", "drop edge", "weight")))
+    if change in ("move", "leave out"):
+        donors = [ci for ci in classes if len(ci) > 1]
+        if donors and (change == "leave out" or len(classes) > 1):
+            donor = draw(st.sampled_from(donors))
+            v = donor.pop(draw(st.integers(0, len(donor) - 1)))
+            if change == "move":
+                draw(st.sampled_from([ci for ci in classes if ci is not donor])).append(v)
+    elif weights and change != "none":
+        edge = draw(st.sampled_from(sorted(weights)))
+        if change == "drop edge":
+            del weights[edge]
+        else:
+            weights[edge] += draw(st.integers(1, 2))
+    n = sum(sizes)
+    wg = WeightedGraph(Graph(n, frozenset(weights)), weights)
+    kinds = tuple(CLIQUE if c else INDEPENDENT for c in cliques)
+    return wg, NdPartition(tuple(frozenset(ci) for ci in classes), kinds)
+
+
+class TestCondensation:
+    @given(condensation_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_definitions(self, case):
+        # the one-pass edge count agrees with the pairwise definitions on
+        # the verdict, the error message and every TypeGraph field
+        wg, p = case
+        try:
+            expected = reference_condensation(wg, p)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                check_uniform(wg, p)
+            assert str(info.value) == str(exc)
+            return
+        ok, tg = check_uniform(wg, p)
+        assert ok == expected[0]
+        if ok:
+            ref = expected[1]
+            assert (tg.sizes, tg.loops, tg.adjacency, tg.weights) == (
+                ref.sizes,
+                ref.loops,
+                ref.adjacency,
+                ref.weights,
+            )
+        else:
+            assert tg is None
 
 class TestMinVertexCover:
     def test_path3_center(self):

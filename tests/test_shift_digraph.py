@@ -199,7 +199,7 @@ class TestOnDemandSuccessors:
         expanded = 0
         for _ in range(200):
             tg, _ = random_type_graph(rng)
-            pipeline = solver._ComponentPipeline(tg)
+            pipeline = solver._ComponentPipeline(tg.sizes, tg.weights)
             least = len(pipeline.shortest_walk()) - 1
             for span in range(least):
                 assert pipeline.shortest_walk(span) is None

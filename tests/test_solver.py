@@ -347,7 +347,8 @@ class TestWalkSearch:
             )
             adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
             tg = TypeGraph((1,) * tau, frozenset(range(tau)), adjacency, weights)
-            placed, counted = solver._ComponentPipeline(tg), solver._ComponentPipeline(tg)
+            placed = solver._ComponentPipeline(tg.sizes, tg.weights)
+            counted = solver._ComponentPipeline(tg.sizes, tg.weights)
             slices = placed._placed_search(None)
             assert slices == counted._count_search(None), tg
             least = len(slices) - 1
@@ -595,9 +596,11 @@ class TestFrontEnd:
     MULTI = [(0, 1, 3), (2, 3, 2), (4, 5, 1), (4, 6, 1), (5, 6, 1)]
 
     def test_one_uniformity_check_per_call(self, monkeypatch):
-        # and one reflexive reduction, however many parts the type graph has
+        # the uniformity check is one condensation of the instance, and one
+        # reflexive reduction follows it, however many parts the type graph
+        # has; preprocess_reflexive, the public wrapper, stays off the path
         calls = []
-        for name in ("check_uniform", "preprocess_reflexive"):
+        for name in ("_condense", "_reflexive", "preprocess_reflexive"):
             original = getattr(solver, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -615,7 +618,7 @@ class TestFrontEnd:
         ):
             calls.clear()
             solve()
-            assert calls == ["check_uniform", "preprocess_reflexive"]
+            assert calls == ["_condense", "_reflexive"]
 
     def test_isolated_class_is_one_part(self):
         wg = WeightedGraph.from_edges(7, [(0, 1, 2)])
@@ -633,9 +636,9 @@ class TestFrontEnd:
         assert stats.digraph_nodes == 4
 
     def test_type_graphs_built_per_solve(self, monkeypatch):
-        # one weighted type graph from the uniformity check, one reflexive
-        # one, and one more per part only when the reflexive graph has
-        # several parts
+        # none: the condensation, the reflexive reduction and the split into
+        # parts hand the searches plain sizes and weights on both routes,
+        # for one part or several
         built = []
         original = TypeGraph.__post_init__
 
@@ -645,13 +648,21 @@ class TestFrontEnd:
 
         monkeypatch.setattr(TypeGraph, "__post_init__", counted)
         # a star of one part, and test_isolated_class_is_one_part's two parts
-        for wg, expected in (
-            (WeightedGraph.from_edges(3, [(0, 1, 2), (0, 2, 2)]), 2),
-            (WeightedGraph.from_edges(7, [(0, 1, 2)]), 2 + 2),
+        for wg in (
+            WeightedGraph.from_edges(3, [(0, 1, 2), (0, 2, 2)]),
+            WeightedGraph.from_edges(7, [(0, 1, 2)]),
         ):
-            built.clear()
-            assert solve_ca_uniform(wg, nd_partition(wg.graph), 3) is not None
-            assert len(built) == expected
+            partition = nd_partition(wg.graph)
+            assert solve_ca_uniform(wg, partition, 3) is not None
+            assert solve_ca_vc(wg, 3) is not None
+            assert minimize_span(wg, "uniform", partition)[1] is not None
+            assert minimize_span(wg, "vc")[1] is not None
+        assert built == []
+        # the public wrappers still build them: the check's and the
+        # reflexive reduction's
+        _, tg = check_uniform(wg, partition)
+        preprocess_reflexive(tg, partition)
+        assert len(built) == 2
 
     def test_vc_routes_report_the_same_decomposition(self):
         wg = WeightedGraph.from_edges(9, self.MULTI + [(0, 7, 1), (0, 8, 2)])
