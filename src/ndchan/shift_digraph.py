@@ -10,12 +10,13 @@ are built: a labeling uses each type exactly its class size many times, so
 no walk can visit any other window.  Directed edges connect windows that
 overlap on z-1 positions, so the closed walks through the all-empty window
 whose type counts equal the class sizes are exactly the labelings' slice
-sequences padded with empty slices on both sides.  ShiftClosure is the
-step that closes the all-empty window, which the walk search runs on
-demand; build_shift_digraph runs it to closure, numbering windows in
+sequences padded with empty slices on both sides.  ShiftClosure holds the
+separation bars and slice lists of the step that closes the all-empty
+window, which the walk search reads on demand; build_shift_digraph adds
+the class-size bars and runs the step to closure, numbering windows in
 breadth-first order and grouping edges by source window in slice-mask order.
-The closure keeps a window as one int in window_code's layout (slice i at
-bits (z-1-i)*tau), so a shift is a left shift and a bar one AND per type.
+A window is one int in window_code's layout (slice i at bits (z-1-i)*tau),
+so a shift is a left shift and a bar one AND per type.
 """
 
 from __future__ import annotations
@@ -76,16 +77,15 @@ class ShiftDigraph:
 
 
 class ShiftClosure:
-    """The shift digraph's closure step over int window codes, for a
-    TypeGraph's sizes and weights.  Per type r it masks the bits of the
-    types closer to a new slice than their weight to r, and, if size(r) < z,
-    r's bits in the z - 1 slices a shift keeps; barred(code) tests them.
-    independent_sets(allowed) lists the slices of allowed types in ascending
-    mask order, and slices(barred) those of the types not barred, memoised
-    on this closure; shift(node, masks) numbers the windows they lead to as
-    first met (the all-empty one is 0; over max_nodes raises GuardExceeded)."""
+    """What the walk search reads of the shift digraph's closure step, for
+    a part's sizes and weights, over int window codes.  Per type r, bars
+    holds the bits of the types closer to a new slice than their weight to
+    r, and independent_sets(allowed) lists the slices of allowed types in
+    ascending mask order.  The class-size bars and the window numbering are
+    build_shift_digraph's alone: the search's counts imply the size bars,
+    and its states hold windows as unnumbered codes."""
 
-    def __init__(self, sizes, weights: dict, z: int, *, max_nodes: int | None = None):
+    def __init__(self, sizes, weights: dict, z: int):
         if z < 1:
             raise ValueError("window length must be positive")
         tau = len(sizes)
@@ -108,36 +108,8 @@ class ShiftClosure:
                 clash[i] |= 1 << j
                 clash[j] |= 1 << i
         self.bars = [(1 << r, bar) for r, bar in enumerate(bars) if bar]
-        self.sizes, self.type_count, self.z, self.clash = sizes, tau, z, clash
-        self.slice_mask, self.window_mask, self.max_nodes = newest[1], newest[z], max_nodes
-        self.windows, self.index, self._slices = [0], {0: 0}, {}
-
-    @cached_property
-    def size_bars(self) -> list[tuple[int, int, int]]:
-        """barred()'s (bit, bits in the z - 1 slices a shift keeps, size) per type under z."""
-        keep = sum(1 << d * self.type_count for d in range(self.z - 1))
-        return [(1 << r, keep << r, s) for r, s in enumerate(self.sizes) if s < self.z]
-
-    def window(self, node: int) -> tuple[int, ...]:
-        """The window's slice masks, oldest first."""
-        code, tau = self.windows[node], self.type_count
-        return tuple(code >> (self.z - 1 - i) * tau & self.slice_mask for i in range(self.z))
-
-    def barred(self, code: int) -> int:
-        barred = 0
-        for bit, bar in self.bars:
-            if code & bar:
-                barred |= bit
-        for bit, keep, size in self.size_bars:
-            if (code & keep).bit_count() >= size:
-                barred |= bit
-        return barred
-
-    def slices(self, barred: int) -> list[int]:
-        slices = self._slices.get(barred)
-        if slices is None:
-            slices = self._slices[barred] = self.independent_sets(~barred & self.slice_mask)
-        return slices
+        self.type_count, self.clash = tau, clash
+        self.slice_mask, self.window_mask = newest[1], newest[z]
 
     def independent_sets(self, allowed: int) -> list[int]:
         # the sets of allowed types with no two of them adjacent (a clash);
@@ -146,22 +118,6 @@ class ShiftClosure:
         for t in iter_bits(allowed):
             sets += [m | 1 << t for m in sets if not self.clash[t] & m]
         return sets
-
-    def shift(self, node: int, masks) -> list[int]:
-        head = self.windows[node] << self.type_count & self.window_mask
-        dsts, index, windows = [], self.index, self.windows
-        for m in masks:
-            code = head | m
-            di = index.get(code)
-            if di is None:
-                di = index[code] = len(windows)
-                windows.append(code)
-                if self.max_nodes is not None and len(windows) > self.max_nodes:
-                    raise GuardExceeded(f"window count exceeds guard of {self.max_nodes}")
-            dsts.append(di)
-        if not node and (0 not in masks or dsts[masks.index(0)]):
-            raise InternalSolverError("all-empty window lost its self-loop")
-        return dsts
 
 
 def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) -> ShiftDigraph:
@@ -172,23 +128,49 @@ def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) 
     A closed walk through the all-empty window visits each type exactly its
     class size many times, one label position per coordinate, so a window
     over a size is on no walk; it is left out, with every edge into or out
-    of it.  The digraph is ShiftClosure's step run to closure: every window
-    within the sizes is reached by shifting in its own slices one at a time,
-    so construction cost tracks the window and edge counts rather than the
+    of it.  The digraph is ShiftClosure's step run to closure: a window
+    bars the types its bars hit and, where size(r) < z, a type r held at
+    its size in the z - 1 slices a shift keeps; every window within the
+    sizes is reached by shifting in its own slices one at a time, so
+    construction cost tracks the window and edge counts rather than the
     2^(tau*z) candidates.  Windows come in breadth-first order from the
     all-empty one, which is first, and edges are grouped by source window,
-    each source's edges in slice-mask order.  max_nodes guards the window
-    count as in ShiftClosure.
+    each source's edges in slice-mask order.  More than max_nodes windows
+    raise GuardExceeded.
     """
-    closure = ShiftClosure(tg.sizes, tg.weights, z, max_nodes=max_nodes)
-    # enumerate() also reaches the windows that shift() appends
-    edges = [
-        (si, di)
-        for si, code in enumerate(closure.windows)
-        for di in closure.shift(si, closure.slices(closure.barred(code)))
-    ]
-    windows = tuple(closure.window(node) for node in range(len(closure.windows)))
-    return ShiftDigraph(closure.type_count, z, windows, tuple(edges))
+    closure = ShiftClosure(tg.sizes, tg.weights, z)
+    tau, slice_mask = closure.type_count, closure.slice_mask
+    keep = sum(1 << d * tau for d in range(z - 1))
+    size_bars = [(1 << r, keep << r, s) for r, s in enumerate(tg.sizes) if s < z]
+    windows, index, slices_of, edges = [0], {0: 0}, {}, []
+    for si, code in enumerate(windows):  # also reaches the windows appended below
+        barred = 0
+        for bit, bar in closure.bars:
+            if code & bar:
+                barred |= bit
+        for bit, kept, size in size_bars:
+            if (code & kept).bit_count() >= size:
+                barred |= bit
+        slices = slices_of.get(barred)
+        if slices is None:
+            slices = slices_of[barred] = closure.independent_sets(~barred & slice_mask)
+        head = code << tau & closure.window_mask
+        for m in slices:
+            di = index.get(head | m)
+            if di is None:
+                di = index[head | m] = len(windows)
+                windows.append(head | m)
+                if max_nodes is not None and len(windows) > max_nodes:
+                    raise GuardExceeded(f"window count exceeds guard of {max_nodes}")
+            edges.append((si, di))
+    if edges[0] != (0, 0):
+        raise InternalSolverError("all-empty window lost its self-loop")
+    return ShiftDigraph(
+        tau,
+        z,
+        tuple(tuple(code >> (z - 1 - i) * tau & slice_mask for i in range(z)) for code in windows),
+        tuple(edges),
+    )
 
 
 def dump_digraph(d: ShiftDigraph) -> str:

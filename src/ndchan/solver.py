@@ -8,18 +8,20 @@ parts, each handed to its search as class sizes and weights with no
 TypeGraph built.  Each part has a shift digraph with window length
 z = wmax, holding only the windows within the class sizes.  A span-lambda
 labeling of a part is a closed walk of lambda + z + 1 edges through the
-all-empty window whose per-type counts match the class sizes.  One exact
-engine finds it: a breadth-first search over (window, per-type counts) for
-the shortest such walk (_ComponentPipeline.shortest_walk), which works out
-a window's moves when it first leaves it and returns the slices it shifted
-in, one per label position; later positions are empty.  It comes in two
-forms, chosen by the part's class sizes: where all are 1, as on every part
-of the vertex-cover route, _placed_search keeps the counts as the mask of
-types placed and needs only the closure's bars; otherwise _count_search
-keeps mixed-radix count codes and numbered windows.  A least span is the
-largest of the parts' least spans.  One decode maps every part's slices
-through its type ids onto the instance's vertices, and verify_assignment
-checks the labeling before any entry point returns it.
+all-empty window whose per-type counts match the class sizes, and
+_ComponentPipeline.shortest_walk returns the shortest one's slices, one
+per label position; later positions are empty.  A part of one type is a
+single class, whose walk is known in closed form.  Any other part gets one
+exact engine: a breadth-first search over (window, per-type counts), one
+int per state, which works out the types a window allows when it first
+leaves it and numbers no windows.  It comes in two forms, chosen by the
+part's class sizes: where all are 1, as on every part of the vertex-cover
+route, _placed_search keeps the counts as the mask of types placed;
+otherwise _count_search keeps mixed-radix count codes, each code's full
+types and need worked out when a state first holds it.  A least span is
+the largest of the parts' least spans.  One decode maps every part's
+slices through its type ids onto the instance's vertices, and
+verify_assignment checks the labeling before any entry point returns it.
 
 The flow ILP (build_flow_model, solve_flow, euler_walk) is the paper's
 formulation of the same walk as an integer edge multiset: Kirchhoff
@@ -64,6 +66,9 @@ from .shift_digraph import ShiftClosure, ShiftDigraph, build_shift_digraph, iter
 # solve_flow gives up after this many cut rounds per digraph edge
 CUT_ROUNDS_PER_EDGE = 10
 
+# a part with at most this many count codes has them tabulated in one pass
+COUNT_TABLE_CODES = 4096
+
 
 @dataclass(slots=True)
 class SolveStats:
@@ -74,7 +79,7 @@ class SolveStats:
 
     nd: int | None = None
     types: int | None = None
-    digraph_nodes: int = 0  # windows the walk searches expanded
+    digraph_nodes: int = 0  # windows the walk searches expanded; none on one-type parts
     cuts_added: int = 0
     solve_ms: float = 0.0
 
@@ -689,62 +694,63 @@ def _decode(parts, kept, dropped, span: int, vertex_count: int) -> Labeling:
 
 class _ComponentPipeline:
     """One connected part of the reflexive type graph: the exact search for
-    the walk, reusable across span probes.  Its shift digraph grows on
-    demand: a search works out a window's moves when it first expands it,
-    and keeps them; digraph, the whole one, is for the dump.  Windows are
-    the closure's int codes.
+    the walk, reusable across span probes, over windows as the closure's
+    int codes; digraph, its whole shift digraph, is only for the dump.
 
-    The search runs over the states (window, per-type counts) of walk
-    prefixes from the all-empty window.  A span-lambda labeling is a walk of
-    lambda + 1 steps from the all-empty window, step k putting the new
-    window's last slice at label position k - 1, whose per-type counts end
-    equal to the class sizes; z empty slices then close it at the all-empty
-    window.  Empty slices can always be appended, so a state reached at
-    step k can do everything the same state can do when reached later: the
-    step need not be part of the state, and the shortest walk to the class
-    sizes serves every span from its own up.  A state is one int, which
-    keeps the search's dict small, and one of two searches runs, chosen by
-    the class sizes:
+    A part of one type is one class, whose walk shortest_walk gives in
+    closed form, with no closure and no search.  Any other part is searched
+    over the states (window, per-type counts) of walk prefixes from the
+    all-empty window.  A span-lambda labeling is a walk of lambda + 1 steps
+    from the all-empty window, step k putting the new window's last slice
+    at label position k - 1, whose per-type counts end equal to the class
+    sizes; z empty slices then close it at the all-empty window.  Empty
+    slices can always be appended, so a state reached at step k can do
+    everything the same state can do when reached later: the step need not
+    be part of the state, and the shortest walk to the class sizes serves
+    every span from its own up.  A state is one int, window << bits |
+    counts, and one of two searches runs, chosen by the class sizes:
 
     - _placed_search, when every class size is 1 (every part of the vc
       route, whose classes outside the cover are independent sets, and of
       any partition without a clique class): the counts are the mask of
-      types placed, and a window's kept slices hold only placed types, so
-      the closure's bars alone give the types a new slice may hold.
-    - _count_search otherwise: the counts are a mixed-radix code, and the
-      closure numbers every window an expanded one leads to; windows that
-      bar the same types share one memoised list of (slice, count code
-      step).
+      types placed.
+    - _count_search otherwise: the counts are a mixed-radix code, whose
+      types at their class size and remaining copies' need come from a
+      table over the codes or, on a large code space, from _info.
 
-    Both list a window's slices fullest first and so return the same walk
-    on a part of size-1 classes.  expanded counts the windows either search
-    expanded, and more than max_windows of them raise GuardExceeded.  A
-    part comes as its sizes and weights, as in a reflexive TypeGraph, and
-    _count_search's tables are made on first use.
+    A window's kept slices hold no type past the counts, so the closure's
+    bars alone give the types a new slice may hold.  Both searches memoise
+    them per window, and per set of free types its moves, fullest first,
+    so they return the same walk on a part of size-1 classes.  expanded
+    counts the windows either search expanded, and more than max_windows of
+    them raise GuardExceeded.  A part comes as its sizes and weights, as in
+    a reflexive TypeGraph, and a one-type part makes no closure.
     """
 
     def __init__(self, sizes, weights: dict, *, max_digraph_nodes=None):
         self.sizes, self.weights = sizes, weights
-        self.closure = ShiftClosure(sizes, weights, max(weights.values(), default=1))
         self.max_windows, self.expanded = max_digraph_nodes, 0
-        # _placed_search: window code -> types its bars allow in a new slice,
-        # and a set of free types -> its slices fullest first
+        z = max(weights.values(), default=1)
+        self.closure = ShiftClosure(sizes, weights, z) if len(sizes) > 1 else None
+        # _count_search's: per type, (its radix, the need of its copies left
+        # at each count, 0 when full); a count code -> need << tau | full types
+        self._digits: list[tuple[int, list[int]]] | None = None
+        self._count_info: dict[int, int] = {}
+        # window code -> types its bars allow in a new slice, and a set of
+        # free types -> its moves fullest first, in the one search's form
         self._allowed: dict[int, int] = {}
         self._free_moves: dict[int, list[int]] = {}
-        self.successors: list[list | None] = []  # per window, once _count_search expands it
 
-    def _count_tables(self) -> None:
-        """Make _count_search's tables, on its first call: each type's place
-        value in a count code, then the code space; per count code, the mask
-        of types at their class size and the label positions the remaining
-        copies need at least, the same for every span; per barred set, its
-        slices fullest first and their count code steps."""
-        self.radix = [1]
-        for size in self.sizes:
-            self.radix.append(self.radix[-1] * (size + 1))
-        self._count_info: dict[int, tuple[int, int]] = {}
-        self._moves: dict[int, tuple[list[int], list[int]]] = {}
-        self.successors.append(None)  # the all-empty window's
+    def _info(self, code: int) -> int:
+        """A count code's need << tau | full, memoised: the label positions its
+        remaining copies need at least, and the types at their class size."""
+        key, full, need = code, 0, 0
+        for t, (radix, needs) in enumerate(self._digits):
+            code, count = divmod(code, radix)
+            need = max(need, needs[count])
+            full |= (count == radix - 1) << t
+        info = self._count_info[key] = need << len(self._digits) | full
+        return info
 
     @cached_property
     def type_graph(self) -> TypeGraph:
@@ -755,71 +761,50 @@ class _ComponentPipeline:
     @cached_property
     def digraph(self) -> ShiftDigraph:
         """The part's whole shift digraph; no search needs it."""
-        return build_shift_digraph(self.type_graph, self.closure.z, max_nodes=self.max_windows)
-
-    def _expanding(self) -> None:
-        """Count one more window expanded, past max_windows raising."""
-        self.expanded += 1
-        if self.max_windows is not None and self.expanded > self.max_windows:
-            raise GuardExceeded(f"expanded window count exceeds guard of {self.max_windows}")
-
-    def _successors(self, node: int) -> list[tuple[int, int, int]]:
-        """(next window, its new slice, count code step) per out-edge of the
-        window, fuller slices first: the search stops at the first state at
-        the class sizes, and the last layer meets them sooner this way
-        (bench minimize-label solve_tail_ms 0.55-0.59 ms, against 0.63-0.65
-        ms in edge order, 5 runs each on 2 shared vCPUs).  The order picks
-        the walk among the shortest ones and so the labels, never the span.
-        """
-        self._expanding()
-        closure = self.closure
-        barred = closure.barred(closure.windows[node])
-        moves = self._moves.get(barred)
-        if moves is None:
-            masks = sorted(closure.slices(barred), key=lambda m: -m.bit_count())
-            steps = [sum(self.radix[t] for t in iter_bits(m)) for m in masks]
-            moves = self._moves[barred] = (masks, steps)
-        masks, steps = moves
-        return list(zip(closure.shift(node, masks), masks, steps))
+        tg = self.type_graph
+        return build_shift_digraph(tg, tg.wmax, max_nodes=self.max_windows)
 
     def _allow(self, window: int) -> int:
         """The types the closure's bars allow in the slice shifted in after
-        this window, memoised per window; _placed_search's expansion."""
-        self._expanding()
+        this window, memoised per window: a search's expansion of it,
+        counted in expanded, past max_windows raising."""
+        self.expanded += 1
+        if self.max_windows is not None and self.expanded > self.max_windows:
+            raise GuardExceeded(f"expanded window count exceeds guard of {self.max_windows}")
         barred = 0
-        for bit, bar in self.closure.bars:
+        closure = self.closure
+        for bit, bar in closure.bars:
             if window & bar:
                 barred |= bit
-        allowed = self._allowed[window] = self.closure.slice_mask & ~barred
+        allowed = self._allowed[window] = closure.slice_mask & ~barred
         return allowed
-
-    def _info(self, code: int) -> tuple[int, int]:
-        info = self._count_info.get(code)
-        if info is None:
-            full = 0
-            need = 0
-            for t, size in enumerate(self.sizes):
-                left = size - code // self.radix[t] % (size + 1)
-                if left == 0:
-                    full |= 1 << t
-                else:
-                    # left copies of a type sit at least w(t, t) apart
-                    need = max(need, (left - 1) * self.weights[(t, t)] + 1)
-            info = self._count_info[code] = (full, need)
-        return info
 
     def shortest_walk(self, span: int | None = None) -> list[int] | None:
         """Slices shifted in by a shortest walk from the all-empty window
         whose per-type counts reach the class sizes, one per label position;
         their count minus 1 is the least span.
 
-        A breadth-first search: layer k holds the states first entered after
-        k steps, each with the state it was entered from, since reaching a
-        state later can only lengthen the walk.  Under a span, after span + 1
-        steps the search gives up with None, every state within them tried.
-        Without a span there is no state limit.
+        A part of one type is one class: after the reflexive reduction a
+        clique of s vertices whose pairs all carry the loop weight w (s = 1
+        for a loopless class).  Its labels sit pairwise at least w apart, so
+        its least span is (s - 1) * w, met by one copy every w positions,
+        and a smaller span is refuted.  The refutation rests on the
+        certificate _condense has checked exactly: C(s, 2) inner edges, all
+        carrying w.
+
+        Any other part gets a breadth-first search: layer k holds the states
+        first entered after k steps, each with the state it was entered
+        from, since reaching a state later can only lengthen the walk.
+        Under a span, after span + 1 steps the search gives up with None,
+        every state within them tried.  Without a span there is no state
+        limit.
         """
-        if max(self.sizes, default=1) == 1:
+        if len(self.sizes) == 1:
+            size, loop = self.sizes[0], self.weights[(0, 0)]
+            if span is not None and (size - 1) * loop > span:
+                return None
+            return [1] + ([0] * (loop - 1) + [1]) * (size - 1)
+        if max(self.sizes) == 1:
             return self._placed_search(span)
         return self._count_search(span)
 
@@ -831,7 +816,9 @@ class _ComponentPipeline:
         one that places every type left is the fullest, so it comes first.
         Under a span no state is pruned for its remaining copies: each type
         left needs one label position, and a state of the last layer is
-        never expanded anyway."""
+        never expanded anyway.  _count_search returns the same walk here, but
+        running these parts made minimize-vc corpus_s 36% slower (bench/run.py,
+        3 pairs of 10 s runs, 2 shared vCPUs)."""
         closure = self.closure
         tau, everyone = closure.type_count, closure.slice_mask
         keep = (closure.window_mask ^ everyone) << tau  # a window's z - 1 older slices, shifted
@@ -874,49 +861,80 @@ class _ComponentPipeline:
         return None
 
     def _count_search(self, span: int | None) -> list[int] | None:
-        """shortest_walk over the states window index * code_space + count
-        code.  Under a span, states whose remaining copies need more label
-        positions than are left are not expanded."""
-        if not self.successors:
-            self._count_tables()
-        table = self.successors
-        windows, newest = self.closure.windows, self.closure.slice_mask
-        info = self._info
-        code_space = self.radix[-1]
-        goal = code_space - 1  # every digit at its class size
-        start = 0  # the all-empty window with no type counted
+        """shortest_walk over the states window << bits | count code, bits
+        being the bit length of the full code.  A state's moves are the
+        independent sets of the types its window allows and that are not
+        at their class size, each kept as mask << bits | its count code
+        step, which adds into the shifted state; the fullest, the one that
+        reaches the class sizes if any does, comes first.  A code's full
+        types and need come from one table over at most COUNT_TABLE_CODES
+        codes, and past that from _info once a state holds the code.  Under
+        a span, a state whose remaining copies need more label positions
+        than are left is not expanded."""
+        closure = self.closure
+        tau, newest = closure.type_count, closure.slice_mask
+        places = [1]  # each type's place value in a count code, then the code count
+        for size in self.sizes:
+            places.append(places[-1] * (size + 1))
+        goal = places[-1] - 1  # every digit at its class size
+        if self._digits is None:
+            # left copies of a type sit at least w(t, t) apart
+            self._digits = [
+                (size + 1, [(size - c - 1) * self.weights[(t, t)] + 1 for c in range(size)] + [0])
+                for t, size in enumerate(self.sizes)
+            ]
+            if goal < COUNT_TABLE_CODES:  # digit by digit, as _info reads them
+                infos = [0]
+                for t, (_, needs) in enumerate(self._digits):
+                    infos = [
+                        max(i, n << tau | i & newest) | (not n) << t for n in needs for i in infos
+                    ]
+                self._count_info = dict(enumerate(infos))
+        bits = goal.bit_length()
+        codes = (1 << bits) - 1
+        keep = (closure.window_mask ^ newest) << bits  # a window's z - 1 older slices, shifted
+        allowed_of, moves_of, allow = self._allowed, self._free_moves, self._allow
+        info_of, info = self._count_info, self._info
         last = float("inf") if span is None else span + 1
-        parent = {start: None}
-        layer = [start]
+        parent = {0: None}  # the all-empty window with no type counted
+        layer = [0]
         steps = 0
         while layer and steps < last:
+            left = last - steps  # label positions from the one placed now
             steps += 1  # building the layer of walks with this many steps
-            left = last - steps  # label positions after the one placed now
             next_layer = []
             for state in layer:
-                node, code = divmod(state, code_space)
-                full = info(code)[0]
-                succ = table[node]
-                if succ is None:
-                    succ = table[node] = self._successors(node)
-                    table += [None] * (len(windows) - len(table))
-                for dst, mask, step in succ:
-                    if mask & full:
-                        continue
-                    next_code = code + step
-                    if next_code == goal:
-                        slices = [mask]
-                        while state != start:
-                            slices.append(windows[state // code_space] & newest)
-                            state = parent[state]
-                        slices.reverse()
-                        return slices
-                    key = dst * code_space + next_code
+                code = state & codes
+                need_full = info_of.get(code)
+                if need_full is None:  # a code space past COUNT_TABLE_CODES
+                    need_full = info(code)
+                if span is not None and need_full >> tau > left:
+                    continue
+                window = state >> bits
+                allowed = allowed_of.get(window)
+                if allowed is None:
+                    allowed = allow(window)
+                free = allowed & ~need_full
+                moves = moves_of.get(free)
+                if moves is None:
+                    masks = sorted(closure.independent_sets(free), key=int.bit_count, reverse=True)
+                    moves = moves_of[free] = [
+                        m << bits | sum(places[t] for t in iter_bits(m)) for m in masks
+                    ]
+                if code + (moves[0] & codes) == goal:
+                    slices = [moves[0] >> bits]
+                    while state:
+                        slices.append(state >> bits & newest)
+                        state = parent[state]
+                    slices.reverse()
+                    return slices
+                head = state << tau & keep | code
+                for move in moves:
+                    key = head + move
                     if key in parent:
                         continue
                     parent[key] = state
-                    if span is None or info(next_code)[1] <= left:
-                        next_layer.append(key)
+                    next_layer.append(key)
             layer = next_layer
         if span is None:
             raise InternalSolverError("no walk reaches the class sizes at any span")

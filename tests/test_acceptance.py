@@ -43,6 +43,7 @@ from ndchan.decomposition import TypeGraph
 from ndchan.ilp import EQ, LE, Constraint, IlpModel, solve_feasibility
 from ndchan import solver
 from ndchan.oracle import brute_force_ca, brute_force_nd
+from ndchan.shift_digraph import ShiftClosure
 from ndchan.solver import SolveStats, connectivity_violation
 from helpers import (
     complete_graph,
@@ -325,22 +326,33 @@ def test_minimize_span_one_search_per_part(monkeypatch):
 
 
 def test_walk_search_does_not_depend_on_successor_order(monkeypatch):
-    # a window's successor order picks the walk among the shortest ones, so
-    # reversed successors may give other labels, but the same least spans
-    # and decisions, and every labeling still verifies
+    """A state's move order picks the walk among the shortest ones.  With
+    every memoised move list reversed within equal slice size, on both
+    searches, labels may differ, but least spans and decisions may not, and
+    every labeling still verifies.  The moves stay fullest first: both
+    searches' goal tests rely on that order, looking only at a state's
+    first move, the one that places every type left."""
     k20_20 = Graph.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40)])
     cases = [(g, p) for _, g in FIXTURE_GRAPHS for p in FIXTURE_CONSTRAINTS]
     cases.append((k20_20, (3, 2)))
     instances = [
         (labeling_to_ca(g, DistanceConstraints(p)), nd_partition(g)) for g, p in cases
     ]
+    searched = {
+        max(pipeline.sizes) == 1
+        for wg, partition in instances
+        for pipeline, _ in solver._pipelines(wg, "uniform", partition)[2]
+        if len(pipeline.sizes) > 1
+    }
+    assert searched == {True, False}  # parts for the placed and the count search
     least_spans = [minimize_span(wg, "uniform", partition)[0] for wg, partition in instances]
-    original_successors = solver._ComponentPipeline._successors
+    original_sets = ShiftClosure.independent_sets
 
-    def reversed_successors(self, node):
-        return original_successors(self, node)[::-1]
+    def reversed_sets(self, allowed):
+        # the searches sort these stably by size, so reversed within it
+        return original_sets(self, allowed)[::-1]
 
-    monkeypatch.setattr(solver._ComponentPipeline, "_successors", reversed_successors)
+    monkeypatch.setattr(ShiftClosure, "independent_sets", reversed_sets)
     for (wg, partition), least in zip(instances, least_spans):
         span, labeling = minimize_span(wg, "uniform", partition)
         assert span == least
@@ -351,7 +363,7 @@ def test_walk_search_does_not_depend_on_successor_order(monkeypatch):
         if least > 0:
             assert solve_ca_uniform(wg, partition, least - 1) is None
     assert least_spans[-1] == 79
-    _passed("successor order", f"{len(cases)} instances, reversed successors")
+    _passed("successor order", f"{len(cases)} instances, reversed moves")
 
 
 def _least_feasible_span(wg):

@@ -116,12 +116,16 @@ class TestSolve:
         assert len(calls) == checks
 
     def test_too_many_types_is_guard_exit(self, tmp_path, capsys):
-        # P17's twin partition: 17 singleton classes in one part
+        # P17's twin partition: 17 singleton classes in one part; with every
+        # vertex doubled into two adjacent twins, 17 clique classes of size 2
         edges = [[i, i + 1] for i in range(16)]
-        path = write_instance(tmp_path, json.dumps({"n": 17, "edges": edges}))
-        code, out, err = run(capsys, ["solve", "--instance", path, "--lambda", "4"])
-        assert code == 3
-        assert out == "" and "17 types" in err
+        doubled = [[2 * i, 2 * i + 1] for i in range(17)]
+        doubled += [[2 * i + a, 2 * i + 2 + b] for i in range(16) for a in (0, 1) for b in (0, 1)]
+        for n, payload in ((17, edges), (34, doubled)):
+            path = write_instance(tmp_path, json.dumps({"n": n, "edges": payload}))
+            code, out, err = run(capsys, ["solve", "--instance", path, "--lambda", "4"])
+            assert code == 3
+            assert out == "" and "17 types" in err
 
     def test_dump_flags_go_to_stderr(self, tmp_path, capsys):
         path = write_instance(tmp_path, '{"n":2,"edges":[[0,1,2]]}')
@@ -141,7 +145,7 @@ class TestSolve:
         json.loads(out)  # stdout still clean JSON
 
     def test_dump_has_one_digraph_per_component(self, tmp_path, capsys):
-        # two weight-2 edges: the solver builds two one-type digraphs
+        # two weight-2 edges: two one-type parts, each dumped whole
         path = write_instance(tmp_path, '{"n":4,"edges":[[0,1,2],[2,3,2]]}')
         code, out, err = run(
             capsys, ["solve", "--instance", path, "--lambda", "2", "--dump-digraph"]
@@ -149,8 +153,8 @@ class TestSolve:
         assert code == 0
         headers = [line for line in err.splitlines() if line.startswith("# shift digraph")]
         assert headers == ["# shift digraph: types=1 z=2 nodes=3 edges=5"] * 2
-        # each part's search expands all three of its windows
-        assert json.loads(out)["stats"]["digraph_nodes"] == 6
+        # and each answered in closed form, expanding no window
+        assert json.loads(out)["stats"]["digraph_nodes"] == 0
 
     def test_dump_builds_each_digraph_once(self, tmp_path, capsys, monkeypatch):
         # the solve never builds a whole digraph; the dump builds each

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -192,9 +193,11 @@ class TestBuildShiftDigraph:
 
 class TestOnDemandSuccessors:
     def test_expanded_windows_match_the_full_digraph(self):
-        # every window the walk search expands has build_shift_digraph's
-        # out-edges, matched by window, with fuller slices first; the search
-        # keeps windows as int codes, decoded here through its closure
+        # every window the walk search expands (an int code in window_code's
+        # layout) is a window of build_shift_digraph, and the slices of the
+        # types its bars allow, less those that take a type past its class
+        # size, are that window's out-edges in order; the moves memoised per
+        # set of free types are its independent sets, fullest first
         rng = random.Random(12)
         expanded = 0
         for _ in range(200):
@@ -204,20 +207,27 @@ class TestOnDemandSuccessors:
             for span in range(least):
                 assert pipeline.shortest_walk(span) is None
             d = build_shift_digraph(tg, tg.wmax)
-            index = {w: i for i, w in enumerate(d.windows)}
+            index = {d.window_code(node): node for node in range(len(d.windows))}
             closure = pipeline.closure
-            windows = [closure.window(node) for node in range(len(closure.windows))]
-            assert [d.window_code(index[w]) for w in windows] == closure.windows
-            for node, succ in enumerate(pipeline.successors):
-                if succ is None:
-                    continue
-                full = [d.windows[d.edges[ei][1]] for ei in d.out_edges[index[windows[node]]]]
-                full.sort(key=lambda w: -w[-1].bit_count())
-                assert [(windows[dst], mask) for dst, mask, _ in succ] == [
-                    (w, w[-1]) for w in full
+            for code, allowed in pipeline._allowed.items():
+                node = index[code]
+                kept = as_sets(d, node)[1:]
+                slices = [
+                    m
+                    for m in closure.independent_sets(allowed)
+                    if within_sizes(kept + (frozenset(iter_bits(m)),), tg.sizes)
                 ]
-            assert set(windows) <= set(d.windows)
-            expanded += sum(succ is not None for succ in pipeline.successors)
+                assert slices == [d.windows[d.edges[ei][1]][-1] for ei in d.out_edges[node]]
+            # a placed-search move holds its mask in the low bits too
+            shift = 0
+            if pipeline._digits is not None:  # a count-search move, past the full code
+                shift = (math.prod(radix for radix, _ in pipeline._digits) - 1).bit_length()
+            for free, moves in pipeline._free_moves.items():
+                masks = [move >> shift & closure.slice_mask for move in moves]
+                assert sorted(masks) == closure.independent_sets(free)
+                assert masks == sorted(masks, key=int.bit_count, reverse=True)
+            assert len(pipeline._allowed) == pipeline.expanded
+            expanded += pipeline.expanded
         assert expanded > 200
 
 

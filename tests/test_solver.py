@@ -1,6 +1,9 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndchan import (
     DistanceConstraints,
@@ -30,12 +33,23 @@ from ndchan import solver
 from ndchan.errors import GuardExceeded, InternalSolverError
 from ndchan.ilp import EQ, solve_feasibility
 from ndchan.oracle import brute_force_ca
+from ndchan.shift_digraph import ShiftClosure
 from ndchan.solver import SolveStats, Walk
 from helpers import complete_graph, cycle_graph, path_graph, star_graph
 
 
 def k3_instance(w=2):
     return WeightedGraph.from_edges(3, [(0, 1, w), (0, 2, w), (1, 2, w)])
+
+
+def two_clique_classes():
+    """A K3 clique class (weight 2) joined by weight 2 to a K4 clique class
+    (weight 3): one part of two types, so the count-code search runs."""
+    triples = [(u, v, 2) for u in range(3) for v in range(u + 1, 3)]
+    triples += [(u, v, 3) for u in range(3, 7) for v in range(u + 1, 7)]
+    triples += [(u, v, 2) for u in range(3) for v in range(3, 7)]
+    wg = WeightedGraph.from_edges(7, triples)
+    return wg, NdPartition((frozenset(range(3)), frozenset(range(3, 7))), (CLIQUE, CLIQUE))
 
 
 def uniform_pipeline(wg):
@@ -286,24 +300,25 @@ class TestSolveCaUniform:
         assert labeling.labels == (0,)
 
     def test_stats_populated(self):
+        # K3's twin partition is one clique class, a one-type part answered
+        # in closed form with no window expanded; two clique classes are
+        # searched
         wg = k3_instance()
         stats = SolveStats()
         solve_ca_uniform(wg, nd_partition(wg.graph), 4, stats=stats)
         assert stats.nd == 1 and stats.types == 1
+        assert stats.digraph_nodes == 0
+        wg, partition = two_clique_classes()
+        stats = SolveStats()
+        solve_ca_uniform(wg, partition, 12, stats=stats)
+        assert stats.nd == 2 and stats.types == 2
         assert stats.digraph_nodes > 0
 
 
 class TestWalkSearch:
     def test_two_clique_classes_match_the_oracle(self):
-        # a K3 clique class (weight 2) joined by weight 2 to a K4 clique
-        # class (weight 3), at its least span 12 and on either side of it
-        triples = [(u, v, 2) for u in range(3) for v in range(u + 1, 3)]
-        triples += [(u, v, 3) for u in range(3, 7) for v in range(u + 1, 7)]
-        triples += [(u, v, 2) for u in range(3) for v in range(3, 7)]
-        wg = WeightedGraph.from_edges(7, triples)
-        partition = NdPartition(
-            (frozenset(range(3)), frozenset(range(3, 7))), (CLIQUE, CLIQUE)
-        )
+        # at its least span 12 and on either side of it
+        wg, partition = two_clique_classes()
         _, _, [(pipeline, _)] = solver._pipelines(wg, "uniform", partition)
         assert len(pipeline.shortest_walk()) - 1 == 12
         for span in (11, 12, 13):
@@ -327,16 +342,87 @@ class TestWalkSearch:
             assert verify_assignment(wg, labeling).ok
             assert max(labeling.labels) <= 79
 
+    @given(st.integers(1, 10), st.integers(1, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_one_type_part_in_closed_form(self, size, loop):
+        # a one-type part is a clique class of `size` vertices, every pair
+        # at `loop` (size 1 for a loopless class): its least span is
+        # (size - 1) * loop, feasible there and refuted one below, with no
+        # window expanded; both searches, run directly on the part, return
+        # the closed form's slices, and so does the clique instance through
+        # the entry points, which the oracle confirms where it runs
+        least = (size - 1) * loop
+        part = solver._ComponentPipeline([size], {(0, 0): loop})
+        slices = part.shortest_walk()
+        assert len(slices) - 1 == least
+        assert part.shortest_walk(least) == slices
+        assert least == 0 or part.shortest_walk(least - 1) is None
+        assert part.expanded == 0 and part.closure is None
+        searches = ["_count_search"] + (["_placed_search"] if size == 1 else [])
+        for name in searches:
+            # a one-type part makes no closure; give the search its own
+            searched = solver._ComponentPipeline([size], {(0, 0): loop})
+            searched.closure = ShiftClosure([size], {(0, 0): loop}, loop)
+            search = getattr(searched, name)
+            assert search(None) == search(least) == slices
+            assert least == 0 or search(least - 1) is None
+        pairs = itertools.combinations(range(size), 2)
+        wg = WeightedGraph.from_edges(size, [(u, v, loop) for u, v in pairs])
+        partition = nd_partition(wg.graph)
+        span, labeling = minimize_span(wg, "uniform", partition)
+        assert span == least and verify_assignment(wg, labeling).ok
+        assert verify_assignment(wg, solve_ca_uniform(wg, partition, least)).ok
+        assert least == 0 or solve_ca_uniform(wg, partition, least - 1) is None
+        try:
+            assert brute_force_ca(wg, least, guard=10**6) is not None
+            assert least == 0 or brute_force_ca(wg, least - 1, guard=10**6) is None
+        except GuardExceeded:
+            pass
+
+    def test_count_table_matches_the_definition(self, monkeypatch):
+        # on random parts small enough to be tabulated, every count code's
+        # table entry and _info (which larger parts read per code) give the
+        # types at their class size and the label positions the remaining
+        # copies need, left copies of type t at least w(t, t) apart; the
+        # search returns the same walks reading the codes through _info
+        rng = random.Random(21)
+        for _ in range(40):
+            tau = rng.randint(2, 4)
+            sizes = [rng.randint(1, 4) for _ in range(tau)]
+            weights = {(t, t): rng.randint(1, 4) for t in range(tau)}
+            weights.update(((t, t + 1), rng.randint(1, 4)) for t in range(tau - 1))
+            part = solver._ComponentPipeline(sizes, weights)
+            part._count_search(0)
+            table = dict(part._count_info)
+            assert len(table) == math.prod(size + 1 for size in sizes)
+            for code, info in table.items():
+                left, rest = [], code
+                for size in sizes:
+                    rest, count = divmod(rest, size + 1)
+                    left.append(size - count)
+                full = sum(1 << t for t in range(tau) if not left[t])
+                need = max(((n - 1) * weights[(t, t)] + 1 for t, n in enumerate(left) if n), default=0)
+                assert info == part._info(code) == need << tau | full
+            slices = part._count_search(None)
+            least = len(slices) - 1
+            with monkeypatch.context() as patched:
+                patched.setattr(solver, "COUNT_TABLE_CODES", 0)
+                untabled = solver._ComponentPipeline(sizes, weights)
+                assert untabled._count_search(None) == slices
+                assert untabled._count_search(least) == slices
+                assert untabled._count_search(least - 1) is None
+
     def test_placed_search_matches_the_count_search(self):
-        # on random parts of size-1 classes (up to 8 types, weights up to 4)
-        # the placed-type search returns the count-code search's slices for
+        # on random parts of size-1 classes (2 to 8 types, weights up to 4;
+        # test_one_type_part_in_closed_form runs both on one type), the
+        # placed-type search returns the count-code search's slices for
         # the least span and for the decisions just below and at it; the
         # slices label the part's one-vertex-per-type graph, and the oracle
         # agrees with the verdicts where its label space is small enough
         rng = random.Random(15)
         oracle_runs = 0
         for _ in range(100):
-            tau = rng.randint(1, 8)
+            tau = rng.randint(2, 8)
             density = rng.random()
             weights = {(t, t): rng.randint(1, 4) for t in range(tau)}
             weights.update(
@@ -400,28 +486,67 @@ class TestWalkSearch:
         capsys.readouterr()
 
 
+def paired_path(n):
+    """P_n with every vertex replaced by two adjacent twins: its twin
+    partition is n clique classes of size 2 in one part."""
+    edges = [(2 * i, 2 * i + 1) for i in range(n)]
+    edges += [(2 * i + a, 2 * i + 2 + b) for i in range(n - 1) for a in (0, 1) for b in (0, 1)]
+    g = Graph.from_edges(2 * n, edges)
+    return WeightedGraph(g, {e: 1 for e in g.edges})
+
+
 class TestGuards:
-    def test_more_than_sixteen_types(self):
+    def test_more_than_sixteen_types(self, monkeypatch):
         # the twin partition of P17 is 17 singleton classes in one part, one
-        # type more than the window enumeration tabulates slice masks for
+        # type more than the window enumeration tabulates slice masks for;
+        # with every vertex doubled the classes have size 2, so the count
+        # search runs, and the guard fires before it looks at a count code
+        def no_count_work(self, code):
+            raise AssertionError("the count search ran before the type-count guard")
+
+        monkeypatch.setattr(solver._ComponentPipeline, "_info", no_count_work)
         g = path_graph(17)
-        wg = WeightedGraph(g, {e: 1 for e in g.edges})
-        for solve in (
-            lambda: solve_ca_uniform(wg, nd_partition(g), 4),
-            lambda: minimize_span(wg, "uniform", nd_partition(g)),
-        ):
-            with pytest.raises(GuardExceeded, match="17 types"):
-                solve()
+        for wg in (WeightedGraph(g, {e: 1 for e in g.edges}), paired_path(17)):
+            partition = nd_partition(wg.graph)
+            assert len(partition.classes) == 17
+            for solve in (
+                lambda: solve_ca_uniform(wg, partition, 4),
+                lambda: minimize_span(wg, "uniform", partition),
+            ):
+                with pytest.raises(GuardExceeded, match="17 types"):
+                    solve()
+
+    def test_count_work_follows_the_states_reached(self):
+        # K3,...,3 with 16 parts under L(3, 2) is one part of 16 clique
+        # classes of size 3, whose count codes number 4**16; refuting span
+        # 5, far below its least span 109, looks at one count code per state
+        # it reaches, a few dozen, and so does not scale with that product
+        parts = 16
+        g = Graph.from_edges(
+            3 * parts,
+            [(u, v) for u in range(3 * parts) for v in range(u + 1, 3 * parts) if u // 3 != v // 3],
+        )
+        wg = labeling_to_ca(g, DistanceConstraints((3, 2)))
+        _, _, pipelines = solver._pipelines(wg, "uniform", nd_partition(g))
+        ((pipeline, _),) = pipelines
+        assert pipeline.sizes == [3] * parts
+        assert pipeline.shortest_walk(5) is None
+        assert 0 < len(pipeline._count_info) <= 100
+        assert solve_labeling(g, DistanceConstraints((3, 2)), 5) is None
 
     def test_window_count_guard(self):
-        # the guard counts the windows the walk searches expand: K3's twin
-        # partition is one class of size 3, its cover partition three of
-        # size 1
+        # the guard counts the windows the walk searches expand: two clique
+        # classes run the count-code search, K3's cover partition (three
+        # classes of size 1) the placed-type search; K3's twin partition is
+        # one class of size 3, answered in closed form with no window
         wg = k3_instance()
         partition = nd_partition(wg.graph)
+        assert solve_ca_uniform(wg, partition, 4, max_digraph_nodes=0) is not None
+        assert minimize_span(wg, "uniform", partition, max_digraph_nodes=0)[0] == 4
+        cliques, clique_partition = two_clique_classes()
         for solve in (
-            lambda **kw: solve_ca_uniform(wg, partition, 4, **kw),
-            lambda **kw: minimize_span(wg, "uniform", partition, **kw),
+            lambda **kw: solve_ca_uniform(cliques, clique_partition, 12, **kw),
+            lambda **kw: minimize_span(cliques, "uniform", clique_partition, **kw),
             lambda **kw: solve_ca_vc(wg, 4, **kw),
             lambda **kw: minimize_span(wg, "vc", **kw),
         ):
@@ -631,9 +756,9 @@ class TestFrontEnd:
         assert verify_assignment(wg, labeling).ok
         for pipeline, _ in pipelines:
             assert pipeline.shortest_walk(2) is not None
-        # the clique class's three windows, and the isolated class's empty one
-        assert [p.expanded for p, _ in pipelines] == [3, 1]
-        assert stats.digraph_nodes == 4
+        # each part is one type, answered in closed form: no window expanded
+        assert [p.expanded for p, _ in pipelines] == [0, 0]
+        assert stats.digraph_nodes == 0
 
     def test_type_graphs_built_per_solve(self, monkeypatch):
         # none: the condensation, the reflexive reduction and the split into
