@@ -11,10 +11,11 @@ no walk can visit any other window.  Directed edges connect windows that
 overlap on z-1 positions, so the closed walks through the all-empty window
 whose type counts equal the class sizes are exactly the labelings' slice
 sequences padded with empty slices on both sides.  ShiftClosure holds the
-separation bars and slice lists of the step that closes the all-empty
-window, which the walk search reads on demand; build_shift_digraph adds
-the class-size bars and runs the step to closure, numbering windows in
-breadth-first order and grouping edges by source window in slice-mask order.
+separation bars and per-type clash masks of the step that closes the
+all-empty window, and makes a slice list on demand; the walk search reads
+the bars and clashes as it goes.  build_shift_digraph adds the class-size
+bars and runs the step to closure, numbering windows in breadth-first order
+and grouping edges by source window in slice-mask order.
 A window is one int in window_code's layout (slice i at bits (z-1-i)*tau),
 so a shift is a left shift and a bar one AND per type.
 """
@@ -80,7 +81,8 @@ class ShiftClosure:
     """What the walk search reads of the shift digraph's closure step, for
     a part's sizes and weights, over int window codes.  Per type r, bars
     holds the bits of the types closer to a new slice than their weight to
-    r, and independent_sets(allowed) lists the slices of allowed types in
+    r, and clash[r] the types that may not share a slice with r;
+    independent_sets(allowed) lists the slices of allowed types in
     ascending mask order.  The class-size bars and the window numbering are
     build_shift_digraph's alone: the search's counts imply the size bars,
     and its states hold windows as unnumbered codes."""

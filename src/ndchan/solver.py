@@ -12,13 +12,14 @@ all-empty window whose per-type counts match the class sizes, and
 _ComponentPipeline.shortest_walk returns the shortest one's slices, one
 per label position; later positions are empty.  A part of one type is a
 single class, whose walk is known in closed form.  Any other part gets one
-exact engine: a breadth-first search over (window, per-type counts), one
-int per state, which works out the types a window allows when it first
-leaves it and numbers no windows.  It comes in two forms, chosen by the
-part's class sizes: where all are 1, as on every part of the vertex-cover
-route, _placed_search keeps the counts as the mask of types placed;
-otherwise _count_search keeps mixed-radix count codes, each code's full
-types and need worked out when a state first holds it.  A least span is
+exact engine, _count_search: a breadth-first search over (window,
+per-type counts), one int per state, which works out the types a window
+allows when it first leaves it and numbers no windows.  Its count code
+holds a placed bit per type of class size 1 and, above those bits, a
+mixed-radix digit per larger type, whose full types and need come from a
+table or are worked out when a state first holds the code; where every
+class has size 1, as on every part of the vertex-cover route, the code is
+just the mask of types placed.  A least span is
 the largest of the parts' least spans.  One decode maps every part's
 slices through its type ids onto the instance's vertices, and
 verify_assignment checks the labeling before any entry point returns it.
@@ -66,7 +67,8 @@ from .shift_digraph import ShiftClosure, ShiftDigraph, build_shift_digraph, iter
 # solve_flow gives up after this many cut rounds per digraph edge
 CUT_ROUNDS_PER_EDGE = 10
 
-# a part with at most this many count codes has them tabulated in one pass
+# a part whose types above class size 1 have at most this many digit codes
+# has them tabulated in one pass
 COUNT_TABLE_CODES = 4096
 
 
@@ -699,32 +701,31 @@ class _ComponentPipeline:
 
     A part of one type is one class, whose walk shortest_walk gives in
     closed form, with no closure and no search.  Any other part is searched
-    over the states (window, per-type counts) of walk prefixes from the
-    all-empty window.  A span-lambda labeling is a walk of lambda + 1 steps
-    from the all-empty window, step k putting the new window's last slice
-    at label position k - 1, whose per-type counts end equal to the class
-    sizes; z empty slices then close it at the all-empty window.  Empty
-    slices can always be appended, so a state reached at step k can do
-    everything the same state can do when reached later: the step need not
-    be part of the state, and the shortest walk to the class sizes serves
-    every span from its own up.  A state is one int, window << bits |
-    counts, and one of two searches runs, chosen by the class sizes:
+    by _count_search over the states (window, per-type counts) of walk
+    prefixes from the all-empty window.  A span-lambda labeling is a walk
+    of lambda + 1 steps from the all-empty window, step k putting the new
+    window's last slice at label position k - 1, whose per-type counts end
+    equal to the class sizes; z empty slices then close it at the all-empty
+    window.  Empty slices can always be appended, so a state reached at
+    step k can do everything the same state can do when reached later: the
+    step need not be part of the state, and the shortest walk to the class
+    sizes serves every span from its own up.
 
-    - _placed_search, when every class size is 1 (every part of the vc
-      route, whose classes outside the cover are independent sets, and of
-      any partition without a clique class): the counts are the mask of
-      types placed.
-    - _count_search otherwise: the counts are a mixed-radix code, whose
-      types at their class size and remaining copies' need come from a
-      table over the codes or, on a large code space, from _info.
-
-    A window's kept slices hold no type past the counts, so the closure's
-    bars alone give the types a new slice may hold.  Both searches memoise
-    them per window, and per set of free types its moves, fullest first,
-    so they return the same walk on a part of size-1 classes.  expanded
-    counts the windows either search expanded, and more than max_windows of
-    them raise GuardExceeded.  A part comes as its sizes and weights, as in
-    a reflexive TypeGraph, and a one-type part makes no closure.
+    A state is one int, window << bits | count code.  In the count code a
+    type of class size 1 is bit t of the low tau bits, set once it is
+    placed; the types above size 1 are mixed-radix digits above those bits,
+    whose types at their class size and remaining copies' need come from a
+    table over the digit codes or, past COUNT_TABLE_CODES, from _info.  On
+    a part of size-1 classes (every part of the vc route, whose classes
+    outside the cover are independent sets, and of any partition without a
+    clique class) the code is the mask of types placed and the table has
+    one entry.  A window's kept slices hold no type past the counts, so the
+    closure's bars alone give the types a new slice may hold.  The search
+    memoises them per window, and per set of free types its moves, fullest
+    first.  expanded counts the windows it expanded, and more than
+    max_windows of them raise GuardExceeded.  A part comes as its sizes and
+    weights, as in a reflexive TypeGraph, and a one-type part makes no
+    closure.
     """
 
     def __init__(self, sizes, weights: dict, *, max_digraph_nodes=None):
@@ -732,24 +733,27 @@ class _ComponentPipeline:
         self.max_windows, self.expanded = max_digraph_nodes, 0
         z = max(weights.values(), default=1)
         self.closure = ShiftClosure(sizes, weights, z) if len(sizes) > 1 else None
-        # _count_search's: per type, (its radix, the need of its copies left
-        # at each count, 0 when full); a count code -> need << tau | full types
-        self._digits: list[tuple[int, list[int]]] | None = None
-        self._count_info: dict[int, int] = {}
+        # per type above size 1, (the type, its radix, the need of its copies
+        # left at each count, 0 when full); a digit code -> need << tau | the
+        # types among them at their class size, a list of every code when
+        # tabulated and otherwise a dict that _info fills
+        self._digits: list[tuple[int, int, list[int]]] | None = None
+        self._count_info: list[int] | dict[int, int] = {}
         # window code -> types its bars allow in a new slice, and a set of
-        # free types -> its moves fullest first, in the one search's form
+        # free types -> its moves fullest first
         self._allowed: dict[int, int] = {}
         self._free_moves: dict[int, list[int]] = {}
 
     def _info(self, code: int) -> int:
-        """A count code's need << tau | full, memoised: the label positions its
-        remaining copies need at least, and the types at their class size."""
+        """A digit code's need << tau | full, memoised: the label positions the
+        remaining copies of the types above size 1 need at least, and those
+        of them at their class size."""
         key, full, need = code, 0, 0
-        for t, (radix, needs) in enumerate(self._digits):
+        for t, radix, needs in self._digits:
             code, count = divmod(code, radix)
             need = max(need, needs[count])
             full |= (count == radix - 1) << t
-        info = self._count_info[key] = need << len(self._digits) | full
+        info = self._count_info[key] = need << len(self.sizes) | full
         return info
 
     @cached_property
@@ -766,7 +770,7 @@ class _ComponentPipeline:
 
     def _allow(self, window: int) -> int:
         """The types the closure's bars allow in the slice shifted in after
-        this window, memoised per window: a search's expansion of it,
+        this window, memoised per window: the search's expansion of it,
         counted in expanded, past max_windows raising."""
         self.expanded += 1
         if self.max_windows is not None and self.expanded > self.max_windows:
@@ -804,97 +808,72 @@ class _ComponentPipeline:
             if span is not None and (size - 1) * loop > span:
                 return None
             return [1] + ([0] * (loop - 1) + [1]) * (size - 1)
-        if max(self.sizes) == 1:
-            return self._placed_search(span)
         return self._count_search(span)
 
-    def _placed_search(self, span: int | None) -> list[int] | None:
-        """shortest_walk over the states window << tau | placed, for a part
-        whose class sizes are all 1.  A state's moves are the independent
-        sets of the types its window allows and it has not placed, each kept
-        as the step mask << tau | mask that shifts it into both fields; the
-        one that places every type left is the fullest, so it comes first.
-        Under a span no state is pruned for its remaining copies: each type
-        left needs one label position, and a state of the last layer is
-        never expanded anyway.  _count_search returns the same walk here, but
-        running these parts made minimize-vc corpus_s 36% slower (bench/run.py,
-        3 pairs of 10 s runs, 2 shared vCPUs)."""
-        closure = self.closure
-        tau, everyone = closure.type_count, closure.slice_mask
-        keep = (closure.window_mask ^ everyone) << tau  # a window's z - 1 older slices, shifted
-        allowed_of, moves_of, allow = self._allowed, self._free_moves, self._allow
-        last = float("inf") if span is None else span + 1
-        parent = {0: None}  # the all-empty window with no type placed
-        layer = [0]
-        steps = 0
-        while layer and steps < last:
-            steps += 1
-            next_layer = []
-            for state in layer:
-                window, placed = state >> tau, state & everyone
-                allowed = allowed_of.get(window)
-                if allowed is None:
-                    allowed = allow(window)
-                free = allowed & ~placed
-                moves = moves_of.get(free)
-                if moves is None:
-                    # a stable sort, so _count_search's order
-                    masks = sorted(closure.independent_sets(free), key=int.bit_count, reverse=True)
-                    moves = moves_of[free] = [m << tau | m for m in masks]
-                if moves[0] & everyone == everyone ^ placed:
-                    slices = [moves[0] & everyone]
-                    while state:
-                        slices.append(state >> tau & everyone)
-                        state = parent[state]
-                    slices.reverse()
-                    return slices
-                head = state << tau & keep | placed
-                for move in moves:
-                    key = head | move
-                    if key in parent:
-                        continue
-                    parent[key] = state
-                    next_layer.append(key)
-            layer = next_layer
-        if span is None:
-            raise InternalSolverError("no walk reaches the class sizes at any span")
-        return None
+    def _moves(self, free: int, lifted) -> list[int]:
+        """The independent sets of the free types in independent_sets' order,
+        built in one pass, each as the sum of its types' lifted terms; per
+        type, lifted holds (its clash mask, its term), both lifted past the
+        count code."""
+        moves = [0]
+        for t in iter_bits(free):
+            clash, term = lifted[t]
+            moves += [m + term for m in moves if not clash & m]
+        return moves
 
     def _count_search(self, span: int | None) -> list[int] | None:
         """shortest_walk over the states window << bits | count code, bits
-        being the bit length of the full code.  A state's moves are the
-        independent sets of the types its window allows and that are not
-        at their class size, each kept as mask << bits | its count code
-        step, which adds into the shifted state; the fullest, the one that
-        reaches the class sizes if any does, comes first.  A code's full
-        types and need come from one table over at most COUNT_TABLE_CODES
-        codes, and past that from _info once a state holds the code.  Under
-        a span, a state whose remaining copies need more label positions
-        than are left is not expanded."""
+        being the bit length of the full code, every type at its class
+        size.  A type's step in the code is bit t when its class size is 1,
+        and otherwise its digit's place above the low tau bits.  A state's
+        moves are the independent sets of the types its window allows and
+        that are not at their class size, each the sum of its types' terms
+        1 << bits + t | step, which adds into the shifted state; the
+        fullest, the one that reaches the class sizes if any does, comes
+        first.  The digit code's full types and need come from one table
+        over at most COUNT_TABLE_CODES digit codes, and past that from
+        _info once a state holds the code.  Under a span, a state whose
+        remaining copies need more label positions than are left is not
+        expanded.  The size-1 types are left out of that need: they never
+        prune, for each needs one position and at least one is left inside
+        the loop."""
         closure = self.closure
         tau, newest = closure.type_count, closure.slice_mask
-        places = [1]  # each type's place value in a count code, then the code count
-        for size in self.sizes:
-            places.append(places[-1] * (size + 1))
-        goal = places[-1] - 1  # every digit at its class size
+        step_of, place = [], 1 << tau  # the next digit's place, above the size-1 bits
+        for t, size in enumerate(self.sizes):
+            if size == 1:
+                step_of.append(1 << t)
+            else:
+                step_of.append(place)
+                place *= size + 1
+        goal = sum(size * step for size, step in zip(self.sizes, step_of))
+        bits = goal.bit_length()
         if self._digits is None:
             # left copies of a type sit at least w(t, t) apart
             self._digits = [
-                (size + 1, [(size - c - 1) * self.weights[(t, t)] + 1 for c in range(size)] + [0])
+                (t, size + 1, [(size - c - 1) * self.weights[(t, t)] + 1 for c in range(size)] + [0])
                 for t, size in enumerate(self.sizes)
+                if size > 1
             ]
-            if goal < COUNT_TABLE_CODES:  # digit by digit, as _info reads them
+            if goal >> tau < COUNT_TABLE_CODES:  # digit by digit, as _info reads them
                 infos = [0]
-                for t, (_, needs) in enumerate(self._digits):
+                for t, _, needs in self._digits:
                     infos = [
                         max(i, n << tau | i & newest) | (not n) << t for n in needs for i in infos
                     ]
-                self._count_info = dict(enumerate(infos))
-        bits = goal.bit_length()
+                self._count_info = infos
+        lifted = [
+            (clash << bits, 1 << bits + t | step)
+            for t, (clash, step) in enumerate(zip(closure.clash, step_of))
+        ]
         codes = (1 << bits) - 1
         keep = (closure.window_mask ^ newest) << bits  # a window's z - 1 older slices, shifted
         allowed_of, moves_of, allow = self._allowed, self._free_moves, self._allow
         info_of, info = self._count_info, self._info
+
+        def slice_size(move):
+            return (move >> bits).bit_count()
+
         last = float("inf") if span is None else span + 1
         parent = {0: None}  # the all-empty window with no type counted
         layer = [0]
@@ -905,22 +884,21 @@ class _ComponentPipeline:
             next_layer = []
             for state in layer:
                 code = state & codes
-                need_full = info_of.get(code)
-                if need_full is None:  # a code space past COUNT_TABLE_CODES
-                    need_full = info(code)
+                try:
+                    need_full = info_of[code >> tau]
+                except KeyError:  # a digit code space past COUNT_TABLE_CODES
+                    need_full = info(code >> tau)
                 if span is not None and need_full >> tau > left:
                     continue
                 window = state >> bits
                 allowed = allowed_of.get(window)
                 if allowed is None:
                     allowed = allow(window)
-                free = allowed & ~need_full
+                free = allowed & ~(need_full | code)
                 moves = moves_of.get(free)
-                if moves is None:
-                    masks = sorted(closure.independent_sets(free), key=int.bit_count, reverse=True)
-                    moves = moves_of[free] = [
-                        m << bits | sum(places[t] for t in iter_bits(m)) for m in masks
-                    ]
+                if moves is None:  # a stable sort, so equal sizes keep their order
+                    moves = sorted(self._moves(free, lifted), key=slice_size, reverse=True)
+                    moves_of[free] = moves
                 if code + (moves[0] & codes) == goal:
                     slices = [moves[0] >> bits]
                     while state:

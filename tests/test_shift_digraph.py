@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -197,7 +196,8 @@ class TestOnDemandSuccessors:
         # layout) is a window of build_shift_digraph, and the slices of the
         # types its bars allow, less those that take a type past its class
         # size, are that window's out-edges in order; the moves memoised per
-        # set of free types are its independent sets, fullest first
+        # set of free types are its independent sets, fullest first, each
+        # adding its types' steps to the count code
         rng = random.Random(12)
         expanded = 0
         for _ in range(200):
@@ -218,14 +218,22 @@ class TestOnDemandSuccessors:
                     if within_sizes(kept + (frozenset(iter_bits(m)),), tg.sizes)
                 ]
                 assert slices == [d.windows[d.edges[ei][1]][-1] for ei in d.out_edges[node]]
-            # a placed-search move holds its mask in the low bits too
-            shift = 0
-            if pipeline._digits is not None:  # a count-search move, past the full code
-                shift = (math.prod(radix for radix, _ in pipeline._digits) - 1).bit_length()
+            # the count code: a size-1 type's bit t, then the other types'
+            # mixed-radix digits; a move holds its mask past the full code
+            tau, steps, place = len(tg.sizes), [], 1
+            for t, size in enumerate(tg.sizes):
+                if size == 1:
+                    steps.append(1 << t)
+                else:
+                    steps.append(place << tau)
+                    place *= size + 1
+            shift = sum(size * step for size, step in zip(tg.sizes, steps)).bit_length()
             for free, moves in pipeline._free_moves.items():
                 masks = [move >> shift & closure.slice_mask for move in moves]
                 assert sorted(masks) == closure.independent_sets(free)
                 assert masks == sorted(masks, key=int.bit_count, reverse=True)
+                for mask, move in zip(masks, moves):
+                    assert move == mask << shift | sum(steps[t] for t in iter_bits(mask))
             assert len(pipeline._allowed) == pipeline.expanded
             expanded += pipeline.expanded
         assert expanded > 200

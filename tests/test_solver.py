@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -348,7 +349,7 @@ class TestWalkSearch:
         # a one-type part is a clique class of `size` vertices, every pair
         # at `loop` (size 1 for a loopless class): its least span is
         # (size - 1) * loop, feasible there and refuted one below, with no
-        # window expanded; both searches, run directly on the part, return
+        # window expanded; the walk search, run directly on the part, returns
         # the closed form's slices, and so does the clique instance through
         # the entry points, which the oracle confirms where it runs
         least = (size - 1) * loop
@@ -358,14 +359,12 @@ class TestWalkSearch:
         assert part.shortest_walk(least) == slices
         assert least == 0 or part.shortest_walk(least - 1) is None
         assert part.expanded == 0 and part.closure is None
-        searches = ["_count_search"] + (["_placed_search"] if size == 1 else [])
-        for name in searches:
-            # a one-type part makes no closure; give the search its own
-            searched = solver._ComponentPipeline([size], {(0, 0): loop})
-            searched.closure = ShiftClosure([size], {(0, 0): loop}, loop)
-            search = getattr(searched, name)
-            assert search(None) == search(least) == slices
-            assert least == 0 or search(least - 1) is None
+        # a one-type part makes no closure; give the search its own
+        searched = solver._ComponentPipeline([size], {(0, 0): loop})
+        searched.closure = ShiftClosure([size], {(0, 0): loop}, loop)
+        search = searched._count_search
+        assert search(None) == search(least) == slices
+        assert least == 0 or search(least - 1) is None
         pairs = itertools.combinations(range(size), 2)
         wg = WeightedGraph.from_edges(size, [(u, v, loop) for u, v in pairs])
         partition = nd_partition(wg.graph)
@@ -380,12 +379,16 @@ class TestWalkSearch:
             pass
 
     def test_count_table_matches_the_definition(self, monkeypatch):
-        # on random parts small enough to be tabulated, every count code's
-        # table entry and _info (which larger parts read per code) give the
-        # types at their class size and the label positions the remaining
-        # copies need, left copies of type t at least w(t, t) apart; the
-        # search returns the same walks reading the codes through _info
+        # on random parts small enough to be tabulated, the table covers the
+        # digit codes of the types above size 1 only (a size-1 type is a bit
+        # of the count code, outside it), and every entry and _info (which
+        # larger parts read per code) give those types at their class size
+        # and the label positions their remaining copies need, left copies
+        # of type t at least w(t, t) apart; the walk places every type its
+        # class size many times, and the search returns the same walks
+        # reading the codes through _info
         rng = random.Random(21)
+        mixed = 0
         for _ in range(40):
             tau = rng.randint(2, 4)
             sizes = [rng.randint(1, 4) for _ in range(tau)]
@@ -393,17 +396,21 @@ class TestWalkSearch:
             weights.update(((t, t + 1), rng.randint(1, 4)) for t in range(tau - 1))
             part = solver._ComponentPipeline(sizes, weights)
             part._count_search(0)
-            table = dict(part._count_info)
-            assert len(table) == math.prod(size + 1 for size in sizes)
-            for code, info in table.items():
-                left, rest = [], code
-                for size in sizes:
-                    rest, count = divmod(rest, size + 1)
-                    left.append(size - count)
-                full = sum(1 << t for t in range(tau) if not left[t])
+            assert isinstance(part._count_info, list)  # tabulated
+            table = list(part._count_info)
+            counted = [t for t in range(tau) if sizes[t] > 1]
+            mixed += 0 < len(counted) < tau
+            assert len(table) == math.prod(sizes[t] + 1 for t in counted)
+            for code, info in enumerate(table):
+                left, rest = [0] * tau, code
+                for t in counted:
+                    rest, count = divmod(rest, sizes[t] + 1)
+                    left[t] = sizes[t] - count
+                full = sum(1 << t for t in counted if not left[t])
                 need = max(((n - 1) * weights[(t, t)] + 1 for t, n in enumerate(left) if n), default=0)
                 assert info == part._info(code) == need << tau | full
             slices = part._count_search(None)
+            assert [sum(m >> t & 1 for m in slices) for t in range(tau)] == sizes
             least = len(slices) - 1
             with monkeypatch.context() as patched:
                 patched.setattr(solver, "COUNT_TABLE_CODES", 0)
@@ -411,16 +418,21 @@ class TestWalkSearch:
                 assert untabled._count_search(None) == slices
                 assert untabled._count_search(least) == slices
                 assert untabled._count_search(least - 1) is None
+                assert isinstance(untabled._count_info, dict)  # filled by _info
+        assert mixed > 10  # parts with both size-1 bits and digits
 
-    def test_placed_search_matches_the_count_search(self):
-        # on random parts of size-1 classes (2 to 8 types, weights up to 4;
-        # test_one_type_part_in_closed_form runs both on one type), the
-        # placed-type search returns the count-code search's slices for
-        # the least span and for the decisions just below and at it; the
-        # slices label the part's one-vertex-per-type graph, and the oracle
-        # agrees with the verdicts where its label space is small enough
+    def test_size_one_parts_match_the_oracle(self):
+        # on random parts of size-1 classes (2 to 8 types, weights up to 4),
+        # whose count codes are the masks of the types placed and whose
+        # table has one entry, the search's least span is feasible and the
+        # decision just below it refuted; the slices label the part's
+        # one-vertex-per-type graph, and the oracle agrees with the verdicts
+        # where its label space is small enough.  The digest of all 100
+        # walks is pinned, so a change in the move order of these parts,
+        # every part of the vc route, shows here
         rng = random.Random(15)
         oracle_runs = 0
+        walks = []
         for _ in range(100):
             tau = rng.randint(2, 8)
             density = rng.random()
@@ -433,15 +445,14 @@ class TestWalkSearch:
             )
             adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
             tg = TypeGraph((1,) * tau, frozenset(range(tau)), adjacency, weights)
-            placed = solver._ComponentPipeline(tg.sizes, tg.weights)
-            counted = solver._ComponentPipeline(tg.sizes, tg.weights)
-            slices = placed._placed_search(None)
-            assert slices == counted._count_search(None), tg
+            part = solver._ComponentPipeline(tg.sizes, tg.weights)
+            slices = part.shortest_walk()
+            walks.append(slices)
+            assert part._count_info == [0]
             least = len(slices) - 1
-            assert placed._placed_search(least) == counted._count_search(least) == slices
+            assert part.shortest_walk(least) == slices
             if least > 0:
-                assert placed._placed_search(least - 1) is None, tg
-                assert counted._count_search(least - 1) is None, tg
+                assert part.shortest_walk(least - 1) is None, tg
             wg = WeightedGraph.from_edges(tau, [(t, r, weights[(t, r)]) for t, r in adjacency])
             labels = [next(i for i, mask in enumerate(slices) if mask >> t & 1) for t in range(tau)]
             assert verify_assignment(wg, Labeling(tuple(labels), least)).ok
@@ -453,6 +464,8 @@ class TestWalkSearch:
             assert not below and at is not None, tg
             oracle_runs += 1
         assert oracle_runs > 80
+        digest = hashlib.sha256(repr(walks).encode()).hexdigest()
+        assert digest == "6ef77ddc73df551b8a9670eb22a74b58ac15544c9bb63ffa962e5da4ddcb0d78"
 
     def test_no_entry_point_reaches_the_ilp(self, monkeypatch, tmp_path, capsys):
         # the walk search answers every probe, with or without scipy
@@ -499,8 +512,9 @@ class TestGuards:
     def test_more_than_sixteen_types(self, monkeypatch):
         # the twin partition of P17 is 17 singleton classes in one part, one
         # type more than the window enumeration tabulates slice masks for;
-        # with every vertex doubled the classes have size 2, so the count
-        # search runs, and the guard fires before it looks at a count code
+        # with every vertex doubled the classes have size 2, so the search
+        # has count digits to decode, and the guard fires before it looks at
+        # a count code
         def no_count_work(self, code):
             raise AssertionError("the count search ran before the type-count guard")
 
@@ -535,10 +549,10 @@ class TestGuards:
         assert solve_labeling(g, DistanceConstraints((3, 2)), 5) is None
 
     def test_window_count_guard(self):
-        # the guard counts the windows the walk searches expand: two clique
-        # classes run the count-code search, K3's cover partition (three
-        # classes of size 1) the placed-type search; K3's twin partition is
-        # one class of size 3, answered in closed form with no window
+        # the guard counts the windows the walk search expands, on two
+        # clique classes (count digits) and on K3's cover partition (three
+        # classes of size 1, placed bits only); K3's twin partition is one
+        # class of size 3, answered in closed form with no window
         wg = k3_instance()
         partition = nd_partition(wg.graph)
         assert solve_ca_uniform(wg, partition, 4, max_digraph_nodes=0) is not None
@@ -559,9 +573,9 @@ class TestGuards:
 
     def test_search_expands_fewer_windows_than_the_digraph_has(self, monkeypatch):
         # a minimize-vc bench witness (criterion 4's draw 176): every class
-        # of the cover partition has size 1, so the placed-type search runs;
-        # it expands a window only when it first leaves it, and never builds
-        # the whole digraph
+        # of the cover partition has size 1, so the count code is the mask
+        # of types placed; the search expands a window only when it first
+        # leaves it, and never builds the whole digraph
         wg = WeightedGraph.from_edges(
             7, [(0, 5, 2), (1, 4, 1), (1, 5, 2), (1, 6, 2), (2, 4, 1), (2, 6, 2), (3, 6, 1)]
         )
@@ -575,11 +589,7 @@ class TestGuards:
         def no_build(*args, **kwargs):
             raise AssertionError("a solve built the whole shift digraph")
 
-        def no_counts(*args, **kwargs):
-            raise AssertionError("a part of size-1 classes ran the count-code search")
-
         monkeypatch.setattr(solver._ComponentPipeline, "_allow", counted)
-        monkeypatch.setattr(solver._ComponentPipeline, "_count_search", no_counts)
         monkeypatch.setattr(solver, "build_shift_digraph", no_build)
         stats = SolveStats()
         span, labeling = minimize_span(wg, "vc", stats=stats)
