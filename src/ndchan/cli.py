@@ -12,16 +12,16 @@ import json
 import sys
 from dataclasses import asdict
 
-from .decomposition import check_uniform, nd_partition, refine_uniform
+from .decomposition import TypeGraph, check_uniform, nd_partition, refine_uniform
 from .errors import GuardExceeded, InstanceFormatError, InternalSolverError
 from .graph import Labeling, verify_assignment
 from .instances import InstanceFile, SolveOutcome, emit_instance, emit_result, parse_instance
 from .oracle import DEFAULT_GUARD, brute_force_ca, brute_force_nd
 from .reduction import DistanceConstraints, labeling_to_ca
-from .shift_digraph import dump_digraph
+from .shift_digraph import build_shift_digraph, dump_digraph
 from .solver import (
     SolveStats,
-    _pipelines,
+    _parts,
     minimize_span,
     solve_ca_uniform,
     solve_ca_vc,
@@ -62,9 +62,10 @@ def _dump_debug(args, wg, route, partition):
     """Each component's whole shift digraph, which no solve builds."""
     if not getattr(args, "dump_digraph", False):
         return
-    _, _, pipelines = _pipelines(wg, route, partition)
-    for pipeline, _ in pipelines:
-        print(dump_digraph(pipeline.digraph), file=sys.stderr)
+    for sizes, weights, _, _ in _parts(wg, route, partition)[2]:
+        pairs = frozenset(pair for pair in weights if pair[0] != pair[1])
+        tg = TypeGraph(tuple(sizes), frozenset(range(len(sizes))), pairs, weights)
+        print(dump_digraph(build_shift_digraph(tg, tg.wmax)), file=sys.stderr)
 
 
 def _run(args, instance, wg, route, partition) -> int:

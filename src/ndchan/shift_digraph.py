@@ -12,10 +12,12 @@ overlap on z-1 positions, so the closed walks through the all-empty window
 whose type counts equal the class sizes are exactly the labelings' slice
 sequences padded with empty slices on both sides.  ShiftClosure holds the
 separation bars and per-type clash masks of the step that closes the
-all-empty window, and makes a slice list on demand; the walk search reads
-the bars and clashes as it goes.  build_shift_digraph adds the class-size
-bars and runs the step to closure, numbering windows in breadth-first order
-and grouping edges by source window in slice-mask order.
+all-empty window, and allowed(window) gives the types a new slice may hold
+after a window; independent_sets lists the slices of a set of types.  The
+walk search and build_shift_digraph both step with these two, and
+build_shift_digraph adds the class-size bars on top and runs the step to
+closure, numbering windows in breadth-first order and grouping edges by
+source window in slice-mask order.
 A window is one int in window_code's layout (slice i at bits (z-1-i)*tau),
 so a shift is a left shift and a bar one AND per type.
 """
@@ -77,15 +79,27 @@ class ShiftDigraph:
         return code
 
 
+def independent_sets(free: int, lifted) -> list[int]:
+    """The sets of free types no two of which clash, each the sum of its
+    types' terms.  Per type t, lifted[t] is (t's clash mask, t's term),
+    lifted alike: a set's sum holds its type mask where the clash masks
+    look.  The sets with type t come after all sets of lower types, so with
+    the terms 1 << t they are the slice masks in ascending order."""
+    sets = [0]
+    for t in iter_bits(free):
+        clash, term = lifted[t]
+        sets += [m + term for m in sets if not clash & m]
+    return sets
+
+
 class ShiftClosure:
     """What the walk search reads of the shift digraph's closure step, for
     a part's sizes and weights, over int window codes.  Per type r, bars
     holds the bits of the types closer to a new slice than their weight to
-    r, and clash[r] the types that may not share a slice with r;
-    independent_sets(allowed) lists the slices of allowed types in
-    ascending mask order.  The class-size bars and the window numbering are
-    build_shift_digraph's alone: the search's counts imply the size bars,
-    and its states hold windows as unnumbered codes."""
+    r, and clash[r] the types that may not share a slice with r.  The
+    class-size bars and the window numbering are build_shift_digraph's
+    alone: the search's counts imply the size bars, and its states hold
+    windows as unnumbered codes.  More than 16 types raise GuardExceeded."""
 
     def __init__(self, sizes, weights: dict, z: int):
         if z < 1:
@@ -113,13 +127,13 @@ class ShiftClosure:
         self.type_count, self.clash = tau, clash
         self.slice_mask, self.window_mask = newest[1], newest[z]
 
-    def independent_sets(self, allowed: int) -> list[int]:
-        # the sets of allowed types with no two of them adjacent (a clash);
-        # the sets with type t come after all sets of lower types
-        sets = [0]
-        for t in iter_bits(allowed):
-            sets += [m | 1 << t for m in sets if not self.clash[t] & m]
-        return sets
+    def allowed(self, window: int) -> int:
+        """The types the bars allow in the slice shifted in after window."""
+        barred = 0
+        for bit, bar in self.bars:
+            if window & bar:
+                barred |= bit
+        return self.slice_mask & ~barred
 
 
 def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) -> ShiftDigraph:
@@ -142,20 +156,18 @@ def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) 
     """
     closure = ShiftClosure(tg.sizes, tg.weights, z)
     tau, slice_mask = closure.type_count, closure.slice_mask
+    units = [(clash, 1 << t) for t, clash in enumerate(closure.clash)]
     keep = sum(1 << d * tau for d in range(z - 1))
     size_bars = [(1 << r, keep << r, s) for r, s in enumerate(tg.sizes) if s < z]
     windows, index, slices_of, edges = [0], {0: 0}, {}, []
     for si, code in enumerate(windows):  # also reaches the windows appended below
-        barred = 0
-        for bit, bar in closure.bars:
-            if code & bar:
-                barred |= bit
+        allowed = closure.allowed(code)
         for bit, kept, size in size_bars:
             if (code & kept).bit_count() >= size:
-                barred |= bit
-        slices = slices_of.get(barred)
+                allowed &= ~bit
+        slices = slices_of.get(allowed)
         if slices is None:
-            slices = slices_of[barred] = closure.independent_sets(~barred & slice_mask)
+            slices = slices_of[allowed] = independent_sets(allowed, units)
         head = code << tau & closure.window_mask
         for m in slices:
             di = index.get(head | m)

@@ -4,25 +4,24 @@ Front end: pick the route's partition (given, or from a minimum vertex
 cover refined to uniform weights), condense the instance under it in one
 pass over its edges (_condense, which also checks the axioms and the
 uniformity), make the result reflexive once and split it into connected
-parts, each handed to its search as class sizes and weights with no
-TypeGraph built.  Each part has a shift digraph with window length
-z = wmax, holding only the windows within the class sizes.  A span-lambda
-labeling of a part is a closed walk of lambda + z + 1 edges through the
-all-empty window whose per-type counts match the class sizes, and
-_ComponentPipeline.shortest_walk returns the shortest one's slices, one
-per label position; later positions are empty.  A part of one type is a
-single class, whose walk is known in closed form.  Any other part gets one
-exact engine, _count_search: a breadth-first search over (window,
-per-type counts), one int per state, which works out the types a window
-allows when it first leaves it and numbers no windows.  Its count code
-holds a placed bit per type of class size 1 and, above those bits, a
-mixed-radix digit per larger type, whose full types and need come from a
-table or are worked out when a state first holds the code; where every
-class has size 1, as on every part of the vertex-cover route, the code is
-just the mask of types placed.  A least span is
-the largest of the parts' least spans.  One decode maps every part's
-slices through its type ids onto the instance's vertices, and
-verify_assignment checks the labeling before any entry point returns it.
+parts, each handed to its search as class sizes, weights and, when it has
+several types, its ShiftClosure, with no TypeGraph built.  Each part has a
+shift digraph with window length z = wmax, holding only the windows within
+the class sizes.  A span-lambda labeling of a part is a closed walk of
+lambda + z + 1 edges through the all-empty window whose per-type counts
+match the class sizes, and _shortest_walk returns the shortest one's
+slices, one per label position; later positions are empty.  A part of one
+type is a single class, whose walk is known in closed form.  Any other part
+gets one exact engine, a breadth-first search over (window, per-type
+counts), one int per state, which works out the types a window allows when
+it first leaves it and numbers no windows.  Its count code holds a placed
+bit per type of class size 1 and, above those bits, a mixed-radix digit per
+larger type, decoded when a state first holds the digits; where every class
+has size 1, as on every part of the vertex-cover route, the code is just
+the mask of types placed.  A least span is the largest of the parts' least
+spans.  One decode maps every part's slices through its type ids onto the
+instance's vertices, and verify_assignment checks the labeling before any
+entry point returns it.
 
 The flow ILP (build_flow_model, solve_flow, euler_walk) is the paper's
 formulation of the same walk as an integer edge multiset: Kirchhoff
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 from .decomposition import (
     NdPartition,
@@ -62,14 +60,10 @@ from .ilp import (
     solve_feasibility,
 )
 from .reduction import labeling_to_ca
-from .shift_digraph import ShiftClosure, ShiftDigraph, build_shift_digraph, iter_bits
+from .shift_digraph import ShiftClosure, ShiftDigraph, independent_sets, iter_bits
 
 # solve_flow gives up after this many cut rounds per digraph edge
 CUT_ROUNDS_PER_EDGE = 10
-
-# a part whose types above class size 1 have at most this many digit codes
-# has them tabulated in one pass
-COUNT_TABLE_CODES = 4096
 
 
 @dataclass(slots=True)
@@ -694,229 +688,154 @@ def _decode(parts, kept, dropped, span: int, vertex_count: int) -> Labeling:
     return Labeling(tuple(labels), span)
 
 
-class _ComponentPipeline:
-    """One connected part of the reflexive type graph: the exact search for
-    the walk, reusable across span probes, over windows as the closure's
-    int codes; digraph, its whole shift digraph, is only for the dump.
+def _count_decoder(sizes, weights: dict):
+    """The decode of a part's count codes past the placed bits of its
+    size-1 types: digit code -> need << tau | full, the label positions the
+    remaining copies of the types above size 1 need at least, and those of
+    them at their class size.  A digit code holds, lowest first, a
+    mixed-radix digit per type above size 1, its count."""
+    tau = len(sizes)
+    # per type above size 1: the type, its radix and the need of its copies
+    # left at each count, which is 0 only when full; left copies sit at
+    # least w(t, t) apart
+    digits = [
+        (t, size + 1, [(size - c - 1) * weights[(t, t)] + 1 for c in range(size)] + [0])
+        for t, size in enumerate(sizes)
+        if size > 1
+    ]
 
-    A part of one type is one class, whose walk shortest_walk gives in
-    closed form, with no closure and no search.  Any other part is searched
-    by _count_search over the states (window, per-type counts) of walk
-    prefixes from the all-empty window.  A span-lambda labeling is a walk
-    of lambda + 1 steps from the all-empty window, step k putting the new
-    window's last slice at label position k - 1, whose per-type counts end
-    equal to the class sizes; z empty slices then close it at the all-empty
-    window.  Empty slices can always be appended, so a state reached at
-    step k can do everything the same state can do when reached later: the
-    step need not be part of the state, and the shortest walk to the class
-    sizes serves every span from its own up.
+    def decode(code: int) -> int:
+        full = need = 0
+        for t, radix, needs in digits:
+            n = needs[code % radix]
+            code //= radix
+            if n > need:
+                need = n
+            elif not n:
+                full |= 1 << t
+        return need << tau | full
 
-    A state is one int, window << bits | count code.  In the count code a
-    type of class size 1 is bit t of the low tau bits, set once it is
-    placed; the types above size 1 are mixed-radix digits above those bits,
-    whose types at their class size and remaining copies' need come from a
-    table over the digit codes or, past COUNT_TABLE_CODES, from _info.  On
-    a part of size-1 classes (every part of the vc route, whose classes
-    outside the cover are independent sets, and of any partition without a
-    clique class) the code is the mask of types placed and the table has
-    one entry.  A window's kept slices hold no type past the counts, so the
-    closure's bars alone give the types a new slice may hold.  The search
-    memoises them per window, and per set of free types its moves, fullest
-    first.  expanded counts the windows it expanded, and more than
-    max_windows of them raise GuardExceeded.  A part comes as its sizes and
-    weights, as in a reflexive TypeGraph, and a one-type part makes no
-    closure.
+    return decode
+
+
+def _moves(free: int, lifted, bits: int) -> list[int]:
+    """The independent sets of the free types as moves, each the sum of
+    its types' lifted terms, fullest first; a stable sort, so sets of equal
+    size keep independent_sets' order."""
+    return sorted(
+        independent_sets(free, lifted), key=lambda move: (move >> bits).bit_count(), reverse=True
+    )
+
+
+def _shortest_walk(sizes, weights: dict, closure, span=None, max_windows=None):
+    """Slices shifted in by a shortest walk from the all-empty window whose
+    per-type counts reach the class sizes, one per label position (their
+    count minus 1 is the part's least span, and under a span a part with no
+    walk within it gives None), and the number of windows expanded.  A part
+    comes as its sizes and weights, as in a reflexive TypeGraph, and its
+    ShiftClosure, None for a part of one type.
+
+    A part of one type is one class: after the reflexive reduction a clique
+    of s vertices whose pairs all carry the loop weight w (s = 1 for a
+    loopless class).  Its labels sit pairwise at least w apart, so its least
+    span is (s - 1) * w, met by one copy every w positions, and a smaller
+    span is refuted, on the certificate _condense has checked exactly:
+    C(s, 2) inner edges, all carrying w.
+
+    Any other part gets a breadth-first search over the states (window,
+    per-type counts) of walk prefixes from the all-empty window.  A
+    span-lambda labeling is a walk of lambda + 1 steps, step k putting the
+    new window's last slice at label position k - 1, whose counts end at
+    the class sizes; z empty slices then close it.  Empty slices can always
+    be appended, so a state reached at step k can do all that it can when
+    reached later: layer k holds the states first entered after k steps,
+    each with the state it was entered from.  Under a span the search gives
+    up after span + 1 steps, and skips a state whose remaining copies need
+    more label positions than are left.
+
+    A state is one int, window << bits | count code, bits being the bit
+    length of the full code.  In the count code a type of class size 1 is
+    bit t of the low tau bits, set once it is placed, and the types above
+    size 1 are mixed-radix digits above those bits; on a part of size-1
+    classes (every part of the vc route, and of any partition without a
+    clique class) the code is the mask of types placed.  Size-1 types are
+    left out of the need: each needs one position, and one is always left
+    inside the loop.  A window's kept slices hold no type past the counts,
+    so the closure's bars alone give the types a new slice may hold; more
+    than max_windows expanded windows raise GuardExceeded.  A state's moves
+    are the independent sets of the allowed types not at their class size,
+    each the sum of its types' terms 1 << bits + t | step, fullest first:
+    the first reaches the class sizes if any does.  The allowed types per
+    window, the moves per set of free types and the decode per digit code
+    are memoised for the call.
     """
+    if closure is None:
+        size, loop = sizes[0], weights[(0, 0)]
+        if span is not None and (size - 1) * loop > span:
+            return None, 0
+        return [1] + ([0] * (loop - 1) + [1]) * (size - 1), 0
+    tau, newest = closure.type_count, closure.slice_mask
+    step_of, place = [], 1 << tau  # the next digit's place, above the size-1 bits
+    for t, size in enumerate(sizes):
+        if size == 1:
+            step_of.append(1 << t)
+        else:
+            step_of.append(place)
+            place *= size + 1
+    goal = sum(size * step for size, step in zip(sizes, step_of))
+    bits = goal.bit_length()
+    decode = _count_decoder(sizes, weights)
+    lifted = [
+        (clash << bits, 1 << bits + t | step)
+        for t, (clash, step) in enumerate(zip(closure.clash, step_of))
+    ]
+    codes = (1 << bits) - 1
+    keep = (closure.window_mask ^ newest) << bits  # a window's z - 1 older slices, shifted
+    info_of, allowed_of, moves_of = {}, {}, {}
 
-    def __init__(self, sizes, weights: dict, *, max_digraph_nodes=None):
-        self.sizes, self.weights = sizes, weights
-        self.max_windows, self.expanded = max_digraph_nodes, 0
-        z = max(weights.values(), default=1)
-        self.closure = ShiftClosure(sizes, weights, z) if len(sizes) > 1 else None
-        # per type above size 1, (the type, its radix, the need of its copies
-        # left at each count, 0 when full); a digit code -> need << tau | the
-        # types among them at their class size, a list of every code when
-        # tabulated and otherwise a dict that _info fills
-        self._digits: list[tuple[int, int, list[int]]] | None = None
-        self._count_info: list[int] | dict[int, int] = {}
-        # window code -> types its bars allow in a new slice, and a set of
-        # free types -> its moves fullest first
-        self._allowed: dict[int, int] = {}
-        self._free_moves: dict[int, list[int]] = {}
-
-    def _info(self, code: int) -> int:
-        """A digit code's need << tau | full, memoised: the label positions the
-        remaining copies of the types above size 1 need at least, and those
-        of them at their class size."""
-        key, full, need = code, 0, 0
-        for t, radix, needs in self._digits:
-            code, count = divmod(code, radix)
-            need = max(need, needs[count])
-            full |= (count == radix - 1) << t
-        info = self._count_info[key] = need << len(self.sizes) | full
-        return info
-
-    @cached_property
-    def type_graph(self) -> TypeGraph:
-        """The part as a reflexive TypeGraph, for the digraph and the flow ILP."""
-        pairs = frozenset(pair for pair in self.weights if pair[0] != pair[1])
-        return TypeGraph(tuple(self.sizes), frozenset(range(len(self.sizes))), pairs, self.weights)
-
-    @cached_property
-    def digraph(self) -> ShiftDigraph:
-        """The part's whole shift digraph; no search needs it."""
-        tg = self.type_graph
-        return build_shift_digraph(tg, tg.wmax, max_nodes=self.max_windows)
-
-    def _allow(self, window: int) -> int:
-        """The types the closure's bars allow in the slice shifted in after
-        this window, memoised per window: the search's expansion of it,
-        counted in expanded, past max_windows raising."""
-        self.expanded += 1
-        if self.max_windows is not None and self.expanded > self.max_windows:
-            raise GuardExceeded(f"expanded window count exceeds guard of {self.max_windows}")
-        barred = 0
-        closure = self.closure
-        for bit, bar in closure.bars:
-            if window & bar:
-                barred |= bit
-        allowed = self._allowed[window] = closure.slice_mask & ~barred
-        return allowed
-
-    def shortest_walk(self, span: int | None = None) -> list[int] | None:
-        """Slices shifted in by a shortest walk from the all-empty window
-        whose per-type counts reach the class sizes, one per label position;
-        their count minus 1 is the least span.
-
-        A part of one type is one class: after the reflexive reduction a
-        clique of s vertices whose pairs all carry the loop weight w (s = 1
-        for a loopless class).  Its labels sit pairwise at least w apart, so
-        its least span is (s - 1) * w, met by one copy every w positions,
-        and a smaller span is refuted.  The refutation rests on the
-        certificate _condense has checked exactly: C(s, 2) inner edges, all
-        carrying w.
-
-        Any other part gets a breadth-first search: layer k holds the states
-        first entered after k steps, each with the state it was entered
-        from, since reaching a state later can only lengthen the walk.
-        Under a span, after span + 1 steps the search gives up with None,
-        every state within them tried.  Without a span there is no state
-        limit.
-        """
-        if len(self.sizes) == 1:
-            size, loop = self.sizes[0], self.weights[(0, 0)]
-            if span is not None and (size - 1) * loop > span:
-                return None
-            return [1] + ([0] * (loop - 1) + [1]) * (size - 1)
-        return self._count_search(span)
-
-    def _moves(self, free: int, lifted) -> list[int]:
-        """The independent sets of the free types in independent_sets' order,
-        built in one pass, each as the sum of its types' lifted terms; per
-        type, lifted holds (its clash mask, its term), both lifted past the
-        count code."""
-        moves = [0]
-        for t in iter_bits(free):
-            clash, term = lifted[t]
-            moves += [m + term for m in moves if not clash & m]
-        return moves
-
-    def _count_search(self, span: int | None) -> list[int] | None:
-        """shortest_walk over the states window << bits | count code, bits
-        being the bit length of the full code, every type at its class
-        size.  A type's step in the code is bit t when its class size is 1,
-        and otherwise its digit's place above the low tau bits.  A state's
-        moves are the independent sets of the types its window allows and
-        that are not at their class size, each the sum of its types' terms
-        1 << bits + t | step, which adds into the shifted state; the
-        fullest, the one that reaches the class sizes if any does, comes
-        first.  The digit code's full types and need come from one table
-        over at most COUNT_TABLE_CODES digit codes, and past that from
-        _info once a state holds the code.  Under a span, a state whose
-        remaining copies need more label positions than are left is not
-        expanded.  The size-1 types are left out of that need: they never
-        prune, for each needs one position and at least one is left inside
-        the loop."""
-        closure = self.closure
-        tau, newest = closure.type_count, closure.slice_mask
-        step_of, place = [], 1 << tau  # the next digit's place, above the size-1 bits
-        for t, size in enumerate(self.sizes):
-            if size == 1:
-                step_of.append(1 << t)
-            else:
-                step_of.append(place)
-                place *= size + 1
-        goal = sum(size * step for size, step in zip(self.sizes, step_of))
-        bits = goal.bit_length()
-        if self._digits is None:
-            # left copies of a type sit at least w(t, t) apart
-            self._digits = [
-                (t, size + 1, [(size - c - 1) * self.weights[(t, t)] + 1 for c in range(size)] + [0])
-                for t, size in enumerate(self.sizes)
-                if size > 1
-            ]
-            if goal >> tau < COUNT_TABLE_CODES:  # digit by digit, as _info reads them
-                infos = [0]
-                for t, _, needs in self._digits:
-                    infos = [
-                        max(i, n << tau | i & newest) | (not n) << t for n in needs for i in infos
-                    ]
-                self._count_info = infos
-        lifted = [
-            (clash << bits, 1 << bits + t | step)
-            for t, (clash, step) in enumerate(zip(closure.clash, step_of))
-        ]
-        codes = (1 << bits) - 1
-        keep = (closure.window_mask ^ newest) << bits  # a window's z - 1 older slices, shifted
-        allowed_of, moves_of, allow = self._allowed, self._free_moves, self._allow
-        info_of, info = self._count_info, self._info
-
-        def slice_size(move):
-            return (move >> bits).bit_count()
-
-        last = float("inf") if span is None else span + 1
-        parent = {0: None}  # the all-empty window with no type counted
-        layer = [0]
-        steps = 0
-        while layer and steps < last:
-            left = last - steps  # label positions from the one placed now
-            steps += 1  # building the layer of walks with this many steps
-            next_layer = []
-            for state in layer:
-                code = state & codes
-                try:
-                    need_full = info_of[code >> tau]
-                except KeyError:  # a digit code space past COUNT_TABLE_CODES
-                    need_full = info(code >> tau)
-                if span is not None and need_full >> tau > left:
+    last = float("inf") if span is None else span + 1
+    parent = {0: None}  # the all-empty window with no type counted
+    layer = [0]
+    steps = 0
+    while layer and steps < last:
+        left = last - steps  # label positions from the one placed now
+        steps += 1  # building the layer of walks with this many steps
+        next_layer = []
+        for state in layer:
+            code = state & codes
+            need_full = info_of.get(code >> tau)
+            if need_full is None:
+                need_full = info_of[code >> tau] = decode(code >> tau)
+            if span is not None and need_full >> tau > left:
+                continue
+            window = state >> bits
+            allowed = allowed_of.get(window)
+            if allowed is None:
+                if max_windows is not None and len(allowed_of) >= max_windows:
+                    raise GuardExceeded(f"expanded window count exceeds guard of {max_windows}")
+                allowed = allowed_of[window] = closure.allowed(window)
+            free = allowed & ~(need_full | code)
+            moves = moves_of.get(free)
+            if moves is None:
+                moves = moves_of[free] = _moves(free, lifted, bits)
+            if code + (moves[0] & codes) == goal:
+                slices = [moves[0] >> bits]
+                while state:
+                    slices.append(state >> bits & newest)
+                    state = parent[state]
+                slices.reverse()
+                return slices, len(allowed_of)
+            head = state << tau & keep | code
+            for move in moves:
+                key = head + move
+                if key in parent:
                     continue
-                window = state >> bits
-                allowed = allowed_of.get(window)
-                if allowed is None:
-                    allowed = allow(window)
-                free = allowed & ~(need_full | code)
-                moves = moves_of.get(free)
-                if moves is None:  # a stable sort, so equal sizes keep their order
-                    moves = sorted(self._moves(free, lifted), key=slice_size, reverse=True)
-                    moves_of[free] = moves
-                if code + (moves[0] & codes) == goal:
-                    slices = [moves[0] >> bits]
-                    while state:
-                        slices.append(state >> bits & newest)
-                        state = parent[state]
-                    slices.reverse()
-                    return slices
-                head = state << tau & keep | code
-                for move in moves:
-                    key = head + move
-                    if key in parent:
-                        continue
-                    parent[key] = state
-                    next_layer.append(key)
-            layer = next_layer
-        if span is None:
-            raise InternalSolverError("no walk reaches the class sizes at any span")
-        return None
+                parent[key] = state
+                next_layer.append(key)
+        layer = next_layer
+    if span is None:
+        raise InternalSolverError("no walk reaches the class sizes at any span")
+    return None, len(allowed_of)
 
 
 def _type_parts(sizes, weights: dict):
@@ -955,16 +874,18 @@ def _type_parts(sizes, weights: dict):
     return [([sizes[t] for t in part], pw, part) for part, pw in zip(parts, part_weights)]
 
 
-def _pipelines(wg: WeightedGraph, route: str, partition, max_digraph_nodes=None):
+def _parts(wg: WeightedGraph, route: str, partition):
     """The route's partition, condensed once and made reflexive once, and
-    one pipeline per connected part of the reflexive type graph.
+    its connected parts, each with the ShiftClosure its search steps with.
 
     Returns (partition before weight refinement, (kept, dropped) of the
-    reflexive reduction, list of (pipeline, the part's type ids)).  Raises
-    ValueError on an unknown route, a missing partition on the uniform
-    route or a given one on the vc route, or a partition that is no
-    decomposition, and NotUniformError (a ValueError) on weights that are
-    not uniform on the partition.
+    reflexive reduction, list of (sizes, weights, closure, type ids) per
+    part, the closure None for a one-type part).  Every closure is built
+    before any part is searched, so a part over the type limit raises
+    GuardExceeded first.  Raises ValueError on an unknown route, a missing
+    partition on the uniform route or a given one on the vc route, or a
+    partition that is no decomposition, and NotUniformError (a ValueError)
+    on weights that are not uniform on the partition.
     """
     if route == "uniform":
         if partition is None:
@@ -981,11 +902,11 @@ def _pipelines(wg: WeightedGraph, route: str, partition, max_digraph_nodes=None)
     if not uniform:
         raise NotUniformError("edge weights are not uniform on the given partition")
     sizes, weights, kept, dropped = _reflexive(sizes, weights, refined.classes)
-    pipelines = [
-        (_ComponentPipeline(part_sizes, part_weights, max_digraph_nodes=max_digraph_nodes), ids)
-        for part_sizes, part_weights, ids in _type_parts(sizes, weights)
+    parts = [
+        (s, w, ShiftClosure(s, w, max(w.values())) if len(s) > 1 else None, ids)
+        for s, w, ids in _type_parts(sizes, weights)
     ]
-    return base, (kept, dropped), pipelines
+    return base, (kept, dropped), parts
 
 
 def _solve(wg, route, partition, span, stats, max_digraph_nodes):
@@ -999,24 +920,25 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
     if span is not None and span < 0:
         raise ValueError("span must be nonnegative")
     start = time.perf_counter()
-    base, (kept, dropped), pipelines = _pipelines(wg, route, partition, max_digraph_nodes)
+    base, (kept, dropped), parts = _parts(wg, route, partition)
     if stats is not None:
         stats.nd = base.count
         stats.types = len(kept)
 
     minimize = span is None
     labeling = None
-    parts = []
-    for pipeline, type_ids in pipelines:
-        slices = pipeline.shortest_walk(span)
+    walks, expanded = [], 0
+    for sizes, weights, closure, type_ids in parts:
+        slices, windows = _shortest_walk(sizes, weights, closure, span, max_digraph_nodes)
+        expanded += windows
         if slices is None:
             break  # this part has no labeling within the span
-        parts.append((slices, type_ids))
+        walks.append((slices, type_ids))
     else:
         if minimize:
             # the parts are independent, so the least span is the largest of theirs
-            span = max((len(slices) - 1 for slices, _ in parts), default=0)
-        labeling = _decode(parts, kept, dropped, span, wg.graph.n)
+            span = max((len(slices) - 1 for slices, _ in walks), default=0)
+        labeling = _decode(walks, kept, dropped, span, wg.graph.n)
         verdict = verify_assignment(wg, labeling)
         if not verdict.ok:
             raise InternalSolverError(
@@ -1024,7 +946,7 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
                 f"out of range {verdict.out_of_range}"
             )
     if stats is not None:
-        stats.digraph_nodes += sum(p.expanded for p, _ in pipelines)
+        stats.digraph_nodes += expanded
         stats.solve_ms = round(stats.solve_ms + (time.perf_counter() - start) * 1000, 3)
     return (span, labeling) if minimize else labeling
 

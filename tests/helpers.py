@@ -26,24 +26,33 @@ from ndchan.decomposition import CLIQUE, INDEPENDENT, TypeGraph
 from ndchan.errors import GuardExceeded
 
 
+def part_type_graph(sizes, weights: dict) -> TypeGraph:
+    """A part, as the solver hands it to its search (sizes and reflexive
+    weights), as a TypeGraph, for the whole digraph and the flow ILP."""
+    pairs = frozenset(pair for pair in weights if pair[0] != pair[1])
+    return TypeGraph(tuple(sizes), frozenset(range(len(sizes))), pairs, weights)
+
+
 def send_probes_to_ilp(mp) -> None:
     """Answer every span probe of a part with the flow ILP through `mp` (a
-    pytest MonkeyPatch): solve_flow picks the edge multiset, an Euler walk
-    orders it and _walk_slices checks and reads its slices, in place of the
-    walk search.  Searches for a least span (no span) still use the walk
-    search."""
-    search = solver._ComponentPipeline.shortest_walk
+    pytest MonkeyPatch): solve_flow picks the edge multiset over the part's
+    whole shift digraph, an Euler walk orders it and _walk_slices checks and
+    reads its slices, in place of the walk search, expanding no window.
+    Searches for a least span (no span) still use the walk search."""
+    search = solver._shortest_walk
 
-    def by_ilp(self, span=None):
+    def by_ilp(sizes, weights, closure, span=None, max_windows=None):
         if span is None:
-            return search(self, span)
-        ms = solver.solve_flow(self.digraph, self.type_graph, span)
+            return search(sizes, weights, closure, span, max_windows)
+        tg = part_type_graph(sizes, weights)
+        digraph = build_shift_digraph(tg, tg.wmax, max_nodes=max_windows)
+        ms = solver.solve_flow(digraph, tg, span)
         if ms is None:
-            return None
-        walk = solver.euler_walk(ms, self.digraph)
-        return solver._walk_slices(walk, self.digraph, self.type_graph, span)
+            return None, 0
+        walk = solver.euler_walk(ms, digraph)
+        return solver._walk_slices(walk, digraph, tg, span), 0
 
-    mp.setattr(solver._ComponentPipeline, "shortest_walk", by_ilp)
+    mp.setattr(solver, "_shortest_walk", by_ilp)
 
 
 def full_digraph_exceeds(wg: WeightedGraph, route: str, partition, guard: int) -> bool:
@@ -62,10 +71,8 @@ def full_digraph_exceeds(wg: WeightedGraph, route: str, partition, guard: int) -
     reduced = preprocess_reflexive(tg, partition).type_graph
     for sizes, weights, _ in solver._type_parts(reduced.sizes, reduced.weights):
         z = max(weights.values())
-        pairs = frozenset(pair for pair in weights if pair[0] != pair[1])
-        unbounded = TypeGraph((z,) * len(sizes), frozenset(range(len(sizes))), pairs, weights)
         try:
-            build_shift_digraph(unbounded, z, max_nodes=guard)
+            build_shift_digraph(part_type_graph((z,) * len(sizes), weights), z, max_nodes=guard)
         except GuardExceeded:
             return True
     return False

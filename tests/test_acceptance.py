@@ -9,6 +9,7 @@ spaces.
 """
 
 import contextlib
+import hashlib
 import random
 import time
 from collections import deque
@@ -52,6 +53,7 @@ from helpers import (
     lp_feasible_brute,
     lp_labeling_valid,
     lp_min_span_brute,
+    part_type_graph,
     path_graph,
     random_graph,
     random_weighted_graph,
@@ -301,14 +303,14 @@ def test_minimize_span_one_search_per_part(monkeypatch):
     # each part gets one shortest-walk search and no span probe: its own
     # walk, decoded at the largest least span, is the witness
     searched = []
-    original_search = solver._ComponentPipeline.shortest_walk
+    original_search = solver._shortest_walk
 
-    def recorded_search(self, span=None):
+    def recorded_search(sizes, weights, closure, span=None, max_windows=None):
         assert span is None
-        searched.append(self)
-        return original_search(self, span)
+        searched.append(id(weights))  # each part has its own weights
+        return original_search(sizes, weights, closure, span, max_windows)
 
-    monkeypatch.setattr(solver._ComponentPipeline, "shortest_walk", recorded_search)
+    monkeypatch.setattr(solver, "_shortest_walk", recorded_search)
     k20_20 = Graph.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40)])
     cases = [(g, p) for _, g in FIXTURE_GRAPHS for p in FIXTURE_CONSTRAINTS]
     cases.append((k20_20, (3, 2)))
@@ -317,8 +319,8 @@ def test_minimize_span_one_search_per_part(monkeypatch):
         partition = nd_partition(g)
         searched.clear()
         span, labeling = minimize_span(wg, "uniform", partition)
-        _, _, pipelines = solver._pipelines(wg, "uniform", partition)
-        assert len(set(searched)) == len(searched) == len(pipelines) > 0, (g, p)
+        _, _, parts = solver._parts(wg, "uniform", partition)
+        assert len(set(searched)) == len(searched) == len(parts) > 0, (g, p)
         assert verify_assignment(wg, labeling).ok
     assert span == 79  # K20,20 under L(3,2): each side 2 * 19, and 3 between them
     _passed("minimize_span searches", f"{len(cases)} instances, one search per part")
@@ -338,22 +340,22 @@ def test_walk_search_does_not_depend_on_successor_order(monkeypatch):
         (labeling_to_ca(g, DistanceConstraints(p)), nd_partition(g)) for g, p in cases
     ]
     searched = {
-        max(pipeline.sizes) == 1
+        max(sizes) == 1
         for wg, partition in instances
-        for pipeline, _ in solver._pipelines(wg, "uniform", partition)[2]
-        if len(pipeline.sizes) > 1
+        for sizes, _, closure, _ in solver._parts(wg, "uniform", partition)[2]
+        if closure is not None
     }
     # searched parts whose count codes are placed-type masks, and parts
     # with count digits
     assert searched == {True, False}
     answers = [minimize_span(wg, "uniform", partition) for wg, partition in instances]
-    original_moves = solver._ComponentPipeline._moves
+    original_sets = solver.independent_sets
 
-    def reversed_moves(self, free, lifted):
+    def reversed_sets(free, lifted):
         # the search sorts these stably by size, so reversed within it
-        return original_moves(self, free, lifted)[::-1]
+        return original_sets(free, lifted)[::-1]
 
-    monkeypatch.setattr(solver._ComponentPipeline, "_moves", reversed_moves)
+    monkeypatch.setattr(solver, "independent_sets", reversed_sets)
     changed = 0
     for (wg, partition), (least, first) in zip(instances, answers):
         span, labeling = minimize_span(wg, "uniform", partition)
@@ -368,6 +370,34 @@ def test_walk_search_does_not_depend_on_successor_order(monkeypatch):
     assert changed > 0  # the reversal reached the moves the search takes
     assert answers[-1][0] == 79
     _passed("successor order", f"{len(cases)} instances, labels changed on {changed}")
+
+
+def test_answers_pinned():
+    """Least spans, labels and windows expanded over the labeling fixtures
+    on both routes, and the decisions at each least span and one below,
+    hashed into one digest.  A change to the walk search that moves any
+    label, verdict or expanded-window count, such as another move order,
+    changes the digest."""
+    answers = []
+    for name, g in FIXTURE_GRAPHS:
+        for p in FIXTURE_CONSTRAINTS:
+            wg = labeling_to_ca(g, DistanceConstraints(p))
+            partition = nd_partition(g)
+            for route, part in (("uniform", partition), ("vc", None)):
+                stats = SolveStats()
+                least, labeling = minimize_span(wg, route, part, stats=stats)
+                answers.append((name, p, route, least, labeling.labels, stats.digraph_nodes))
+                for span in (least, least - 1)[: 1 + (least > 0)]:
+                    stats = SolveStats()
+                    if route == "uniform":
+                        labeling = solve_ca_uniform(wg, partition, span, stats=stats)
+                    else:
+                        labeling = solve_ca_vc(wg, span, stats=stats)
+                    answers.append((span, labeling and labeling.labels, stats.digraph_nodes))
+    assert len(answers) == 312
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == "b86723a4de99eb385beb2ff2d9df868045cf61891e8272e76b303dfcf5441811"
+    _passed("answers pinned", f"{len(answers)} solves")
 
 
 def _least_feasible_span(wg):
@@ -468,10 +498,9 @@ def _duality_check(wg, partition, span):
     and check the slices it shifted in, padded with empty slices to span + 1
     label positions, against the sequence conditions (class-size counts
     included) independently."""
-    _, _, pipelines = solver._pipelines(wg, "uniform", partition)
-    for pipeline, _ in pipelines:
-        tg = pipeline.type_graph
-        slices = pipeline.shortest_walk(span)
+    for sizes, weights, closure, _ in solver._parts(wg, "uniform", partition)[2]:
+        tg = part_type_graph(sizes, weights)
+        slices, _ = solver._shortest_walk(sizes, weights, closure, span)
         assert slices is not None and len(slices) <= span + 1
         slices = slices + [0] * (span + 1 - len(slices))
         sets = [{t for t in range(mask.bit_length()) if mask >> t & 1} for mask in slices]
@@ -584,11 +613,10 @@ def test_cut_separators_on_walk_supports(uniform_route_records):
         if rec["labeling"] is None:
             continue
         span = rec["span"]
-        _, _, pipelines = solver._pipelines(rec["wg"], "uniform", rec["partition"])
-        for pipeline, _ in pipelines:
-            full = pipeline.digraph
-            tg = pipeline.type_graph
-            slices = pipeline.shortest_walk(span)
+        for sizes, weights, closure, _ in solver._parts(rec["wg"], "uniform", rec["partition"])[2]:
+            tg = part_type_graph(sizes, weights)
+            full = build_shift_digraph(tg, tg.wmax)
+            slices, _ = solver._shortest_walk(sizes, weights, closure, span)
             assert slices is not None
             # the closed walk of span + z + 1 steps that shifts in these
             # slices and then empty ones, as windows of the built digraph

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ndchan import build_shift_digraph, decomposition, solver
+from ndchan import build_shift_digraph, cli, decomposition, shift_digraph, solver
 from ndchan.cli import build_parser, main
 from helpers import send_probes_to_ilp
 
@@ -165,7 +165,8 @@ class TestSolve:
             calls.append(args)
             return build_shift_digraph(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "build_shift_digraph", counted)
+        monkeypatch.setattr(cli, "build_shift_digraph", counted)
+        monkeypatch.setattr(shift_digraph, "build_shift_digraph", counted)
         path = write_instance(tmp_path, '{"n":4,"edges":[[0,1,2],[2,3,2]]}')
         for flags, builds in (([], 0), (["--dump-digraph"], 2)):
             calls.clear()

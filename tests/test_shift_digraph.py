@@ -6,7 +6,7 @@ import pytest
 from ndchan import build_shift_digraph, dump_digraph, solver
 from ndchan.decomposition import TypeGraph
 from ndchan.errors import GuardExceeded
-from ndchan.shift_digraph import iter_bits
+from ndchan.shift_digraph import ShiftClosure, independent_sets, iter_bits
 
 
 def single_loop_type(weight, size=1):
@@ -191,30 +191,55 @@ class TestBuildShiftDigraph:
 
 
 class TestOnDemandSuccessors:
-    def test_expanded_windows_match_the_full_digraph(self):
+    def test_expanded_windows_match_the_full_digraph(self, monkeypatch):
         # every window the walk search expands (an int code in window_code's
-        # layout) is a window of build_shift_digraph, and the slices of the
-        # types its bars allow, less those that take a type past its class
-        # size, are that window's out-edges in order; the moves memoised per
-        # set of free types are its independent sets, fullest first, each
-        # adding its types' steps to the count code
+        # layout) is a window of build_shift_digraph, expanded once per
+        # search, and the slices of the types its bars allow, less those
+        # that take a type past its class size, are that window's out-edges
+        # in order; the moves made per set of free types are its independent
+        # sets, fullest first, each adding its types' steps to the count code
         rng = random.Random(12)
         expanded = 0
+        allowed_of, moves_of, seen = {}, {}, []
+        allowed, moves = ShiftClosure.allowed, solver._moves
+
+        def recorded_allowed(self, window):
+            seen.append(window)
+            allowed_of[window] = allowed(self, window)
+            return allowed_of[window]
+
+        def recorded_moves(free, lifted, bits):
+            moves_of[free] = moves(free, lifted, bits)
+            return moves_of[free]
+
+        def search(span):
+            nonlocal expanded
+            seen.clear()
+            slices, windows = solver._shortest_walk(tg.sizes, tg.weights, closure, span)
+            assert len(set(seen)) == len(seen) == windows
+            expanded += windows
+            return slices
+
         for _ in range(200):
             tg, _ = random_type_graph(rng)
-            pipeline = solver._ComponentPipeline(tg.sizes, tg.weights)
-            least = len(pipeline.shortest_walk()) - 1
-            for span in range(least):
-                assert pipeline.shortest_walk(span) is None
+            closure = ShiftClosure(tg.sizes, tg.weights, tg.wmax) if tg.node_count > 1 else None
+            allowed_of.clear()
+            moves_of.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(ShiftClosure, "allowed", recorded_allowed)
+                patched.setattr(solver, "_moves", recorded_moves)
+                least = len(search(None)) - 1
+                for span in range(least + 2):
+                    assert (search(span) is None) == (span < least)
             d = build_shift_digraph(tg, tg.wmax)
             index = {d.window_code(node): node for node in range(len(d.windows))}
-            closure = pipeline.closure
-            for code, allowed in pipeline._allowed.items():
+            units = [(clash, 1 << t) for t, clash in enumerate(closure.clash)] if closure else []
+            for code, allowed_types in allowed_of.items():
                 node = index[code]
                 kept = as_sets(d, node)[1:]
                 slices = [
                     m
-                    for m in closure.independent_sets(allowed)
+                    for m in independent_sets(allowed_types, units)
                     if within_sizes(kept + (frozenset(iter_bits(m)),), tg.sizes)
                 ]
                 assert slices == [d.windows[d.edges[ei][1]][-1] for ei in d.out_edges[node]]
@@ -228,14 +253,12 @@ class TestOnDemandSuccessors:
                     steps.append(place << tau)
                     place *= size + 1
             shift = sum(size * step for size, step in zip(tg.sizes, steps)).bit_length()
-            for free, moves in pipeline._free_moves.items():
-                masks = [move >> shift & closure.slice_mask for move in moves]
-                assert sorted(masks) == closure.independent_sets(free)
+            for free, made in moves_of.items():
+                masks = [move >> shift & closure.slice_mask for move in made]
+                assert sorted(masks) == independent_sets(free, units)
                 assert masks == sorted(masks, key=int.bit_count, reverse=True)
-                for mask, move in zip(masks, moves):
+                for mask, move in zip(masks, made):
                     assert move == mask << shift | sum(steps[t] for t in iter_bits(mask))
-            assert len(pipeline._allowed) == pipeline.expanded
-            expanded += pipeline.expanded
         assert expanded > 200
 
 

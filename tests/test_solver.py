@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -22,6 +23,7 @@ from ndchan import (
     minimize_span,
     nd_partition,
     preprocess_reflexive,
+    refine_uniform,
     solve_ca_uniform,
     solve_ca_vc,
     solve_flow,
@@ -30,13 +32,13 @@ from ndchan import (
     walk_to_labeling,
 )
 from ndchan.decomposition import CLIQUE, TypeGraph
-from ndchan import solver
+from ndchan import shift_digraph, solver
 from ndchan.errors import GuardExceeded, InternalSolverError
 from ndchan.ilp import EQ, solve_feasibility
 from ndchan.oracle import brute_force_ca
 from ndchan.shift_digraph import ShiftClosure
 from ndchan.solver import SolveStats, Walk
-from helpers import complete_graph, cycle_graph, path_graph, star_graph
+from helpers import complete_graph, cycle_graph, part_type_graph, path_graph, star_graph
 
 
 def k3_instance(w=2):
@@ -320,15 +322,15 @@ class TestWalkSearch:
     def test_two_clique_classes_match_the_oracle(self):
         # at its least span 12 and on either side of it
         wg, partition = two_clique_classes()
-        _, _, [(pipeline, _)] = solver._pipelines(wg, "uniform", partition)
-        assert len(pipeline.shortest_walk()) - 1 == 12
+        _, _, [(sizes, weights, closure, _)] = solver._parts(wg, "uniform", partition)
+        assert len(solver._shortest_walk(sizes, weights, closure)[0]) - 1 == 12
         for span in (11, 12, 13):
             labeling = solve_ca_uniform(wg, partition, span)
             oracle = brute_force_ca(wg, span, guard=10**9)
             assert (labeling is None) == (oracle is None) == (span == 11), span
             if labeling is not None:
                 assert verify_assignment(wg, labeling).ok
-        assert pipeline.shortest_walk(11) is None
+        assert solver._shortest_walk(sizes, weights, closure, 11)[0] is None
 
     def test_pads_above_the_least_span(self):
         # K20,20 under L(3,2): least span 79 (each side 2 * 19, and 3 between
@@ -353,21 +355,25 @@ class TestWalkSearch:
         # the closed form's slices, and so does the clique instance through
         # the entry points, which the oracle confirms where it runs
         least = (size - 1) * loop
-        part = solver._ComponentPipeline([size], {(0, 0): loop})
-        slices = part.shortest_walk()
-        assert len(slices) - 1 == least
-        assert part.shortest_walk(least) == slices
-        assert least == 0 or part.shortest_walk(least - 1) is None
-        assert part.expanded == 0 and part.closure is None
-        # a one-type part makes no closure; give the search its own
-        searched = solver._ComponentPipeline([size], {(0, 0): loop})
-        searched.closure = ShiftClosure([size], {(0, 0): loop}, loop)
-        search = searched._count_search
-        assert search(None) == search(least) == slices
+        part = ([size], {(0, 0): loop})
+        slices, expanded = solver._shortest_walk(*part, None)
+        assert len(slices) - 1 == least and expanded == 0
+        assert solver._shortest_walk(*part, None, least) == (slices, 0)
+        assert least == 0 or solver._shortest_walk(*part, None, least - 1) == (None, 0)
+        # the front end gives a one-type part no closure; given its own, the
+        # part goes to the breadth-first search
+        closure = ShiftClosure(*part, loop)
+
+        def search(span=None):
+            return solver._shortest_walk(*part, closure, span)[0]
+
+        assert search() == search(least) == slices
         assert least == 0 or search(least - 1) is None
         pairs = itertools.combinations(range(size), 2)
         wg = WeightedGraph.from_edges(size, [(u, v, loop) for u, v in pairs])
         partition = nd_partition(wg.graph)
+        [(_, _, no_closure, _)] = solver._parts(wg, "uniform", partition)[2]
+        assert no_closure is None
         span, labeling = minimize_span(wg, "uniform", partition)
         assert span == least and verify_assignment(wg, labeling).ok
         assert verify_assignment(wg, solve_ca_uniform(wg, partition, least)).ok
@@ -378,53 +384,49 @@ class TestWalkSearch:
         except GuardExceeded:
             pass
 
-    def test_count_table_matches_the_definition(self, monkeypatch):
-        # on random parts small enough to be tabulated, the table covers the
-        # digit codes of the types above size 1 only (a size-1 type is a bit
-        # of the count code, outside it), and every entry and _info (which
-        # larger parts read per code) give those types at their class size
-        # and the label positions their remaining copies need, left copies
-        # of type t at least w(t, t) apart; the walk places every type its
-        # class size many times, and the search returns the same walks
-        # reading the codes through _info
+    def test_count_table_matches_the_definition(self):
+        # on random parts, the count decode covers the digit codes of the
+        # types above size 1 only (a size-1 type is a bit of the count code,
+        # outside it); on every one of those codes it gives those types at
+        # their class size and the label positions their remaining copies
+        # need, left copies of type t at least w(t, t) apart.  The walk
+        # places every type its class size many times and is refuted one
+        # step shorter.  The digest of all 40 walks is pinned, so a change
+        # in the move order of parts with count digits shows here
         rng = random.Random(21)
         mixed = 0
+        walks = []
         for _ in range(40):
             tau = rng.randint(2, 4)
             sizes = [rng.randint(1, 4) for _ in range(tau)]
             weights = {(t, t): rng.randint(1, 4) for t in range(tau)}
             weights.update(((t, t + 1), rng.randint(1, 4)) for t in range(tau - 1))
-            part = solver._ComponentPipeline(sizes, weights)
-            part._count_search(0)
-            assert isinstance(part._count_info, list)  # tabulated
-            table = list(part._count_info)
+            decode = solver._count_decoder(sizes, weights)
             counted = [t for t in range(tau) if sizes[t] > 1]
             mixed += 0 < len(counted) < tau
-            assert len(table) == math.prod(sizes[t] + 1 for t in counted)
-            for code, info in enumerate(table):
+            for code in range(math.prod(sizes[t] + 1 for t in counted)):
                 left, rest = [0] * tau, code
                 for t in counted:
                     rest, count = divmod(rest, sizes[t] + 1)
                     left[t] = sizes[t] - count
                 full = sum(1 << t for t in counted if not left[t])
                 need = max(((n - 1) * weights[(t, t)] + 1 for t, n in enumerate(left) if n), default=0)
-                assert info == part._info(code) == need << tau | full
-            slices = part._count_search(None)
+                assert decode(code) == need << tau | full
+            closure = ShiftClosure(sizes, weights, max(weights.values()))
+            slices, _ = solver._shortest_walk(sizes, weights, closure)
+            walks.append(slices)
             assert [sum(m >> t & 1 for m in slices) for t in range(tau)] == sizes
             least = len(slices) - 1
-            with monkeypatch.context() as patched:
-                patched.setattr(solver, "COUNT_TABLE_CODES", 0)
-                untabled = solver._ComponentPipeline(sizes, weights)
-                assert untabled._count_search(None) == slices
-                assert untabled._count_search(least) == slices
-                assert untabled._count_search(least - 1) is None
-                assert isinstance(untabled._count_info, dict)  # filled by _info
+            assert solver._shortest_walk(sizes, weights, closure, least)[0] == slices
+            assert solver._shortest_walk(sizes, weights, closure, least - 1)[0] is None
         assert mixed > 10  # parts with both size-1 bits and digits
+        digest = hashlib.sha256(repr(walks).encode()).hexdigest()
+        assert digest == "572760572dfeb0c8d33ebc9b52c182c98ea2ec563bd35fbdbef74a50d01b9e72"
 
     def test_size_one_parts_match_the_oracle(self):
         # on random parts of size-1 classes (2 to 8 types, weights up to 4),
-        # whose count codes are the masks of the types placed and whose
-        # table has one entry, the search's least span is feasible and the
+        # whose count codes are the masks of the types placed, with no
+        # digit to decode, the search's least span is feasible and the
         # decision just below it refuted; the slices label the part's
         # one-vertex-per-type graph, and the oracle agrees with the verdicts
         # where its label space is small enough.  The digest of all 100
@@ -445,14 +447,13 @@ class TestWalkSearch:
             )
             adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
             tg = TypeGraph((1,) * tau, frozenset(range(tau)), adjacency, weights)
-            part = solver._ComponentPipeline(tg.sizes, tg.weights)
-            slices = part.shortest_walk()
+            closure = ShiftClosure(tg.sizes, tg.weights, tg.wmax)
+            slices, _ = solver._shortest_walk(tg.sizes, tg.weights, closure)
             walks.append(slices)
-            assert part._count_info == [0]
             least = len(slices) - 1
-            assert part.shortest_walk(least) == slices
+            assert solver._shortest_walk(tg.sizes, tg.weights, closure, least)[0] == slices
             if least > 0:
-                assert part.shortest_walk(least - 1) is None, tg
+                assert solver._shortest_walk(tg.sizes, tg.weights, closure, least - 1)[0] is None, tg
             wg = WeightedGraph.from_edges(tau, [(t, r, weights[(t, r)]) for t, r in adjacency])
             labels = [next(i for i, mask in enumerate(slices) if mask >> t & 1) for t in range(tau)]
             assert verify_assignment(wg, Labeling(tuple(labels), least)).ok
@@ -513,12 +514,12 @@ class TestGuards:
         # the twin partition of P17 is 17 singleton classes in one part, one
         # type more than the window enumeration tabulates slice masks for;
         # with every vertex doubled the classes have size 2, so the search
-        # has count digits to decode, and the guard fires before it looks at
+        # has count digits to decode, and the guard fires before it decodes
         # a count code
-        def no_count_work(self, code):
+        def no_count_work(sizes, weights):
             raise AssertionError("the count search ran before the type-count guard")
 
-        monkeypatch.setattr(solver._ComponentPipeline, "_info", no_count_work)
+        monkeypatch.setattr(solver, "_count_decoder", no_count_work)
         g = path_graph(17)
         for wg in (WeightedGraph(g, {e: 1 for e in g.edges}), paired_path(17)):
             partition = nd_partition(wg.graph)
@@ -530,22 +531,70 @@ class TestGuards:
                 with pytest.raises(GuardExceeded, match="17 types"):
                     solve()
 
-    def test_count_work_follows_the_states_reached(self):
+    def test_type_guard_fires_before_any_part_is_searched(self, monkeypatch, tmp_path, capsys):
+        # two parts: a K3 and a K4 clique class (inner weights 2 and 3) both
+        # joined by weight 2 to one hub vertex, whose count code has digits,
+        # then the doubled P17, 17 clique classes of size 2.  The guard on
+        # the second part fires before the first is searched, so no count
+        # code is decoded, on the library and through the CLI (exit 3)
+        def no_count_work(sizes, weights):
+            raise AssertionError("a part was searched before the type-count guard")
+
+        monkeypatch.setattr(solver, "_count_decoder", no_count_work)
+        triples = [(u, v, 2) for u, v in itertools.combinations(range(3), 2)]
+        triples += [(u, v, 3) for u, v in itertools.combinations(range(3, 7), 2)]
+        triples += [(u, 7, 2) for u in range(7)]
+        doubled = paired_path(17)
+        triples += [(u + 8, v + 8, w) for (u, v), w in doubled.weights.items()]
+        wg = WeightedGraph.from_edges(8 + doubled.graph.n, triples)
+        partition = refine_uniform(wg, nd_partition(wg.graph))  # as ndchan solve does
+        assert partition.classes[:3] == (frozenset(range(3)), frozenset(range(3, 7)), frozenset({7}))
+        assert len(partition.classes) == 20
+        for solve in (
+            lambda: solve_ca_uniform(wg, partition, 4),
+            lambda: minimize_span(wg, "uniform", partition),
+        ):
+            with pytest.raises(GuardExceeded, match="17 types"):
+                solve()
+
+        from ndchan.cli import main
+
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"n": wg.graph.n, "edges": [list(t) for t in triples]}))
+        for flags in (["--lambda", "4"], ["--minimize"]):
+            assert main(["solve", "--instance", str(path)] + flags) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "17 types" in captured.err
+
+    def test_count_work_follows_the_states_reached(self, monkeypatch):
         # K3,...,3 with 16 parts under L(3, 2) is one part of 16 clique
         # classes of size 3, whose count codes number 4**16; refuting span
-        # 5, far below its least span 109, looks at one count code per state
-        # it reaches, a few dozen, and so does not scale with that product
+        # 5, far below its least span 109, decodes each count code its
+        # states hold once, a few dozen, and so does not scale with that
+        # product
         parts = 16
         g = Graph.from_edges(
             3 * parts,
             [(u, v) for u in range(3 * parts) for v in range(u + 1, 3 * parts) if u // 3 != v // 3],
         )
         wg = labeling_to_ca(g, DistanceConstraints((3, 2)))
-        _, _, pipelines = solver._pipelines(wg, "uniform", nd_partition(g))
-        ((pipeline, _),) = pipelines
-        assert pipeline.sizes == [3] * parts
-        assert pipeline.shortest_walk(5) is None
-        assert 0 < len(pipeline._count_info) <= 100
+        decoded = []
+        decoder = solver._count_decoder
+
+        def counted_decoder(sizes, weights):
+            decode = decoder(sizes, weights)
+
+            def counted(code):
+                decoded.append(code)
+                return decode(code)
+
+            return counted
+
+        monkeypatch.setattr(solver, "_count_decoder", counted_decoder)
+        _, _, [(sizes, weights, closure, _)] = solver._parts(wg, "uniform", nd_partition(g))
+        assert sizes == [3] * parts
+        assert solver._shortest_walk(sizes, weights, closure, 5)[0] is None
+        assert 0 < len(set(decoded)) == len(decoded) <= 100
         assert solve_labeling(g, DistanceConstraints((3, 2)), 5) is None
 
     def test_window_count_guard(self):
@@ -580,7 +629,7 @@ class TestGuards:
             7, [(0, 5, 2), (1, 4, 1), (1, 5, 2), (1, 6, 2), (2, 4, 1), (2, 6, 2), (3, 6, 1)]
         )
         expanded = []
-        original = solver._ComponentPipeline._allow
+        original = ShiftClosure.allowed
 
         def counted(self, window):
             expanded.append(window)
@@ -589,15 +638,18 @@ class TestGuards:
         def no_build(*args, **kwargs):
             raise AssertionError("a solve built the whole shift digraph")
 
-        monkeypatch.setattr(solver._ComponentPipeline, "_allow", counted)
-        monkeypatch.setattr(solver, "build_shift_digraph", no_build)
+        monkeypatch.setattr(ShiftClosure, "allowed", counted)
+        monkeypatch.setattr(shift_digraph, "build_shift_digraph", no_build)
         stats = SolveStats()
         span, labeling = minimize_span(wg, "vc", stats=stats)
         assert verify_assignment(wg, labeling).ok
         assert len(set(expanded)) == len(expanded) == stats.digraph_nodes
         monkeypatch.undo()
-        _, _, pipelines = solver._pipelines(wg, "vc", None)
-        assert 0 < len(expanded) < sum(len(p.digraph.windows) for p, _ in pipelines)
+        windows = sum(
+            len(build_shift_digraph(part_type_graph(sizes, weights), max(weights.values())).windows)
+            for sizes, weights, _, _ in solver._parts(wg, "vc", None)[2]
+        )
+        assert 0 < len(expanded) < windows
 
 
 class TestSolveCaVc:
@@ -758,16 +810,17 @@ class TestFrontEnd:
     def test_isolated_class_is_one_part(self):
         wg = WeightedGraph.from_edges(7, [(0, 1, 2)])
         partition = nd_partition(wg.graph)
-        _, _, pipelines = solver._pipelines(wg, "uniform", partition)
+        _, _, parts = solver._parts(wg, "uniform", partition)
         assert partition.classes == (frozenset({0, 1}), frozenset({2, 3, 4, 5, 6}))
-        assert [type_ids for _, type_ids in pipelines] == [[0], [1]]
+        assert [type_ids for *_, type_ids in parts] == [[0], [1]]
         stats = SolveStats()
         labeling = solve_ca_uniform(wg, partition, 2, stats=stats)
         assert verify_assignment(wg, labeling).ok
-        for pipeline, _ in pipelines:
-            assert pipeline.shortest_walk(2) is not None
         # each part is one type, answered in closed form: no window expanded
-        assert [p.expanded for p, _ in pipelines] == [0, 0]
+        for sizes, weights, closure, _ in parts:
+            assert closure is None
+            slices, expanded = solver._shortest_walk(sizes, weights, closure, 2)
+            assert slices is not None and expanded == 0
         assert stats.digraph_nodes == 0
 
     def test_type_graphs_built_per_solve(self, monkeypatch):
