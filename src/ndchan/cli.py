@@ -59,7 +59,8 @@ def _constraints(args, instance: InstanceFile) -> DistanceConstraints:
 
 
 def _dump_debug(args, wg, route, partition):
-    """Each component's whole shift digraph, which no solve builds."""
+    """Each part's whole shift digraph, which no solve builds; a type no
+    edge touches is in no part, so none is dumped for it."""
     if not getattr(args, "dump_digraph", False):
         return
     for sizes, weights, _, _ in _parts(wg, route, partition)[2]:

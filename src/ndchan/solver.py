@@ -3,25 +3,27 @@
 Front end: pick the route's partition (given, or from a minimum vertex
 cover refined to uniform weights), condense the instance under it in one
 pass over its edges (_condense, which also checks the axioms and the
-uniformity), make the result reflexive once and split it into connected
-parts, each handed to its search as class sizes, weights and, when it has
-several types, its ShiftClosure, with no TypeGraph built.  Each part has a
-shift digraph with window length z = wmax, holding only the windows within
-the class sizes.  A span-lambda labeling of a part is a closed walk of
-lambda + z + 1 edges through the all-empty window whose per-type counts
-match the class sizes, and _shortest_walk returns the shortest one's
-slices, one per label position; later positions are empty.  A part of one
-type is a single class, whose walk is known in closed form.  Any other part
-gets one exact engine, a breadth-first search over (window, per-type
-counts), one int per state, which works out the types a window allows when
-it first leaves it and numbers no windows.  Its count code holds a placed
-bit per type of class size 1 and, above those bits, a mixed-radix digit per
-larger type, decoded when a state first holds the digits; where every class
-has size 1, as on every part of the vertex-cover route, the code is just
-the mask of types placed.  A least span is the largest of the parts' least
-spans.  One decode maps every part's slices through its type ids onto the
-instance's vertices, and verify_assignment checks the labeling before any
-entry point returns it.
+uniformity), then make the result reflexive and split it into connected
+parts in one pass over the condensed types, each part handed to its search
+as class sizes, weights and, when it has several types, its ShiftClosure,
+with no TypeGraph built.  A type no edge touches gets no part, and its
+vertices keep label 0.  Each part has a shift digraph with window length
+z = wmax, holding only the windows within the class sizes.  A span-lambda
+labeling of a part is a closed walk of lambda + z + 1 edges through the
+all-empty window whose per-type counts match the class sizes, and
+_shortest_walk returns the shortest one's slices, one per label position;
+later positions are empty.  A part of one type is a single clique class,
+whose walk is known in closed form.  Any other part gets one exact
+engine, a breadth-first search over (window, per-type counts), one int per
+state, which works out the types a window allows when it first leaves it
+and numbers no windows.  Its count code holds a placed bit per type of
+class size 1 and, above those bits, a mixed-radix digit per larger type,
+decoded when a state first holds the digits; where every class has size 1,
+as on every part of the vertex-cover route, the code is just the mask of
+types placed.  A least span is the largest of the parts' least spans, 0
+with no part.  One decode maps every part's slices through its type ids
+onto the instance's vertices, and verify_assignment checks the labeling
+before any entry point returns it.
 
 The flow ILP (build_flow_model, solve_flow, euler_walk) is the paper's
 formulation of the same walk as an integer edge multiset: Kirchhoff
@@ -116,30 +118,68 @@ class Walk:
     nodes: tuple[int, ...]
 
 
-def _reflexive(sizes, weights: dict, classes):
-    """Every type given a loop: a loopless class shrinks to its least
-    vertex, kept, with a weight-1 loop (a singleton never repeats, so any
-    weight works), and its other vertices are dropped.  Returns (sizes,
-    weights, kept, dropped), the inputs left as they were."""
-    sizes, weights = list(sizes), dict(weights)
+def _reflexive_parts(sizes, weights: dict, classes):
+    """The reflexive reduction and the split into connected parts, in one
+    pass over _condense's sizes and weights, which it leaves as they were.
+
+    A loopless class shrinks to its least vertex, kept, and its other
+    vertices are dropped.  The parts are the connected components of the
+    types some edge touches, over a bitmask adjacency; no edge joins two, so
+    each is solved on its own.  A part comes as (its sizes, its weights,
+    its type ids in ascending order, which its sizes and weights number
+    0, 1, ...), every type given a loop: a shrunk type gets a weight-1 one
+    (a singleton never repeats, so any weight works).  A type no edge
+    touches gets no part: its vertices are unconstrained, and label 0 serves
+    them all.  Returns (kept, dropped, parts).
+    """
+    tau = len(sizes)
+    adjacent = [0] * tau
+    for i, j in weights:
+        adjacent[i] |= 1 << j
+        adjacent[j] |= 1 << i
     kept, dropped = [], []
     for t, cls in enumerate(classes):
         members = tuple(sorted(cls))
         if len(members) != sizes[t]:
             raise ValueError(f"class {t} size mismatch")
-        if (t, t) not in weights:
-            sizes[t] = weights[(t, t)] = 1
-        kept.append(members[: sizes[t]])
-        dropped.append(members[sizes[t] :])
-    return sizes, weights, tuple(kept), tuple(dropped)
+        cut = sizes[t] if adjacent[t] >> t & 1 else 1
+        kept.append(members[:cut])
+        dropped.append(members[cut:])
+    parts, part_of = [], [None] * tau  # per type: its part's weights, its place
+    for first, edges in enumerate(adjacent):
+        if part_of[first] is not None or not edges:
+            continue
+        part = frontier = 1 << first
+        while frontier:
+            t = frontier.bit_length() - 1
+            frontier ^= 1 << t
+            new = adjacent[t] & ~part
+            part |= new
+            frontier |= new
+        if part == (1 << tau) - 1:  # one part of every type, numbered as they are
+            pw = dict(weights)
+            for t in range(tau):
+                pw.setdefault((t, t), 1)
+            return tuple(kept), tuple(dropped), [(list(map(len, kept)), pw, list(range(tau)))]
+        ids = list(iter_bits(part))
+        pw = {(k, k): 1 for k in range(len(ids))}  # a real loop overwrites its placeholder
+        parts.append(([len(kept[t]) for t in ids], pw, ids))
+        for k, t in enumerate(ids):
+            part_of[t] = (pw, k)
+    for (i, j), w in weights.items():
+        pw, k = part_of[i]
+        pw[(k, part_of[j][1])] = w
+    return tuple(kept), tuple(dropped), parts
 
 
 def preprocess_reflexive(tg: TypeGraph, partition: NdPartition) -> ReflexiveReduction:
     """Give every type a loop, shrinking loopless classes to one kept vertex."""
     if tg.node_count != partition.count:
         raise ValueError("type graph and partition disagree on class count")
-    sizes, weights, kept, dropped = _reflexive(tg.sizes, tg.weights, partition.classes)
-    reduced = TypeGraph(tuple(sizes), frozenset(range(tg.node_count)), tg.adjacency, weights)
+    kept, dropped, _ = _reflexive_parts(tg.sizes, tg.weights, partition.classes)
+    weights = tg.weights | {(t, t): 1 for t in range(tg.node_count) if (t, t) not in tg.weights}
+    sizes = tuple(map(len, kept))
+    reduced = TypeGraph(sizes, frozenset(range(tg.node_count)), tg.adjacency, weights)
     return ReflexiveReduction(reduced, kept, dropped)
 
 
@@ -670,21 +710,22 @@ def _decode(parts, kept, dropped, span: int, vertex_count: int) -> Labeling:
     place in the part, and type_ids[t] is the reduction's type at place t;
     the reduction's type r keeps the vertices kept[r] and drops dropped[r].
     Each type in slice i consumes its next kept vertex in ascending id
-    order, and dropped vertices copy their keeper's label afterwards.
+    order, and dropped vertices copy their keeper's label afterwards.  A
+    part's type with a kept vertex left over raises InternalSolverError; a
+    type in no part has no constraint, and its vertices keep label 0.
     """
-    labels: list[int | None] = [None] * vertex_count
-    used = [0] * len(kept)
+    labels = [0] * vertex_count
     for slices, type_ids in parts:
+        used = [0] * len(type_ids)
         for i, mask in enumerate(slices):
             for t in iter_bits(mask):
-                t = type_ids[t]
-                labels[kept[t][used[t]]] = i
+                labels[kept[type_ids[t]][used[t]]] = i
                 used[t] += 1
-    for keepers, others in zip(kept, dropped):
-        for v in others:
-            labels[v] = labels[keepers[0]]
-    if any(lab is None for lab in labels):
-        raise InternalSolverError("decode left unlabeled vertices")
+        for count, r in zip(used, type_ids):
+            if count != len(kept[r]):
+                raise InternalSolverError("decode left unlabeled vertices")
+            for v in dropped[r]:
+                labels[v] = labels[kept[r][0]]
     return Labeling(tuple(labels), span)
 
 
@@ -735,9 +776,9 @@ def _shortest_walk(sizes, weights: dict, closure, span=None, max_windows=None):
     comes as its sizes and weights, as in a reflexive TypeGraph, and its
     ShiftClosure, None for a part of one type.
 
-    A part of one type is one class: after the reflexive reduction a clique
-    of s vertices whose pairs all carry the loop weight w (s = 1 for a
-    loopless class).  Its labels sit pairwise at least w apart, so its least
+    A part of one type is one class: a clique of s vertices whose pairs all
+    carry the loop weight w (a loopless class with no neighbour gets no
+    part).  Its labels sit pairwise at least w apart, so its least
     span is (s - 1) * w, met by one copy every w positions, and a smaller
     span is refuted, on the certificate _condense has checked exactly:
     C(s, 2) inner edges, all carrying w.
@@ -838,49 +879,14 @@ def _shortest_walk(sizes, weights: dict, closure, span=None, max_windows=None):
     return None, len(allowed_of)
 
 
-def _type_parts(sizes, weights: dict):
-    """Connected parts over type adjacency of a type graph's sizes and
-    weights, each as (its sizes, its weights, its type ids in ascending
-    order, which its sizes and weights number 0, 1, ...); a part of every
-    type is the input itself.  No edge joins two parts, so each is solved
-    on its own.  A class of isolated vertices stays one part: its vertices
-    are unconstrained, and the reflexive reduction labels them all from one
-    kept vertex.
-    """
-    tau = len(sizes)
-    neighbors = [[] for _ in range(tau)]
-    for i, j in weights:  # a loop makes a type its own neighbor, which is harmless
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    part_of = [-1] * tau
-    parts = []
-    for first in range(tau):
-        if part_of[first] >= 0:
-            continue
-        part_of[first] = len(parts)
-        part = [first]
-        for t in part:  # the loop also visits the types it appends
-            for r in neighbors[t]:
-                if part_of[r] < 0:
-                    part_of[r] = len(parts)
-                    part.append(r)
-        parts.append(sorted(part))
-    if len(parts) == 1:
-        return [(sizes, weights, parts[0])]
-    local = {t: i for part in parts for i, t in enumerate(part)}
-    part_weights = [{} for _ in parts]
-    for (i, j), w in weights.items():
-        part_weights[part_of[i]][(local[i], local[j])] = w
-    return [([sizes[t] for t in part], pw, part) for part, pw in zip(parts, part_weights)]
-
-
 def _parts(wg: WeightedGraph, route: str, partition):
     """The route's partition, condensed once and made reflexive once, and
     its connected parts, each with the ShiftClosure its search steps with.
 
     Returns (partition before weight refinement, (kept, dropped) of the
     reflexive reduction, list of (sizes, weights, closure, type ids) per
-    part, the closure None for a one-type part).  Every closure is built
+    part, the closure None for a one-type part; a type no edge touches is
+    in no part).  Every closure is built
     before any part is searched, so a part over the type limit raises
     GuardExceeded first.  Raises ValueError on an unknown route, a missing
     partition on the uniform route or a given one on the vc route, or a
@@ -901,10 +907,10 @@ def _parts(wg: WeightedGraph, route: str, partition):
     sizes, weights, uniform = _condense(wg, refined)
     if not uniform:
         raise NotUniformError("edge weights are not uniform on the given partition")
-    sizes, weights, kept, dropped = _reflexive(sizes, weights, refined.classes)
+    kept, dropped, parts = _reflexive_parts(sizes, weights, refined.classes)
     parts = [
         (s, w, ShiftClosure(s, w, max(w.values())) if len(s) > 1 else None, ids)
-        for s, w, ids in _type_parts(sizes, weights)
+        for s, w, ids in parts
     ]
     return base, (kept, dropped), parts
 
@@ -992,10 +998,11 @@ def minimize_span(
 ):
     """Least feasible span with a witnessing labeling.
 
-    Each connected part of the type graph gets one breadth-first walk search
-    for its shortest walk, and the answer is the largest of their least
-    spans, at which every part's own walk is decoded and checked as for a
-    fixed span.  No span is refuted.
+    Each connected part of the type graph gets its shortest walk, in closed
+    form for a one-type part and from one breadth-first walk search for any
+    other, and the answer is the largest of their least spans (0 when no
+    type has an edge), at which every part's own walk is decoded and checked
+    as for a fixed span.  No span is refuted.
     """
     return _solve(wg, route, partition, None, stats, max_digraph_nodes)
 

@@ -17,7 +17,6 @@ from ndchan import (
     build_shift_digraph,
     check_uniform,
     min_vertex_cover,
-    preprocess_reflexive,
     refine_uniform,
     vc_partition,
 )
@@ -58,7 +57,8 @@ def send_probes_to_ilp(mp) -> None:
 def full_digraph_exceeds(wg: WeightedGraph, route: str, partition, guard: int) -> bool:
     """Whether some connected part of the route's type graph has more than
     `guard` windows (or more types than the build allows) in its shift
-    digraph without the class-size bound.
+    digraph without the class-size bound.  A type no edge touches is in no
+    part, as in the solver.
 
     The solver builds only the windows within the class sizes; with every
     size raised to the window length z no window is over a size, so this
@@ -68,8 +68,7 @@ def full_digraph_exceeds(wg: WeightedGraph, route: str, partition, guard: int) -
     if route == "vc":
         partition = refine_uniform(wg, vc_partition(wg.graph, min_vertex_cover(wg.graph)))
     _, tg = check_uniform(wg, partition)
-    reduced = preprocess_reflexive(tg, partition).type_graph
-    for sizes, weights, _ in solver._type_parts(reduced.sizes, reduced.weights):
+    for sizes, weights, _ in solver._reflexive_parts(tg.sizes, tg.weights, partition.classes)[2]:
         z = max(weights.values())
         try:
             build_shift_digraph(part_type_graph((z,) * len(sizes), weights), z, max_nodes=guard)

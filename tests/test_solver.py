@@ -31,14 +31,21 @@ from ndchan import (
     verify_assignment,
     walk_to_labeling,
 )
-from ndchan.decomposition import CLIQUE, TypeGraph
+from ndchan.decomposition import CLIQUE, INDEPENDENT, TypeGraph
 from ndchan import shift_digraph, solver
 from ndchan.errors import GuardExceeded, InternalSolverError
 from ndchan.ilp import EQ, solve_feasibility
 from ndchan.oracle import brute_force_ca
 from ndchan.shift_digraph import ShiftClosure
 from ndchan.solver import SolveStats, Walk
-from helpers import complete_graph, cycle_graph, part_type_graph, path_graph, star_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    part_type_graph,
+    path_graph,
+    star_graph,
+    uniform_instance,
+)
 
 
 def k3_instance(w=2):
@@ -369,11 +376,17 @@ class TestWalkSearch:
 
         assert search() == search(least) == slices
         assert least == 0 or search(least - 1) is None
+        # the clique instance is that part, with no closure; K1 has no edge,
+        # so its one type gets no part at all
         pairs = itertools.combinations(range(size), 2)
         wg = WeightedGraph.from_edges(size, [(u, v, loop) for u, v in pairs])
         partition = nd_partition(wg.graph)
-        [(_, _, no_closure, _)] = solver._parts(wg, "uniform", partition)[2]
-        assert no_closure is None
+        parts = solver._parts(wg, "uniform", partition)[2]
+        if size == 1:
+            assert parts == []
+        else:
+            [(_, _, no_closure, _)] = parts
+            assert no_closure is None
         span, labeling = minimize_span(wg, "uniform", partition)
         assert span == least and verify_assignment(wg, labeling).ok
         assert verify_assignment(wg, solve_ca_uniform(wg, partition, least)).ok
@@ -784,10 +797,11 @@ class TestFrontEnd:
 
     def test_one_uniformity_check_per_call(self, monkeypatch):
         # the uniformity check is one condensation of the instance, and one
-        # reflexive reduction follows it, however many parts the type graph
-        # has; preprocess_reflexive, the public wrapper, stays off the path
+        # pass that makes it reflexive and splits it into parts follows,
+        # however many parts the type graph has; preprocess_reflexive, the
+        # public wrapper, stays off the path
         calls = []
-        for name in ("_condense", "_reflexive", "preprocess_reflexive"):
+        for name in ("_condense", "_reflexive_parts", "preprocess_reflexive"):
             original = getattr(solver, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -805,23 +819,139 @@ class TestFrontEnd:
         ):
             calls.clear()
             solve()
-            assert calls == ["_condense", "_reflexive"]
+            assert calls == ["_condense", "_reflexive_parts"]
 
-    def test_isolated_class_is_one_part(self):
+    def test_isolated_class_has_no_part(self):
+        # a weight-2 clique class of two vertices and a class of five
+        # isolated vertices: only the clique class is a part, answered in
+        # closed form with no window expanded, and the isolated vertices
+        # all get label 0 from every entry point.  The vc route splits the
+        # clique class into a cover vertex and a class of one, which make
+        # one part of two types; its stats still count all three types
         wg = WeightedGraph.from_edges(7, [(0, 1, 2)])
         partition = nd_partition(wg.graph)
-        _, _, parts = solver._parts(wg, "uniform", partition)
+        _, (kept, dropped), parts = solver._parts(wg, "uniform", partition)
         assert partition.classes == (frozenset({0, 1}), frozenset({2, 3, 4, 5, 6}))
-        assert [type_ids for *_, type_ids in parts] == [[0], [1]]
-        stats = SolveStats()
-        labeling = solve_ca_uniform(wg, partition, 2, stats=stats)
-        assert verify_assignment(wg, labeling).ok
-        # each part is one type, answered in closed form: no window expanded
-        for sizes, weights, closure, _ in parts:
-            assert closure is None
-            slices, expanded = solver._shortest_walk(sizes, weights, closure, 2)
-            assert slices is not None and expanded == 0
-        assert stats.digraph_nodes == 0
+        assert (kept, dropped) == (((0, 1), (2,)), ((), (3, 4, 5, 6)))
+        [(sizes, weights, closure, type_ids)] = parts
+        assert (sizes, weights, closure, type_ids) == ([2], {(0, 0): 2}, None, [0])
+        assert [ids for *_, ids in solver._parts(wg, "vc", None)[2]] == [[0, 1]]
+        for solve, types in (
+            (lambda stats: solve_ca_uniform(wg, partition, 2, stats=stats), 2),
+            (lambda stats: solve_ca_vc(wg, 2, stats=stats), 3),
+            (lambda stats: minimize_span(wg, "uniform", partition, stats=stats)[1], 2),
+            (lambda stats: minimize_span(wg, "vc", stats=stats)[1], 3),
+        ):
+            stats = SolveStats()
+            labeling = solve(stats)
+            assert labeling.labels[2:] == (0,) * 5 and verify_assignment(wg, labeling).ok
+            assert stats.types == types and (types == 3 or stats.digraph_nodes == 0)
+
+    def test_edge_free_types_cost_no_search(self, monkeypatch):
+        # an edgeless instance of three classes, given and as its twin
+        # partition, and a star K1,2 (weight 2) beside three isolated vertices:
+        # no part, closure or walk for a type no edge touches, on both
+        # routes and all four entry points; the star's two types are the
+        # one part searched, and the isolated vertices get label 0
+        walks, closures = [], []
+        search, closure = solver._shortest_walk, solver.ShiftClosure
+
+        def counted_search(sizes, *args):
+            walks.append(len(sizes))
+            return search(sizes, *args)
+
+        def counted_closure(sizes, *args):
+            closures.append(len(sizes))
+            return closure(sizes, *args)
+
+        monkeypatch.setattr(solver, "_shortest_walk", counted_search)
+        monkeypatch.setattr(solver, "ShiftClosure", counted_closure)
+        edgeless = WeightedGraph.from_edges(6, [])
+        classes = (frozenset({0}), frozenset({1, 2}), frozenset({3, 4, 5}))
+        edgeless_partition = NdPartition(classes, (INDEPENDENT,) * 3)
+        star = WeightedGraph.from_edges(6, [(0, 1, 2), (0, 2, 2)])
+        for wg, partition, searched in (
+            (edgeless, edgeless_partition, []),
+            (edgeless, nd_partition(edgeless.graph), []),
+            (star, nd_partition(star.graph), [2]),
+        ):
+            for solve in (
+                lambda: solve_ca_uniform(wg, partition, 4),
+                lambda: solve_ca_vc(wg, 4),
+                lambda: minimize_span(wg, "uniform", partition)[1],
+                lambda: minimize_span(wg, "vc")[1],
+            ):
+                walks.clear()
+                closures.clear()
+                labeling = solve()
+                assert walks == closures == searched
+                assert labeling.labels[3:] == (0, 0, 0)
+                assert wg is star or labeling.labels == (0,) * 6
+
+    def test_decode_guard_catches_a_short_walk(self, monkeypatch, tmp_path, capsys):
+        # a mutant walk search that places the last copy of a type one time
+        # too few: the decode refuses it before verification, on both
+        # routes and all four entry points, and through the CLI (exit 70)
+        search = solver._shortest_walk
+
+        def short_walk(*args):
+            slices, windows = search(*args)
+            if slices is not None:
+                last = max(i for i, mask in enumerate(slices) if mask)
+                slices = slices[:last] + [slices[last] & slices[last] - 1] + slices[last + 1 :]
+            return slices, windows
+
+        monkeypatch.setattr(solver, "_shortest_walk", short_walk)
+        wg = WeightedGraph.from_edges(9, self.MULTI)
+        partition = nd_partition(wg.graph)
+        for solve in (
+            lambda: solve_ca_uniform(wg, partition, 3),
+            lambda: solve_ca_vc(wg, 3),
+            lambda: minimize_span(wg, "uniform", partition),
+            lambda: minimize_span(wg, "vc"),
+        ):
+            with pytest.raises(InternalSolverError, match="decode left unlabeled vertices"):
+                solve()
+
+        from ndchan.cli import main
+
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"n": 9, "edges": [list(t) for t in self.MULTI]}))
+        for flags in (["--lambda", "3"], ["--minimize"], ["--minimize", "--route", "vc"]):
+            assert main(["solve", "--instance", str(path)] + flags) == 70, flags
+            captured = capsys.readouterr()
+            assert captured.out == "" and "decode left unlabeled vertices" in captured.err
+
+    def test_isolated_classes_pinned(self):
+        # 100 draws of uniform_instance with at least one class no edge
+        # touches, 44 of them beside edges: on both routes the least span,
+        # its labels and the windows expanded, and the decisions at the
+        # least span and one below.  The digest was taken while every such
+        # class was still a part of its own, answered in closed form
+        rng = random.Random(2121)
+        answers, mixed = [], 0
+        while len(answers) < 100:
+            wg, partition = uniform_instance(rng, max_types=4)
+            adjacency = wg.graph.adjacency
+            if all(any(adjacency[v] for v in cls) for cls in partition.classes):
+                continue
+            mixed += any(adjacency[v] for v in range(wg.graph.n))
+            record = []
+            for route, given, decide in (
+                ("uniform", partition, lambda s, **kw: solve_ca_uniform(wg, partition, s, **kw)),
+                ("vc", None, lambda s, **kw: solve_ca_vc(wg, s, **kw)),
+            ):
+                stats = SolveStats()
+                least, labeling = minimize_span(wg, route, given, stats=stats)
+                record.append((least, labeling.labels, stats.digraph_nodes))
+                for span in range(max(least - 1, 0), least + 1):
+                    stats = SolveStats()
+                    decided = decide(span, stats=stats)
+                    record.append((span, decided and decided.labels, stats.digraph_nodes))
+            answers.append(record)
+        assert mixed == 44
+        digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+        assert digest == "2b708625c8816dc0d3fb09730d846115a145e30a3c17c7407773d88075a338e2"
 
     def test_type_graphs_built_per_solve(self, monkeypatch):
         # none: the condensation, the reflexive reduction and the split into
@@ -835,7 +965,8 @@ class TestFrontEnd:
             original(self)
 
         monkeypatch.setattr(TypeGraph, "__post_init__", counted)
-        # a star of one part, and test_isolated_class_is_one_part's two parts
+        # a star of one part, and test_isolated_class_has_no_part's clique
+        # class beside an isolated class
         for wg in (
             WeightedGraph.from_edges(3, [(0, 1, 2), (0, 2, 2)]),
             WeightedGraph.from_edges(7, [(0, 1, 2)]),
