@@ -4,13 +4,11 @@ from .decomposition import (
     CLIQUE,
     INDEPENDENT,
     NdPartition,
-    TypeGraph,
     VertexCover,
     check_uniform,
     min_vertex_cover,
     nd_partition,
     refine_uniform,
-    type_graph,
     vc_partition,
 )
 from .errors import GuardExceeded, InstanceFormatError, InternalSolverError, NotUniformError
@@ -39,7 +37,6 @@ from .reduction import DistanceConstraints, labeling_to_ca, scale_constraints
 from .shift_digraph import ShiftDigraph, build_shift_digraph, dump_digraph
 from .solver import (
     EdgeMultiset,
-    ReflexiveReduction,
     SolveStats,
     Walk,
     build_flow_model,

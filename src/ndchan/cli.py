@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .decomposition import TypeGraph, check_uniform, nd_partition, refine_uniform
+from .decomposition import check_uniform, nd_partition, refine_uniform
 from .errors import GuardExceeded, InstanceFormatError, InternalSolverError
 from .graph import Labeling, verify_assignment
 from .instances import InstanceFile, SolveOutcome, emit_instance, emit_result, parse_instance
@@ -64,9 +64,8 @@ def _dump_debug(args, wg, route, partition):
     if not getattr(args, "dump_digraph", False):
         return
     for sizes, weights, _, _ in _parts(wg, route, partition)[2]:
-        pairs = frozenset(pair for pair in weights if pair[0] != pair[1])
-        tg = TypeGraph(tuple(sizes), frozenset(range(len(sizes))), pairs, weights)
-        print(dump_digraph(build_shift_digraph(tg, tg.wmax)), file=sys.stderr)
+        digraph = build_shift_digraph(sizes, weights, max(weights.values()))
+        print(dump_digraph(digraph), file=sys.stderr)
 
 
 def _run(args, instance, wg, route, partition) -> int:
@@ -113,14 +112,14 @@ def _cmd_nd(args) -> int:
     instance = _read_instance(args.instance)
     wg = instance.weighted_graph()
     partition = nd_partition(wg.graph)
-    ok, _ = check_uniform(wg, partition)
+    uniform = check_uniform(wg, partition)[2]
     print(
         json.dumps(
             {
                 "nd": partition.count,
                 "classes": [sorted(cls) for cls in partition.classes],
                 "kinds": list(partition.kinds),
-                "uniform": ok,
+                "uniform": uniform,
             }
         )
     )

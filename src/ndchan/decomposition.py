@@ -4,7 +4,9 @@ A partition is a valid decomposition when every class induces a clique or an
 independent set and edges between any two classes are all-or-none.  The
 condensed form is the type graph: one node per class carrying the class size,
 a loop for clique classes, and an edge where two classes are fully joined,
-each loop and edge with the weight its class pair carries.
+each loop and edge with the weight its class pair carries.  check_uniform
+builds it as plain data, the class sizes and a dict of weights keyed by
+class pair, which is the form every consumer of a type graph takes.
 """
 
 from __future__ import annotations
@@ -41,40 +43,6 @@ class NdPartition:
 
 
 @dataclass(frozen=True)
-class TypeGraph:
-    """Condensation of a weighted graph under a decomposition."""
-
-    sizes: tuple[int, ...]
-    loops: frozenset[int]
-    adjacency: frozenset[tuple[int, int]]
-    weights: dict
-
-    def __post_init__(self):
-        tau = len(self.sizes)
-        if min(self.sizes, default=1) < 1:
-            raise ValueError("class sizes must be positive")
-        for i, j in self.adjacency:
-            if not 0 <= i < j < tau:
-                raise ValueError("type adjacency out of range or not normalized")
-        if self.loops and not 0 <= min(self.loops) <= max(self.loops) < tau:
-            raise ValueError("loop on unknown type")
-        if self.weights.keys() != self.adjacency | {(t, t) for t in self.loops}:
-            raise ValueError("weights must cover exactly adjacency and loops")
-        for w in self.weights.values():
-            if not isinstance(w, int) or w < 1:
-                raise ValueError("type weights must be positive integers")
-        object.__setattr__(self, "weights", dict(self.weights))
-
-    @property
-    def node_count(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def wmax(self) -> int:
-        return max(self.weights.values(), default=1)
-
-
-@dataclass(frozen=True)
 class VertexCover:
     cover: frozenset[int]
 
@@ -105,14 +73,16 @@ def nd_partition(g: Graph) -> NdPartition:
     return NdPartition(classes, kinds)
 
 
-def _condense(wg: WeightedGraph, p: NdPartition):
-    """wg condensed under p in one pass over its edges: (class sizes, the
-    first weight per class pair joined by edges, keyed (i, j) with i <= j,
-    whether every edge carries its pair's weight).  Raises ValueError when
-    p violates the decomposition axioms, the class checks first: on a
-    simple graph a class of size s is a clique or an independent set
-    exactly when C(s, 2) or no edges lie inside it, and two classes are
-    all-or-none exactly when s_i * s_j or no edges join them.
+def check_uniform(wg: WeightedGraph, p: NdPartition):
+    """wg condensed under p into its type graph, in one pass over its
+    edges: (class sizes, the first weight per class pair joined by edges,
+    keyed (i, j) with i <= j, whether every edge carries its pair's weight,
+    that is whether the weights are uniform on p).  A loop (t, t) marks a
+    clique class of size at least two.  Raises ValueError when p violates
+    the decomposition axioms, the class checks first: on a simple graph a
+    class of size s is a clique or an independent set exactly when C(s, 2)
+    or no edges lie inside it, and two classes are all-or-none exactly
+    when s_i * s_j or no edges join them.
     """
     n = wg.graph.n
     sizes = [len(cls) for cls in p.classes]
@@ -139,37 +109,12 @@ def _condense(wg: WeightedGraph, p: NdPartition):
     return sizes, weights, uniform
 
 
-def type_graph(g: Graph, p: NdPartition) -> TypeGraph:
-    """Condense g under p with every weight 1; raises ValueError when p
-    violates the decomposition axioms.
-
-    Loops mark clique classes of size at least two; singleton classes stay
-    loopless here, the solver's reflexivity preprocessing adds their loops.
-    """
-    return check_uniform(WeightedGraph(g, dict.fromkeys(g.edges, 1)), p)[1]
-
-
 def _inner_weights(wg: WeightedGraph, cls) -> set[int]:
     """Weights of the edges inside a class; empty for an independent class."""
     members = sorted(cls)
     if len(members) < 2 or not wg.graph.has_edge(members[0], members[1]):
         return set()
     return {wg.weights[(u, v)] for a, u in enumerate(members) for v in members[a + 1 :]}
-
-
-def check_uniform(wg: WeightedGraph, p: NdPartition):
-    """Test whether weights are constant per class pair (and inside clique
-    classes); raises ValueError when p violates the decomposition axioms.
-
-    Returns (True, weighted TypeGraph) or (False, None).  The solvers run
-    the same condensation, _condense, without building the TypeGraph.
-    """
-    sizes, weights, uniform = _condense(wg, p)
-    if not uniform:
-        return False, None
-    loops = frozenset(i for i, j in weights if i == j)
-    adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
-    return True, TypeGraph(tuple(sizes), loops, adjacency, weights)
 
 
 def min_vertex_cover(g: Graph) -> VertexCover:

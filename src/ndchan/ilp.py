@@ -317,6 +317,24 @@ def solve_feasibility(
             return None
 
 
+def _sparse_system(model: IlpModel):
+    """The constraints as one scipy.sparse CSR matrix, a row per constraint
+    and a column per variable, and their right-hand sides as an array, for
+    the LP solves; needs numpy and scipy."""
+    import numpy as np
+    from scipy import sparse
+
+    rows, cols, coefs = [], [], []
+    for ci, c in enumerate(model.constraints):
+        for j, coef in c.terms:
+            rows.append(ci)
+            cols.append(j)
+            coefs.append(coef)
+    shape = (len(model.constraints), model.var_count)
+    a = sparse.csr_matrix((coefs, (rows, cols)), shape=shape, dtype=float)
+    return a, np.array([c.rhs for c in model.constraints], dtype=float)
+
+
 def relaxation_point(model: IlpModel):
     """A vertex of the linear relaxation, or None when unavailable.
 
@@ -330,23 +348,15 @@ def relaxation_point(model: IlpModel):
         return None
     if model.var_count == 0:
         return None
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for c in model.constraints:
-        row = np.zeros(model.var_count)
-        for j, coef in c.terms:
-            row[j] = coef
-        if c.relation == EQ:
-            a_eq.append(row)
-            b_eq.append(c.rhs)
-        else:
-            a_ub.append(row)
-            b_ub.append(c.rhs)
+    a, b = _sparse_system(model)
+    eq = np.array([c.relation == EQ for c in model.constraints], dtype=bool)
+    eq_rows, ub_rows = np.flatnonzero(eq), np.flatnonzero(~eq)
     res = linprog(
         np.zeros(model.var_count),
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        A_ub=a[ub_rows] if len(ub_rows) else None,
+        b_ub=b[ub_rows] if len(ub_rows) else None,
+        A_eq=a[eq_rows] if len(eq_rows) else None,
+        b_eq=b[eq_rows] if len(eq_rows) else None,
         bounds=[(0, ub) for ub in model.upper_bounds],
         method="highs",
     )
@@ -362,10 +372,12 @@ def refute_by_certificate(model: IlpModel) -> bool:
     available), rationalized, and then verified here in exact arithmetic;
     only a verified certificate counts.  Returns True when the model is
     proven infeasible, False when nothing could be certified (which says
-    nothing about feasibility).
+    nothing about feasibility).  The LP's matrices are sparse, so memory
+    follows the model's terms, not constraints times variables.
     """
     try:
         import numpy as np
+        from scipy import sparse
         from scipy.optimize import linprog
     except ImportError:
         return False
@@ -375,24 +387,16 @@ def refute_by_certificate(model: IlpModel) -> bool:
     # Farkas alternative system: find y (free on =, >= 0 on <=) with
     # A^T y + w+ - w- = 0, w+- >= 0, and  b y + ub w+ < 0.  The bound
     # multipliers w are eliminated analytically after rationalizing y.
-    ncon = len(model.constraints)
-    nvar = model.var_count
-    a_cols = np.zeros((ncon, nvar))
-    b = np.zeros(ncon)
-    for ci, c in enumerate(model.constraints):
-        for j, coef in c.terms:
-            a_cols[ci][j] = coef
-        b[ci] = c.rhs
+    a, b = _sparse_system(model)
+    ncon, nvar = a.shape
     ub = np.array(model.upper_bounds, dtype=float)
 
     # minimize b y + ub w+ subject to A^T y + w+ - w- = 0
-    n_y = ncon
     cost = np.concatenate([b, ub, np.zeros(nvar)])
-    eye = np.eye(nvar)
-    a_eq = np.hstack([a_cols.T, eye, -eye])
+    eye = sparse.identity(nvar, format="csr")
+    a_eq = sparse.hstack([a.T, eye, -eye], format="csr")
     bounds = [
-        (None, None) if model.constraints[ci].relation == EQ else (0, None)
-        for ci in range(n_y)
+        (None, None) if c.relation == EQ else (0, None) for c in model.constraints
     ] + [(0, None)] * (2 * nvar)
     res = linprog(
         cost,
@@ -403,17 +407,17 @@ def refute_by_certificate(model: IlpModel) -> bool:
     )
     candidate = None
     if res.status == 0 and res.fun < -1e-7:
-        candidate = res.x[:n_y]
+        candidate = res.x[:ncon]
     elif res.status == 3:  # unbounded: request any strictly improving point
         res = linprog(
             cost,
-            A_eq=np.vstack([a_eq, cost]),
+            A_eq=sparse.vstack([a_eq, sparse.csr_matrix(cost)], format="csr"),
             b_eq=np.concatenate([np.zeros(nvar), [-1.0]]),
             bounds=bounds,
             method="highs",
         )
         if res.status == 0:
-            candidate = res.x[:n_y]
+            candidate = res.x[:ncon]
     if candidate is None:
         return False
 

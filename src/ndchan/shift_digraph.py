@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .decomposition import TypeGraph
 from .errors import GuardExceeded, InternalSolverError
 
 # The walk search's count space, the product of (size + 1) over a part's
@@ -99,15 +98,12 @@ class ShiftClosure:
     r, and clash[r] the types that may not share a slice with r.  The
     class-size bars and the window numbering are build_shift_digraph's
     alone: the search's counts imply the size bars, and its states hold
-    windows as unnumbered codes.  More than 16 types raise GuardExceeded."""
+    windows as unnumbered codes.  The weights must be reflexive and valid,
+    as the front end's parts are; build_shift_digraph checks a caller's.
+    More than 16 types raise GuardExceeded."""
 
     def __init__(self, sizes, weights: dict, z: int):
-        if z < 1:
-            raise ValueError("window length must be positive")
         tau = len(sizes)
-        missing = [t for t in range(tau) if (t, t) not in weights]
-        if missing:
-            raise ValueError(f"type {missing[0]} has no loop; apply reflexivity preprocessing")
         if tau > _MAX_TYPES:
             raise GuardExceeded(
                 f"{tau} types exceed the limit of {_MAX_TYPES} on the walk search's count space"
@@ -136,9 +132,12 @@ class ShiftClosure:
         return self.slice_mask & ~barred
 
 
-def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) -> ShiftDigraph:
+def build_shift_digraph(
+    sizes, weights: dict, z: int, *, max_nodes: int | None = None
+) -> ShiftDigraph:
     """Build the valid windows of length z over a reflexive weighted type
-    graph that hold no type in more coordinates than its class size, and
+    graph, given as a part is (class sizes, and weights keyed (i, j) with
+    i <= j), that hold no type in more coordinates than its class size, and
     the edges between them.
 
     A closed walk through the all-empty window visits each type exactly its
@@ -152,13 +151,28 @@ def build_shift_digraph(tg: TypeGraph, z: int, *, max_nodes: int | None = None) 
     2^(tau*z) candidates.  Windows come in breadth-first order from the
     all-empty one, which is first, and edges are grouped by source window,
     each source's edges in slice-mask order.  More than max_nodes windows
-    raise GuardExceeded.
+    raise GuardExceeded.  A window length below 1, a class size below 1, a
+    type pair out of range or not normalized, a weight that is no positive
+    integer, or a type without a loop raise ValueError.
     """
-    closure = ShiftClosure(tg.sizes, tg.weights, z)
-    tau, slice_mask = closure.type_count, closure.slice_mask
+    tau = len(sizes)
+    if z < 1:
+        raise ValueError("window length must be positive")
+    if min(sizes, default=1) < 1:
+        raise ValueError("class sizes must be positive")
+    for (i, j), w in weights.items():
+        if not 0 <= i <= j < tau:
+            raise ValueError(f"type pair {(i, j)} out of range or not normalized")
+        if not isinstance(w, int) or w < 1:
+            raise ValueError("type weights must be positive integers")
+    missing = [t for t in range(tau) if (t, t) not in weights]
+    if missing:
+        raise ValueError(f"type {missing[0]} has no loop; apply reflexivity preprocessing")
+    closure = ShiftClosure(sizes, weights, z)
+    slice_mask = closure.slice_mask
     units = [(clash, 1 << t) for t, clash in enumerate(closure.clash)]
     keep = sum(1 << d * tau for d in range(z - 1))
-    size_bars = [(1 << r, keep << r, s) for r, s in enumerate(tg.sizes) if s < z]
+    size_bars = [(1 << r, keep << r, s) for r, s in enumerate(sizes) if s < z]
     windows, index, slices_of, edges = [0], {0: 0}, {}, []
     for si, code in enumerate(windows):  # also reaches the windows appended below
         allowed = closure.allowed(code)

@@ -1,18 +1,19 @@
 """Channel assignment solving on uniform decompositions.
 
 Front end: pick the route's partition (given, or from a minimum vertex
-cover refined to uniform weights), condense the instance under it in one
-pass over its edges (_condense, which also checks the axioms and the
-uniformity), then make the result reflexive and split it into connected
-parts in one pass over the condensed types, each part handed to its search
-as class sizes, weights and, when it has several types, its ShiftClosure,
-with no TypeGraph built.  A type no edge touches gets no part, and its
-vertices keep label 0.  Each part has a shift digraph with window length
-z = wmax, holding only the windows within the class sizes.  A span-lambda
-labeling of a part is a closed walk of lambda + z + 1 edges through the
-all-empty window whose per-type counts match the class sizes, and
-_shortest_walk returns the shortest one's slices, one per label position;
-later positions are empty.  A part of one type is a single clique class,
+cover refined to uniform weights), condense the instance under it into its
+type graph in one pass over its edges (check_uniform, which also checks the
+axioms and the uniformity), then make the type graph reflexive and split it
+into connected parts in one pass over its types (preprocess_reflexive).
+Every type graph here, the whole one and each part, is plain data: class
+sizes and a dict of weights keyed by type pair.  Each part goes to its
+search with, when it has several types, its ShiftClosure.  A type no edge
+touches gets no part, and its vertices keep label 0.  Each part has a
+shift digraph with window length z = wmax, holding only the windows
+within the class sizes.  A span-lambda labeling of a part is a closed
+walk of lambda + z + 1 edges through the all-empty window whose per-type
+counts match the class sizes, and _shortest_walk returns the shortest
+one's slices, one per label position; later positions are empty.  A part of one type is a single clique class,
 whose walk is known in closed form.  Any other part gets one exact
 engine, a breadth-first search over (window, per-type counts), one int per
 state, which works out the types a window allows when it first leaves it
@@ -26,13 +27,14 @@ onto the instance's vertices, and verify_assignment checks the labeling
 before any entry point returns it.
 
 The flow ILP (build_flow_model, solve_flow, euler_walk) is the paper's
-formulation of the same walk as an integer edge multiset: Kirchhoff
-balance, per-type occurrence counts and the total walk length, with
-connectivity enforced through lazily generated cuts, put in order by an
-Euler walk, and walk_to_labeling checks that walk's length, end points
-and per-type counts before decoding it.  No solving entry point uses it;
-it is kept as a library route and as the independent reference the
-differential tests compare against.
+formulation of the same walk as an integer edge multiset over a part's
+whole shift digraph (build_shift_digraph): Kirchhoff balance, per-type
+occurrence counts and the total walk length, with connectivity enforced
+through lazily generated cuts, put in order by an Euler walk, and
+walk_to_labeling checks each part's walk's length, end points and per-type
+counts before decoding the parts as the solve path does.  No solving entry
+point uses it; it is kept as a library route and as the independent
+reference the differential tests compare against.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ from dataclasses import dataclass
 
 from .decomposition import (
     NdPartition,
-    TypeGraph,
-    _condense,
+    check_uniform,
     min_vertex_cover,
     nd_partition,
     refine_uniform,
@@ -83,19 +84,6 @@ class SolveStats:
 
 
 @dataclass(frozen=True)
-class ReflexiveReduction:
-    """Reflexive type graph plus the vertex bookkeeping needed to undo it.
-
-    Loopless classes are shrunk to a single kept vertex with a placeholder
-    weight-1 loop; the dropped vertices later copy the keeper's label.
-    """
-
-    type_graph: TypeGraph
-    kept: tuple[tuple[int, ...], ...]
-    dropped: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class EdgeMultiset:
     """Chosen multiplicities per digraph edge; zero entries are omitted."""
 
@@ -118,9 +106,10 @@ class Walk:
     nodes: tuple[int, ...]
 
 
-def _reflexive_parts(sizes, weights: dict, classes):
+def preprocess_reflexive(sizes, weights: dict, classes):
     """The reflexive reduction and the split into connected parts, in one
-    pass over _condense's sizes and weights, which it leaves as they were.
+    pass over check_uniform's sizes and weights, which it leaves as they
+    were; classes are the partition's, one per type.
 
     A loopless class shrinks to its least vertex, kept, and its other
     vertices are dropped.  The parts are the connected components of the
@@ -133,6 +122,8 @@ def _reflexive_parts(sizes, weights: dict, classes):
     them all.  Returns (kept, dropped, parts).
     """
     tau = len(sizes)
+    if len(classes) != tau:
+        raise ValueError("type graph and partition disagree on class count")
     adjacent = [0] * tau
     for i, j in weights:
         adjacent[i] |= 1 << j
@@ -172,18 +163,7 @@ def _reflexive_parts(sizes, weights: dict, classes):
     return tuple(kept), tuple(dropped), parts
 
 
-def preprocess_reflexive(tg: TypeGraph, partition: NdPartition) -> ReflexiveReduction:
-    """Give every type a loop, shrinking loopless classes to one kept vertex."""
-    if tg.node_count != partition.count:
-        raise ValueError("type graph and partition disagree on class count")
-    kept, dropped, _ = _reflexive_parts(tg.sizes, tg.weights, partition.classes)
-    weights = tg.weights | {(t, t): 1 for t in range(tg.node_count) if (t, t) not in tg.weights}
-    sizes = tuple(map(len, kept))
-    reduced = TypeGraph(sizes, frozenset(range(tg.node_count)), tg.adjacency, weights)
-    return ReflexiveReduction(reduced, kept, dropped)
-
-
-def build_flow_model(d: ShiftDigraph, tg: TypeGraph, span: int):
+def build_flow_model(d: ShiftDigraph, sizes, span: int):
     """ILP whose solutions are edge multisets of closed walks of the right shape.
 
     Variables: one multiplicity per digraph edge, bounded by the walk length
@@ -193,9 +173,13 @@ def build_flow_model(d: ShiftDigraph, tg: TypeGraph, span: int):
     Connectivity is not encoded here; it is enforced lazily by cuts.
 
     Returns the model and the edge list that variable indices refer to.
+    Raises ValueError on a negative span, or on sizes for another number
+    of types than d has.
     """
     if span < 0:
         raise ValueError("span must be nonnegative")
+    if len(sizes) != d.type_count:
+        raise ValueError(f"{len(sizes)} class sizes for a digraph of {d.type_count} types")
     length = span + d.window_length + 1
     var_count = len(d.edges)
     constraints = []
@@ -204,13 +188,13 @@ def build_flow_model(d: ShiftDigraph, tg: TypeGraph, span: int):
         terms += [(ei, -1) for ei in d.in_edges[node] if d.edges[ei][0] != node]
         if terms:
             constraints.append(Constraint.build(terms, EQ, 0))
-    for t in range(tg.node_count):
+    for t, size in enumerate(sizes):
         terms = [
             (ei, 1)
             for ei, (src, _) in enumerate(d.edges)
             if d.windows[src][0] >> t & 1
         ]
-        constraints.append(Constraint.build(terms, EQ, tg.sizes[t]))
+        constraints.append(Constraint.build(terms, EQ, size))
     constraints.append(Constraint.build([(ei, 1) for ei in range(var_count)], EQ, length))
     model = IlpModel(var_count, (length,) * var_count, tuple(constraints))
     return model, d.edges
@@ -385,7 +369,7 @@ def _walk_index_ranges(d: ShiftDigraph, span: int):
     return list(zip(lo, hi)), edge_ranges
 
 
-def _pruned_digraph(d: ShiftDigraph, tg: TypeGraph, span: int):
+def _pruned_digraph(d: ShiftDigraph, sizes, span: int):
     """Restriction of the digraph to windows a valid walk could visit.
 
     Drops edges whose feasible walk-index range is empty for this span, and
@@ -393,7 +377,7 @@ def _pruned_digraph(d: ShiftDigraph, tg: TypeGraph, span: int):
     restriction, and cuts computed on it stay valid, so solving on it is
     equivalent; edge indices are mapped back afterwards.
     """
-    capacity = [_window_capacity(w, tg.sizes) for w in d.windows]
+    capacity = [_window_capacity(w, sizes) for w in d.windows]
     _, edge_ranges = _walk_index_ranges(d, span)
     keep_edge = [elo <= ehi for elo, ehi in edge_ranges]
     keep_node = [False] * len(d.windows)
@@ -420,7 +404,7 @@ def _pruned_digraph(d: ShiftDigraph, tg: TypeGraph, span: int):
 
 
 def _strengthen_model(
-    model: IlpModel, d: ShiftDigraph, tg: TypeGraph, capacity, span: int
+    model: IlpModel, d: ShiftDigraph, sizes, capacity, span: int
 ) -> IlpModel:
     """Add walk-implied constraints that sharpen propagation without changing
     the acceptable multisets.
@@ -433,17 +417,16 @@ def _strengthen_model(
     (or early) indices cannot outnumber the remaining slots.
     """
     z = d.window_length
-    sizes = tg.sizes
     extra = []
 
     for j in range(1, z):
-        for t in range(tg.node_count):
+        for t, size in enumerate(sizes):
             terms = [
                 (ei, 1)
                 for ei, (src, _) in enumerate(d.edges)
                 if d.windows[src][j] >> t & 1
             ]
-            extra.append(Constraint.build(terms, EQ, sizes[t]))
+            extra.append(Constraint.build(terms, EQ, size))
 
     # the two padding runs contribute z departures with an empty slice in
     # every coordinate role, which no all-full cyclic pattern can provide
@@ -547,7 +530,7 @@ def _frontier_selector(d: ShiftDigraph):
 
 def solve_flow(
     d: ShiftDigraph,
-    tg: TypeGraph,
+    sizes,
     span: int,
     *,
     stats: SolveStats | None = None,
@@ -559,9 +542,9 @@ def solve_flow(
     with largest-value-first branching; edge indices map back to d at the
     end.
     """
-    pruned, capacity, edge_map = _pruned_digraph(d, tg, span)
-    model, _ = build_flow_model(pruned, tg, span)
-    model = _strengthen_model(model, pruned, tg, capacity, span)
+    pruned, capacity, edge_map = _pruned_digraph(d, sizes, span)
+    model, _ = build_flow_model(pruned, sizes, span)
+    model = _strengthen_model(model, pruned, sizes, capacity, span)
     selector = _frontier_selector(pruned)
     big_m = span + d.window_length + 1
     cap = CUT_ROUNDS_PER_EDGE * max(1, len(d.edges))
@@ -666,7 +649,7 @@ def euler_walk(ms: EdgeMultiset, d: ShiftDigraph) -> Walk:
     return Walk(tuple(circuit))
 
 
-def _walk_slices(walk: Walk, d: ShiftDigraph, tg: TypeGraph, span: int) -> list[int]:
+def _walk_slices(walk: Walk, d: ShiftDigraph, sizes, span: int) -> list[int]:
     """Slices at label positions 0..span of a closed walk, once its length,
     end points and per-type counts are checked.
 
@@ -681,26 +664,26 @@ def _walk_slices(walk: Walk, d: ShiftDigraph, tg: TypeGraph, span: int) -> list[
     if nodes[0] != d.empty_index or nodes[-1] != d.empty_index:
         raise InternalSolverError("walk does not start and end at the all-empty window")
 
-    counts = [0] * tg.node_count
+    counts = [0] * len(sizes)
     for node in nodes[:-1]:
         for t in iter_bits(d.windows[node][0]):
             counts[t] += 1
-    if counts != list(tg.sizes):
+    if counts != list(sizes):
         raise InternalSolverError("per-type occurrence counts do not match class sizes")
     return [d.windows[node][0] for node in nodes[z : z + span + 1]]
 
 
-def walk_to_labeling(
-    walk: Walk,
-    d: ShiftDigraph,
-    reduction: ReflexiveReduction,
-    span: int,
-    vertex_count: int,
-) -> Labeling:
-    """Decode a closed walk over the whole reflexive type graph into labels."""
-    slices = _walk_slices(walk, d, reduction.type_graph, span)
-    parts = [(slices, range(len(reduction.kept)))]
-    return _decode(parts, reduction.kept, reduction.dropped, span, vertex_count)
+def walk_to_labeling(parts, kept, dropped, span: int, vertex_count: int) -> Labeling:
+    """Labels from one closed walk per part, decoded as the solve path
+    decodes its parts' slices.
+
+    A part comes as (walk, its shift digraph, its sizes, its type ids), as
+    preprocess_reflexive numbers them, and kept and dropped are that
+    reduction's.  Each walk's length, end points and per-type counts are
+    checked against span and the part's sizes first.
+    """
+    walks = [(_walk_slices(walk, d, sizes, span), ids) for walk, d, sizes, ids in parts]
+    return _decode(walks, kept, dropped, span, vertex_count)
 
 
 def _decode(parts, kept, dropped, span: int, vertex_count: int) -> Labeling:
@@ -773,14 +756,14 @@ def _shortest_walk(sizes, weights: dict, closure, span=None, max_windows=None):
     per-type counts reach the class sizes, one per label position (their
     count minus 1 is the part's least span, and under a span a part with no
     walk within it gives None), and the number of windows expanded.  A part
-    comes as its sizes and weights, as in a reflexive TypeGraph, and its
-    ShiftClosure, None for a part of one type.
+    comes as its sizes and reflexive weights, as preprocess_reflexive gives
+    them, and its ShiftClosure, None for a part of one type.
 
     A part of one type is one class: a clique of s vertices whose pairs all
     carry the loop weight w (a loopless class with no neighbour gets no
     part).  Its labels sit pairwise at least w apart, so its least
     span is (s - 1) * w, met by one copy every w positions, and a smaller
-    span is refuted, on the certificate _condense has checked exactly:
+    span is refuted, on the certificate check_uniform has checked exactly:
     C(s, 2) inner edges, all carrying w.
 
     Any other part gets a breadth-first search over the states (window,
@@ -904,10 +887,10 @@ def _parts(wg: WeightedGraph, route: str, partition):
         refined = refine_uniform(wg, base)
     else:
         raise ValueError(f"unknown route {route!r}")
-    sizes, weights, uniform = _condense(wg, refined)
+    sizes, weights, uniform = check_uniform(wg, refined)
     if not uniform:
         raise NotUniformError("edge weights are not uniform on the given partition")
-    kept, dropped, parts = _reflexive_parts(sizes, weights, refined.classes)
+    kept, dropped, parts = preprocess_reflexive(sizes, weights, refined.classes)
     parts = [
         (s, w, ShiftClosure(s, w, max(w.values())) if len(s) > 1 else None, ids)
         for s, w, ids in parts

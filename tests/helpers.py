@@ -15,21 +15,10 @@ from ndchan import (
     NdPartition,
     WeightedGraph,
     build_shift_digraph,
-    check_uniform,
-    min_vertex_cover,
-    refine_uniform,
-    vc_partition,
 )
 from ndchan import solver
-from ndchan.decomposition import CLIQUE, INDEPENDENT, TypeGraph
+from ndchan.decomposition import CLIQUE, INDEPENDENT
 from ndchan.errors import GuardExceeded
-
-
-def part_type_graph(sizes, weights: dict) -> TypeGraph:
-    """A part, as the solver hands it to its search (sizes and reflexive
-    weights), as a TypeGraph, for the whole digraph and the flow ILP."""
-    pairs = frozenset(pair for pair in weights if pair[0] != pair[1])
-    return TypeGraph(tuple(sizes), frozenset(range(len(sizes))), pairs, weights)
 
 
 def send_probes_to_ilp(mp) -> None:
@@ -43,13 +32,12 @@ def send_probes_to_ilp(mp) -> None:
     def by_ilp(sizes, weights, closure, span=None, max_windows=None):
         if span is None:
             return search(sizes, weights, closure, span, max_windows)
-        tg = part_type_graph(sizes, weights)
-        digraph = build_shift_digraph(tg, tg.wmax, max_nodes=max_windows)
-        ms = solver.solve_flow(digraph, tg, span)
+        digraph = build_shift_digraph(sizes, weights, max(weights.values()), max_nodes=max_windows)
+        ms = solver.solve_flow(digraph, sizes, span)
         if ms is None:
             return None, 0
         walk = solver.euler_walk(ms, digraph)
-        return solver._walk_slices(walk, digraph, tg, span), 0
+        return solver._walk_slices(walk, digraph, sizes, span), 0
 
     mp.setattr(solver, "_shortest_walk", by_ilp)
 
@@ -65,15 +53,12 @@ def full_digraph_exceeds(wg: WeightedGraph, route: str, partition, guard: int) -
     counts every valid window.  Selecting random draws on it keeps a test
     corpus fixed however tightly the solver bounds its digraph.
     """
-    if route == "vc":
-        partition = refine_uniform(wg, vc_partition(wg.graph, min_vertex_cover(wg.graph)))
-    _, tg = check_uniform(wg, partition)
-    for sizes, weights, _ in solver._reflexive_parts(tg.sizes, tg.weights, partition.classes)[2]:
-        z = max(weights.values())
-        try:
-            build_shift_digraph(part_type_graph((z,) * len(sizes), weights), z, max_nodes=guard)
-        except GuardExceeded:
-            return True
+    try:
+        for sizes, weights, _, _ in solver._parts(wg, route, partition)[2]:
+            z = max(weights.values())
+            build_shift_digraph((z,) * len(sizes), weights, z, max_nodes=guard)
+    except GuardExceeded:
+        return True
     return False
 
 

@@ -22,14 +22,12 @@ from ndchan import (
     Graph,
     WeightedGraph,
     build_shift_digraph,
-    check_uniform,
     euler_walk,
     labeling_to_ca,
     min_vertex_cover,
     minimize_span,
     nd_partition,
     power_graph,
-    preprocess_reflexive,
     refine_uniform,
     solve_ca_uniform,
     solve_ca_vc,
@@ -40,7 +38,6 @@ from ndchan import (
     verify_assignment,
     walk_to_labeling,
 )
-from ndchan.decomposition import TypeGraph
 from ndchan.ilp import EQ, LE, Constraint, IlpModel, solve_feasibility
 from ndchan import solver
 from ndchan.oracle import brute_force_ca, brute_force_nd
@@ -53,7 +50,6 @@ from helpers import (
     lp_feasible_brute,
     lp_labeling_valid,
     lp_min_span_brute,
-    part_type_graph,
     path_graph,
     random_graph,
     random_weighted_graph,
@@ -418,8 +414,10 @@ def test_least_span_on_random_labelings(seed, n, p):
     assert verify_assignment(wg, labeling).ok
 
 
+# derandomized, as the differential test above is: fresh draws on every run
+# made the test's run time and its draws change from run to run
 @given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_least_span_on_random_uniform_and_vc_instances(seed):
     rng = random.Random(seed)
     wg, partition = uniform_instance(rng, max_types=3, max_size=3, max_weight=3)
@@ -499,12 +497,11 @@ def _duality_check(wg, partition, span):
     label positions, against the sequence conditions (class-size counts
     included) independently."""
     for sizes, weights, closure, _ in solver._parts(wg, "uniform", partition)[2]:
-        tg = part_type_graph(sizes, weights)
         slices, _ = solver._shortest_walk(sizes, weights, closure, span)
         assert slices is not None and len(slices) <= span + 1
         slices = slices + [0] * (span + 1 - len(slices))
         sets = [{t for t in range(mask.bit_length()) if mask >> t & 1} for mask in slices]
-        assert sequence_conditions_hold(sets, tg.node_count, tg.sizes, tg.weights)
+        assert sequence_conditions_hold(sets, len(sizes), sizes, weights)
 
 
 def test_criterion_7_walk_sequence_duality(
@@ -529,8 +526,7 @@ def test_criterion_7_walk_sequence_duality(
 
 def test_criterion_8_lazy_cut_sanity():
     # a hand-built two-component multiset violates a generated cut
-    tg = TypeGraph((3,), frozenset({0}), frozenset(), {(0, 0): 2})
-    digraph = build_shift_digraph(tg, 2)
+    digraph = build_shift_digraph([3], {(0, 0): 2}, 2)
     index = {w: i for i, w in enumerate(digraph.windows)}
     edge = {pair: i for i, pair in enumerate(digraph.edges)}
     up, down = index[(0, 1)], index[(1, 0)]
@@ -556,17 +552,15 @@ def test_criterion_8_lazy_cut_sanity():
     # called directly so that its stats count the cuts
     g3 = path_graph(3)
     wg3 = labeling_to_ca(g3, DistanceConstraints((1,)))
-    partition3 = nd_partition(g3)
-    ok, tg3 = check_uniform(wg3, partition3)
-    assert ok
-    reduction3 = preprocess_reflexive(tg3, partition3)
-    digraph3 = build_shift_digraph(reduction3.type_graph, reduction3.type_graph.wmax)
-    stats3 = SolveStats()
-    multiset3 = solve_flow(digraph3, reduction3.type_graph, 1, stats=stats3)
-    assert multiset3 is not None
-    labeling3 = walk_to_labeling(
-        euler_walk(multiset3, digraph3), digraph3, reduction3, 1, g3.n
+    _, (kept3, dropped3), [(sizes3, weights3, _, ids3)] = solver._parts(
+        wg3, "uniform", nd_partition(g3)
     )
+    digraph3 = build_shift_digraph(sizes3, weights3, max(weights3.values()))
+    stats3 = SolveStats()
+    multiset3 = solve_flow(digraph3, sizes3, 1, stats=stats3)
+    assert multiset3 is not None
+    walk3 = euler_walk(multiset3, digraph3)
+    labeling3 = walk_to_labeling([(walk3, digraph3, sizes3, ids3)], kept3, dropped3, 1, g3.n)
     assert verify_assignment(wg3, labeling3).ok
     assert stats3.cuts_added >= 1
     # cap violations raise rather than mislabel, so reaching this point means
@@ -614,8 +608,7 @@ def test_cut_separators_on_walk_supports(uniform_route_records):
             continue
         span = rec["span"]
         for sizes, weights, closure, _ in solver._parts(rec["wg"], "uniform", rec["partition"])[2]:
-            tg = part_type_graph(sizes, weights)
-            full = build_shift_digraph(tg, tg.wmax)
+            full = build_shift_digraph(sizes, weights, max(weights.values()))
             slices, _ = solver._shortest_walk(sizes, weights, closure, span)
             assert slices is not None
             # the closed walk of span + z + 1 steps that shifts in these
@@ -627,7 +620,7 @@ def test_cut_separators_on_walk_supports(uniform_route_records):
             for mask in slices + [0] * (span + z + 1 - len(slices)):
                 window = window[1:] + (mask,)
                 nodes.append(window_index[window])
-            d, capacity, edge_map = solver._pruned_digraph(full, tg, span)
+            d, capacity, edge_map = solver._pruned_digraph(full, sizes, span)
             index = {pair: ei for ei, pair in enumerate(full.edges)}
             pruned_index = {full_ei: ei for ei, full_ei in enumerate(edge_map)}
             values = [0] * len(d.edges)

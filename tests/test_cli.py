@@ -1,11 +1,12 @@
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from ndchan import build_shift_digraph, cli, decomposition, shift_digraph, solver
+from ndchan import build_shift_digraph, cli, shift_digraph, solver
 from ndchan.cli import build_parser, main
 from helpers import send_probes_to_ilp
 
@@ -95,25 +96,21 @@ class TestSolve:
         ],
     )
     def test_uniformity_checked_once_per_route(self, tmp_path, capsys, monkeypatch, payload, checks):
-        # one condensation per solve, which check_uniform also runs; no
-        # TypeGraph is built on the way
+        # one condensation per solve, check_uniform, and one reflexive
+        # reduction of it, preprocess_reflexive
         calls = []
-        condense = decomposition._condense
+        for name in ("check_uniform", "preprocess_reflexive"):
+            original = getattr(solver, name)
 
-        def counted(*args):
-            calls.append(args)
-            return condense(*args)
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
 
-        def no_type_graph(self):
-            raise AssertionError("a solve built a TypeGraph")
-
-        monkeypatch.setattr(decomposition, "_condense", counted)
-        monkeypatch.setattr(solver, "_condense", counted)
-        monkeypatch.setattr(decomposition.TypeGraph, "__post_init__", no_type_graph)
+            monkeypatch.setattr(solver, name, counted)
         path = write_instance(tmp_path, payload)
         code, _, _ = run(capsys, ["solve", "--instance", path, "--lambda", "5"])
         assert code == 0
-        assert len(calls) == checks
+        assert calls == ["check_uniform", "preprocess_reflexive"] * checks
 
     def test_too_many_types_is_guard_exit(self, tmp_path, capsys):
         # P17's twin partition: 17 singleton classes in one part; with every
@@ -273,6 +270,29 @@ class TestSolve:
         # the search expands 6 of the digraph's 13 windows
         assert json.loads(out)["stats"]["digraph_nodes"] == 6
 
+    @pytest.mark.parametrize(
+        "payload, digest",
+        [
+            # three parts beside an isolated class, 18 lines
+            (
+                '{"n":9,"edges":[[0,1,3],[2,3,2],[4,5,1],[4,6,1],[5,6,1]]}',
+                "c3d0563bfc8068456defb3bcdcaae2408c663584ef1868cafcc020c1ba22728d",
+            ),
+            # one part of four types, 221 lines
+            (
+                '{"n":7,"edges":[[0,3,2],[0,4,2],[0,5,2],[1,3,2],[1,4,2],[1,5,2],[2,3,2],'
+                '[2,4,2],[2,5,2],[3,4,1],[3,5,1],[4,5,1],[5,6,3]]}',
+                "1512925ebf453fee28ad52a5da7e50432a066bce6b5fb78aa3ff209a8d032ee1",
+            ),
+        ],
+    )
+    def test_dump_digest_is_pinned(self, tmp_path, capsys, payload, digest):
+        # every part's dump, byte for byte, as sha256 of stderr
+        path = write_instance(tmp_path, payload)
+        code, _, err = run(capsys, ["solve", "--instance", path, "--minimize", "--dump-digraph"])
+        assert code == 0
+        assert hashlib.sha256(err.encode()).hexdigest() == digest
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, ["solve", "--instance", "/nope/missing", "--lambda", "1"])
         assert code == 2
@@ -325,6 +345,28 @@ class TestOther:
         payload = json.loads(out)
         assert payload["nd"] == 2
         assert payload["uniform"] is True
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            (
+                '{"n":9,"edges":[[0,1,3],[2,3,2],[4,5,1],[4,6,1],[5,6,1]]}',
+                '{"nd": 4, "classes": [[0, 1], [2, 3], [4, 5, 6], [7, 8]], '
+                '"kinds": ["clique", "clique", "clique", "independent"], "uniform": true}\n',
+            ),
+            (
+                '{"n":5,"edges":[[0,1,1],[0,2,2],[1,2,3],[2,3,1],[3,4,2]]}',
+                '{"nd": 4, "classes": [[0, 1], [2], [3], [4]], '
+                '"kinds": ["clique", "independent", "independent", "independent"], '
+                '"uniform": false}\n',
+            ),
+        ],
+    )
+    def test_nd_output_is_pinned(self, tmp_path, capsys, payload, expected):
+        path = write_instance(tmp_path, payload)
+        code, out, _ = run(capsys, ["nd", "--instance", path])
+        assert code == 0
+        assert out == expected
 
     def test_reduce(self, tmp_path, capsys):
         path = write_instance(tmp_path, '{"n":3,"edges":[[0,1],[1,2]]}')

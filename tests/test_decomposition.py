@@ -11,10 +11,9 @@ from ndchan import (
     min_vertex_cover,
     nd_partition,
     refine_uniform,
-    type_graph,
     vc_partition,
 )
-from ndchan.decomposition import CLIQUE, INDEPENDENT, TypeGraph, VertexCover
+from ndchan.decomposition import CLIQUE, INDEPENDENT, VertexCover
 from ndchan.oracle import brute_force_nd
 from helpers import (
     complete_graph,
@@ -24,6 +23,11 @@ from helpers import (
     random_weighted_graph,
     star_graph,
 )
+
+
+def condense(g, p):
+    """check_uniform on g with every weight 1: (sizes, weights, uniform)."""
+    return check_uniform(WeightedGraph(g, dict.fromkeys(g.edges, 1)), p)
 
 
 class TestNdPartition:
@@ -54,80 +58,71 @@ class TestNdPartition:
     @settings(max_examples=50, deadline=None)
     def test_classes_are_valid_decomposition(self, n, prob, seed):
         g = random_graph(random.Random(seed), n, prob)
-        type_graph(g, nd_partition(g))  # raises when the axioms fail
+        condense(g, nd_partition(g))  # raises when the axioms fail
 
 
 class TestTypeGraph:
+    # the type graph check_uniform condenses: class sizes, and a weight per
+    # class pair joined by edges, a loop (t, t) marking a clique class
     def test_triangle_condenses_to_loop(self):
         g = complete_graph(3)
-        tg = type_graph(g, nd_partition(g))
-        assert tg.sizes == (3,)
-        assert tg.loops == frozenset({0})
-        assert tg.adjacency == frozenset()
-        assert tg.weights == {(0, 0): 1}
+        assert condense(g, nd_partition(g)) == ([3], {(0, 0): 1}, True)
 
     def test_c4_two_nodes_one_edge_no_loops(self):
         g = cycle_graph(4)
-        tg = type_graph(g, nd_partition(g))
-        assert tg.sizes == (2, 2)
-        assert tg.loops == frozenset()
-        assert tg.adjacency == frozenset({(0, 1)})
-        assert tg.weights == {(0, 1): 1}
+        assert condense(g, nd_partition(g)) == ([2, 2], {(0, 1): 1}, True)
 
     def test_star_sizes_and_edge(self):
         g = star_graph(3)
-        tg = type_graph(g, nd_partition(g))
-        assert sorted(tg.sizes) == [1, 3]
-        assert tg.adjacency == frozenset({(0, 1)})
-        assert tg.loops == frozenset()
+        sizes, weights, _ = condense(g, nd_partition(g))
+        assert sorted(sizes) == [1, 3]
+        assert weights == {(0, 1): 1}
 
     def test_rejects_mixed_class(self):
         # {0,1,2} on a path induces neither a clique nor an independent set
         with pytest.raises(ValueError, match="neither"):
-            type_graph(
+            condense(
                 path_graph(3),
                 NdPartition((frozenset({0, 1, 2}),), (CLIQUE,)),
             )
 
     def test_rejects_partial_cover(self):
         with pytest.raises(ValueError, match="partition"):
-            type_graph(path_graph(3), NdPartition((frozenset({0, 1}),), (CLIQUE,)))
+            condense(path_graph(3), NdPartition((frozenset({0, 1}),), (CLIQUE,)))
 
     def test_rejects_all_or_none_violation(self):
         g = Graph.from_edges(3, [(0, 1)])
         bad = NdPartition((frozenset({0, 2}), frozenset({1})), (INDEPENDENT, INDEPENDENT))
         with pytest.raises(ValueError, match="all-or-none"):
-            type_graph(g, bad)
+            condense(g, bad)
 
 
 class TestCheckUniform:
     def test_equal_weights_uniform(self):
         g = cycle_graph(4)
         wg = WeightedGraph(g, {e: 2 for e in g.edges})
-        ok, tg = check_uniform(wg, nd_partition(g))
-        assert ok
-        assert tg.weights == {(0, 1): 2}
+        assert check_uniform(wg, nd_partition(g)) == ([2, 2], {(0, 1): 2}, True)
 
     def test_mixed_weights_rejected(self):
         g = cycle_graph(4)
         weights = {e: 1 for e in g.edges}
         weights[(1, 2)] = 2
-        ok, tg = check_uniform(WeightedGraph(g, weights), nd_partition(g))
-        assert not ok and tg is None
+        _, _, uniform = check_uniform(WeightedGraph(g, weights), nd_partition(g))
+        assert not uniform
 
     def test_uniform_inside_clique_class(self):
         g = complete_graph(3)
         wg = WeightedGraph(g, {e: 2 for e in g.edges})
-        ok, tg = check_uniform(wg, nd_partition(g))
-        assert ok
-        assert tg.weights == {(0, 0): 2}
+        assert check_uniform(wg, nd_partition(g)) == ([3], {(0, 0): 2}, True)
 
 
 
 def reference_condensation(wg, p):
     """check_uniform from the definitions: a class's vertex pairs are all
     adjacent or none, and so are the vertex pairs across two classes, each
-    with one weight.  Raises ValueError on the first axiom that fails."""
+    with one weight.  Returns the class sizes and the set of weights per
+    class pair joined by edges.  Raises ValueError on the first axiom that
+    fails."""
     g = wg.graph
     if set().union(*p.classes) != set(range(g.n)):
         raise ValueError("classes do not partition the vertex set")
@@ -151,12 +146,7 @@ def reference_condensation(wg, p):
                 raise ValueError(f"edges between classes {i} and {j} are not all-or-none")
     seen = {(t, t): ws for t, ws in inner.items() if ws}
     seen.update((pair, ws) for pair, ws in cross.items() if ws)
-    if any(len(ws) != 1 for ws in seen.values()):
-        return False, None
-    sizes = tuple(len(cls) for cls in p.classes)
-    loops = frozenset(t for t, _ in seen if (t, t) in seen)
-    adjacency = frozenset(pair for pair in seen if pair[0] != pair[1])
-    return True, TypeGraph(sizes, loops, adjacency, {pair: min(ws) for pair, ws in seen.items()})
+    return [len(cls) for cls in p.classes], seen
 
 
 @st.composite
@@ -205,27 +195,20 @@ class TestCondensation:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_definitions(self, case):
         # the one-pass edge count agrees with the pairwise definitions on
-        # the verdict, the error message and every TypeGraph field
+        # the verdict, the error message, the sizes and the class pairs,
+        # each with one of its weights, the only one where uniform
         wg, p = case
         try:
-            expected = reference_condensation(wg, p)
+            ref_sizes, ref_weights = reference_condensation(wg, p)
         except ValueError as exc:
             with pytest.raises(ValueError) as info:
                 check_uniform(wg, p)
             assert str(info.value) == str(exc)
             return
-        ok, tg = check_uniform(wg, p)
-        assert ok == expected[0]
-        if ok:
-            ref = expected[1]
-            assert (tg.sizes, tg.loops, tg.adjacency, tg.weights) == (
-                ref.sizes,
-                ref.loops,
-                ref.adjacency,
-                ref.weights,
-            )
-        else:
-            assert tg is None
+        sizes, weights, uniform = check_uniform(wg, p)
+        assert uniform == all(len(ws) == 1 for ws in ref_weights.values())
+        assert sizes == ref_sizes and weights.keys() == ref_weights.keys()
+        assert all(w in ref_weights[pair] for pair, w in weights.items())
 
 class TestMinVertexCover:
     def test_path3_center(self):
@@ -283,7 +266,7 @@ class TestVcPartition:
         g = random_graph(random.Random(seed), n, prob)
         cover = min_vertex_cover(g)
         p = vc_partition(g, cover)
-        type_graph(g, p)  # axioms
+        condense(g, p)  # axioms
         assert p.count <= 2 ** len(cover.cover) + len(cover.cover)
 
 
@@ -316,8 +299,7 @@ class TestRefineUniform:
         assert base.count == 1 and base.kinds == (CLIQUE,)
         refined = refine_uniform(wg, base)
         assert refined.classes == tuple(frozenset({v}) for v in range(wg.graph.n))
-        ok, _ = check_uniform(wg, refined)
-        assert ok
+        assert check_uniform(wg, refined)[2]
 
     def test_uniform_clique_class_stays_whole(self):
         wg = WeightedGraph.from_edges(
@@ -333,11 +315,10 @@ class TestRefineUniform:
         wg = random_weighted_graph(random.Random(seed), n, prob, wmax)
         twins = nd_partition(wg.graph)
         refined = refine_uniform(wg, twins)
-        ok, _ = check_uniform(wg, refined)
-        assert ok
+        assert check_uniform(wg, refined)[2]
         # a twin partition that is uniform already comes back unchanged, so
         # solving on the refined one covers solving on the twin partition
-        if check_uniform(wg, twins)[0]:
+        if check_uniform(wg, twins)[2]:
             assert refined == twins
 
     @given(st.integers(1, 8), st.floats(0, 1), st.integers(0, 9999), st.integers(1, 3))
@@ -347,7 +328,6 @@ class TestRefineUniform:
         wg = random_weighted_graph(rng, n, prob, wmax)
         cover = min_vertex_cover(wg.graph)
         refined = refine_uniform(wg, vc_partition(wg.graph, cover))
-        ok, tg = check_uniform(wg, refined)
-        assert ok
+        assert check_uniform(wg, refined)[2]
         k = len(cover.cover)
         assert refined.count <= k + (2**k) * wg.wmax**k

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +217,26 @@ class TestRelaxationTools:
         model = IlpModel(2, (2, 2), (Constraint.build([(0, 1), (1, 1)], EQ, 9),))
         assert relaxation_point(model) is None
         assert not refute_by_certificate(model)
+
+    def test_certificate_memory_follows_the_terms(self):
+        # 3,000 variables at most 1 in 30 blocks of 100, each block summing
+        # to at most 100, and the total asked to be 3,001: the certificate
+        # proves it infeasible without a dense matrix on the way.  A dense
+        # Farkas system is 3,000 x (31 + 2 * 3,000) floats, 145 MB
+        pytest.importorskip("scipy")
+        n = 3000
+        blocks = [Constraint.build([(j, 1) for j in range(b, b + 100)], LE, 100) for b in range(0, n, 100)]
+        total = Constraint.build([(j, 1) for j in range(n)], EQ, n + 1)
+        model = IlpModel(n, (1,) * n, tuple(blocks) + (total,))
+        dense = n * (len(model.constraints) + 2 * n) * 8
+        relaxation_point(IlpModel(1, (1,), (Constraint.build([(0, 1)], EQ, 1),)))  # scipy's imports
+        tracemalloc.start()
+        try:
+            assert refute_by_certificate(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense / 20, peak
 
     @given(st.integers(0, 9999))
     @settings(max_examples=60, deadline=None)

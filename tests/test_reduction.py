@@ -63,8 +63,7 @@ class TestLabelingToCa:
     def test_original_partition_stays_uniform_on_reduction(self, n, prob, seed, p):
         g = random_graph(random.Random(seed), n, prob)
         wg = labeling_to_ca(g, DistanceConstraints(tuple(p)))
-        ok, _ = check_uniform(wg, nd_partition(g))
-        assert ok
+        assert check_uniform(wg, nd_partition(g))[2]
 
     @given(st.integers(2, 5), st.floats(0, 1), st.integers(0, 9999),
            st.lists(st.integers(1, 3), min_size=1, max_size=2), st.integers(0, 6))

@@ -4,32 +4,27 @@ import random
 import pytest
 
 from ndchan import build_shift_digraph, dump_digraph, solver
-from ndchan.decomposition import TypeGraph
 from ndchan.errors import GuardExceeded
 from ndchan.shift_digraph import ShiftClosure, independent_sets, iter_bits
 
 
+# a type graph comes as a part does: (class sizes, reflexive weights)
+
+
 def single_loop_type(weight, size=1):
-    return TypeGraph((size,), frozenset({0}), frozenset(), {(0, 0): weight})
+    return [size], {(0, 0): weight}
 
 
 def two_adjacent_types(w, loops=(1, 1)):
-    return TypeGraph(
-        (1, 1),
-        frozenset({0, 1}),
-        frozenset({(0, 1)}),
-        {(0, 0): loops[0], (1, 1): loops[1], (0, 1): w},
-    )
+    return [1, 1], {(0, 0): loops[0], (1, 1): loops[1], (0, 1): w}
 
 
-def brute_force_digraph(tg, z):
-    """Direct enumeration of all candidate tuples against the definitions,
-    with no bound from the class sizes."""
-    tau = tg.node_count
-    pairs = dict(tg.weights)
+def brute_force_digraph(tau, weights, z):
+    """Direct enumeration of all candidate tuples over tau types against
+    the definitions, with no bound from the class sizes."""
 
     def tuple_ok(sets):
-        for (t, r), w in pairs.items():
+        for (t, r), w in weights.items():
             for i, si in enumerate(sets):
                 for j, sj in enumerate(sets):
                     if t == r and i == j:
@@ -49,9 +44,10 @@ def brute_force_digraph(tg, z):
     return set(nodes), edges
 
 
-def random_type_graph(rng):
-    """A reflexive type graph of one to four types and a window length up
-    to 3, with random sizes, loop weights and pair weights up to it."""
+def random_part(rng):
+    """A reflexive type graph of one to four types, as (sizes, weights),
+    and a window length up to 3, with random sizes, loop weights and pair
+    weights up to it."""
     tau, z = rng.randint(1, 4), rng.randint(1, 3)
     sizes = tuple(rng.randint(1, 3) for _ in range(tau))
     weights = {(t, t): rng.randint(1, z) for t in range(tau)}
@@ -60,8 +56,7 @@ def random_type_graph(rng):
         for t, r in itertools.combinations(range(tau), 2)
         if rng.random() < 0.5
     )
-    adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
-    return TypeGraph(sizes, frozenset(range(tau)), adjacency, weights), z
+    return sizes, weights, z
 
 
 def within_sizes(window, sizes):
@@ -75,19 +70,19 @@ def as_sets(d, node):
 
 class TestBuildShiftDigraph:
     def test_single_type_loop_two(self):
-        d = build_shift_digraph(single_loop_type(2), 2)
+        d = build_shift_digraph(*single_loop_type(2), 2)
         windows = {as_sets(d, i) for i in range(len(d.windows))}
         empty = frozenset()
         t = frozenset({0})
         assert windows == {(empty, empty), (empty, t), (t, empty)}
 
     def test_adjacent_types_never_share_a_slot(self):
-        d = build_shift_digraph(two_adjacent_types(1), 1)
+        d = build_shift_digraph(*two_adjacent_types(1), 1)
         windows = {as_sets(d, i)[0] for i in range(len(d.windows))}
         assert windows == {frozenset(), frozenset({0}), frozenset({1})}
 
     def test_shift_edges_of_loop_example(self):
-        d = build_shift_digraph(single_loop_type(2), 2)
+        d = build_shift_digraph(*single_loop_type(2), 2)
         index = {as_sets(d, i): i for i in range(len(d.windows))}
         empty = frozenset()
         t = frozenset({0})
@@ -96,29 +91,40 @@ class TestBuildShiftDigraph:
         assert (index[(empty, t)], index[(empty, empty)]) not in edge_set
 
     def test_empty_window_first_with_self_loop(self):
-        d = build_shift_digraph(two_adjacent_types(2), 2)
+        d = build_shift_digraph(*two_adjacent_types(2), 2)
         assert d.windows[d.empty_index] == (0, 0)
         assert (0, 0) in d.edges
 
     def test_empty_type_graph_single_node(self):
-        tg = TypeGraph((), frozenset(), frozenset(), {})
-        d = build_shift_digraph(tg, 2)
+        d = build_shift_digraph((), {}, 2)
         assert len(d.windows) == 1
         assert d.edges == ((0, 0),)
 
     def test_rejects_zero_length(self):
-        with pytest.raises(ValueError):
-            build_shift_digraph(single_loop_type(1), 0)
+        with pytest.raises(ValueError, match="window length"):
+            build_shift_digraph(*single_loop_type(1), 0)
 
     def test_rejects_loopless_type(self):
-        tg = TypeGraph((2, 1), frozenset({1}), frozenset(), {(1, 1): 1})
-        with pytest.raises(ValueError, match="loop"):
-            build_shift_digraph(tg, 1)
+        with pytest.raises(ValueError, match="type 0 has no loop"):
+            build_shift_digraph((2, 1), {(1, 1): 1}, 1)
+
+    def test_rejects_a_size_below_one(self):
+        with pytest.raises(ValueError, match="class sizes must be positive"):
+            build_shift_digraph((1, 0), {(0, 0): 1, (1, 1): 1}, 1)
+
+    @pytest.mark.parametrize("weight", [0, -1, 1.5, "2"])
+    def test_rejects_a_weight_that_is_no_positive_integer(self, weight):
+        with pytest.raises(ValueError, match="positive integers"):
+            build_shift_digraph((1, 1), {(0, 0): 1, (1, 1): 1, (0, 1): weight}, 1)
+
+    @pytest.mark.parametrize("pair", [(0, 2), (1, 0), (-1, 1)])
+    def test_rejects_a_pair_out_of_range_or_not_normalized(self, pair):
+        with pytest.raises(ValueError, match="out of range or not normalized"):
+            build_shift_digraph((1, 1), {(0, 0): 1, (1, 1): 1, pair: 1}, 1)
 
     def test_node_guard(self):
-        tg = two_adjacent_types(1)
         with pytest.raises(GuardExceeded):
-            build_shift_digraph(tg, 3, max_nodes=2)
+            build_shift_digraph(*two_adjacent_types(1), 3, max_nodes=2)
 
     def test_matches_exhaustive_enumeration(self):
         # sizes go up to z, where the size bound no longer removes anything
@@ -144,11 +150,8 @@ class TestBuildShiftDigraph:
                 weights.update((pair, w) for pair, w in zip(pairs, pattern) if w)
                 cases.append((sizes, weights, z))
         for sizes, weights, z in cases:
-            tau = len(sizes)
-            adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
-            tg = TypeGraph(sizes, frozenset(range(tau)), adjacency, weights)
-            d = build_shift_digraph(tg, z)
-            nodes, edges = brute_force_digraph(tg, z)
+            d = build_shift_digraph(sizes, weights, z)
+            nodes, edges = brute_force_digraph(len(sizes), weights, z)
             got_nodes = {as_sets(d, i) for i in range(len(d.windows))}
             got_edges = {(as_sets(d, a), as_sets(d, b)) for a, b in d.edges}
             assert got_nodes == {w for w in nodes if within_sizes(w, sizes)}
@@ -166,7 +169,7 @@ class TestBuildShiftDigraph:
         # in ascending order of the slice they shift in
         rng = random.Random(11)
         for _ in range(200):
-            d = build_shift_digraph(*random_type_graph(rng))
+            d = build_shift_digraph(*random_part(rng))
             sources = [src for src, _ in d.edges]
             assert sources == sorted(sources)
             for src, group in itertools.groupby(d.edges, key=lambda edge: edge[0]):
@@ -184,8 +187,7 @@ class TestBuildShiftDigraph:
         pairs = list(itertools.combinations(range(tau), 2))
         weights = {pair: 1 for pair in pairs}
         weights.update({(t, t): 1 for t in range(tau)})
-        tg = TypeGraph((1,) * tau, frozenset(range(tau)), frozenset(pairs), weights)
-        d = build_shift_digraph(tg, 1)
+        d = build_shift_digraph((1,) * tau, weights, 1)
         assert [w[0] for w in d.windows] == [0] + [1 << t for t in range(tau)]
         assert len(d.edges) == (tau + 1) ** 2
 
@@ -215,14 +217,15 @@ class TestOnDemandSuccessors:
         def search(span):
             nonlocal expanded
             seen.clear()
-            slices, windows = solver._shortest_walk(tg.sizes, tg.weights, closure, span)
+            slices, windows = solver._shortest_walk(sizes, weights, closure, span)
             assert len(set(seen)) == len(seen) == windows
             expanded += windows
             return slices
 
         for _ in range(200):
-            tg, _ = random_type_graph(rng)
-            closure = ShiftClosure(tg.sizes, tg.weights, tg.wmax) if tg.node_count > 1 else None
+            sizes, weights, _ = random_part(rng)
+            z = max(weights.values())
+            closure = ShiftClosure(sizes, weights, z) if len(sizes) > 1 else None
             allowed_of.clear()
             moves_of.clear()
             with monkeypatch.context() as patched:
@@ -231,7 +234,7 @@ class TestOnDemandSuccessors:
                 least = len(search(None)) - 1
                 for span in range(least + 2):
                     assert (search(span) is None) == (span < least)
-            d = build_shift_digraph(tg, tg.wmax)
+            d = build_shift_digraph(sizes, weights, z)
             index = {d.window_code(node): node for node in range(len(d.windows))}
             units = [(clash, 1 << t) for t, clash in enumerate(closure.clash)] if closure else []
             for code, allowed_types in allowed_of.items():
@@ -240,19 +243,19 @@ class TestOnDemandSuccessors:
                 slices = [
                     m
                     for m in independent_sets(allowed_types, units)
-                    if within_sizes(kept + (frozenset(iter_bits(m)),), tg.sizes)
+                    if within_sizes(kept + (frozenset(iter_bits(m)),), sizes)
                 ]
                 assert slices == [d.windows[d.edges[ei][1]][-1] for ei in d.out_edges[node]]
             # the count code: a size-1 type's bit t, then the other types'
             # mixed-radix digits; a move holds its mask past the full code
-            tau, steps, place = len(tg.sizes), [], 1
-            for t, size in enumerate(tg.sizes):
+            tau, steps, place = len(sizes), [], 1
+            for t, size in enumerate(sizes):
                 if size == 1:
                     steps.append(1 << t)
                 else:
                     steps.append(place << tau)
                     place *= size + 1
-            shift = sum(size * step for size, step in zip(tg.sizes, steps)).bit_length()
+            shift = sum(size * step for size, step in zip(sizes, steps)).bit_length()
             for free, made in moves_of.items():
                 masks = [move >> shift & closure.slice_mask for move in made]
                 assert sorted(masks) == independent_sets(free, units)
@@ -264,7 +267,7 @@ class TestOnDemandSuccessors:
 
 class TestDump:
     def test_edge_list_format(self):
-        d = build_shift_digraph(single_loop_type(2), 2)
+        d = build_shift_digraph(*single_loop_type(2), 2)
         text = dump_digraph(d)
         lines = text.splitlines()
         assert lines[0].startswith("# shift digraph")

@@ -31,7 +31,7 @@ from ndchan import (
     verify_assignment,
     walk_to_labeling,
 )
-from ndchan.decomposition import CLIQUE, INDEPENDENT, TypeGraph
+from ndchan.decomposition import CLIQUE, INDEPENDENT
 from ndchan import shift_digraph, solver
 from ndchan.errors import GuardExceeded, InternalSolverError
 from ndchan.ilp import EQ, solve_feasibility
@@ -41,7 +41,6 @@ from ndchan.solver import SolveStats, Walk
 from helpers import (
     complete_graph,
     cycle_graph,
-    part_type_graph,
     path_graph,
     star_graph,
     uniform_instance,
@@ -63,50 +62,54 @@ def two_clique_classes():
 
 
 def uniform_pipeline(wg):
-    partition = nd_partition(wg.graph)
-    ok, tg = check_uniform(wg, partition)
-    assert ok
-    reduction = preprocess_reflexive(tg, partition)
-    digraph = build_shift_digraph(reduction.type_graph, reduction.type_graph.wmax)
-    return partition, reduction, digraph
+    """The twin partition's reflexive reduction, (kept, dropped), its one
+    part as (sizes, type ids), and that part's whole shift digraph."""
+    _, reduction, [(sizes, weights, _, ids)] = solver._parts(wg, "uniform", nd_partition(wg.graph))
+    return reduction, (sizes, ids), build_shift_digraph(sizes, weights, max(weights.values()))
 
 
 class TestPreprocessReflexive:
     def test_star_types_collapse(self):
         g = star_graph(3)
         p = nd_partition(g)
-        ok, tg = check_uniform(WeightedGraph(g, {e: 1 for e in g.edges}), p)
-        reduction = preprocess_reflexive(tg, p)
-        assert reduction.type_graph.sizes == (1, 1)
-        assert reduction.type_graph.loops == frozenset({0, 1})
-        leaves = [i for i, kept in enumerate(reduction.kept) if reduction.dropped[i]]
+        sizes, weights, uniform = check_uniform(WeightedGraph(g, {e: 1 for e in g.edges}), p)
+        assert uniform and weights == {(0, 1): 1}
+        kept, dropped, [(part_sizes, part_weights, ids)] = preprocess_reflexive(sizes, weights, p.classes)
+        assert part_sizes == [1, 1] and ids == [0, 1]
+        assert part_weights == {(0, 0): 1, (1, 1): 1, (0, 1): 1}
+        assert weights == {(0, 1): 1}  # the condensed weights are left as they were
+        leaves = [i for i in range(2) if dropped[i]]
         assert len(leaves) == 1
-        assert reduction.dropped[leaves[0]] == (2, 3)
+        assert dropped[leaves[0]] == (2, 3)
 
     def test_clique_class_unchanged(self):
         wg = k3_instance()
         p = nd_partition(wg.graph)
-        ok, tg = check_uniform(wg, p)
-        reduction = preprocess_reflexive(tg, p)
-        assert reduction.type_graph.sizes == (3,)
-        assert reduction.dropped == ((),)
-        assert reduction.type_graph.weights[(0, 0)] == 2
+        sizes, weights, _ = check_uniform(wg, p)
+        kept, dropped, parts = preprocess_reflexive(sizes, weights, p.classes)
+        assert parts == [([3], {(0, 0): 2}, [0])]
+        assert (kept, dropped) == (((0, 1, 2),), ((),))
 
     def test_c4_classes_reduced_to_singletons(self):
         g = cycle_graph(4)
         wg = WeightedGraph(g, {e: 1 for e in g.edges})
         p = nd_partition(g)
-        ok, tg = check_uniform(wg, p)
-        reduction = preprocess_reflexive(tg, p)
-        assert reduction.type_graph.sizes == (1, 1)
-        assert all(len(d) == 1 for d in reduction.dropped)
+        sizes, weights, _ = check_uniform(wg, p)
+        _, dropped, [(part_sizes, _, _)] = preprocess_reflexive(sizes, weights, p.classes)
+        assert part_sizes == [1, 1]
+        assert all(len(d) == 1 for d in dropped)
+
+    def test_rejects_a_partition_of_another_class_count(self):
+        wg = k3_instance()
+        sizes, weights, _ = check_uniform(wg, nd_partition(wg.graph))
+        with pytest.raises(ValueError, match="disagree on class count"):
+            preprocess_reflexive(sizes, weights, (frozenset({0}), frozenset({1, 2})))
 
 
 class TestBuildFlowModel:
     def test_single_type_counts(self):
-        tg = TypeGraph((3,), frozenset({0}), frozenset(), {(0, 0): 2})
-        d = build_shift_digraph(tg, 2)
-        model, edges = build_flow_model(d, tg, 4)
+        d = build_shift_digraph([3], {(0, 0): 2}, 2)
+        model, edges = build_flow_model(d, [3], 4)
         assert edges == d.edges
         assert model.var_count == len(d.edges)
         assert set(model.upper_bounds) == {7}
@@ -123,25 +126,27 @@ class TestBuildFlowModel:
 
     def test_pigeonhole_infeasible(self):
         # five labels demanded from a span of three
-        tg = TypeGraph((5,), frozenset({0}), frozenset(), {(0, 0): 1})
-        d = build_shift_digraph(tg, 1)
-        assert solve_flow(d, tg, 3) is None
+        d = build_shift_digraph([5], {(0, 0): 1}, 1)
+        assert solve_flow(d, [5], 3) is None
 
     def test_rejects_negative_span(self):
-        tg = TypeGraph((1,), frozenset({0}), frozenset(), {(0, 0): 1})
-        d = build_shift_digraph(tg, 1)
+        d = build_shift_digraph([1], {(0, 0): 1}, 1)
         with pytest.raises(ValueError):
-            build_flow_model(d, tg, -1)
+            build_flow_model(d, [1], -1)
+
+    def test_rejects_sizes_of_another_type_count(self):
+        d = build_shift_digraph([1], {(0, 0): 1}, 1)
+        with pytest.raises(ValueError, match="2 class sizes for a digraph of 1 types"):
+            build_flow_model(d, [1, 1], 2)
 
 
 class TestConnectivityViolation:
     def setup_method(self):
-        tg = TypeGraph((3,), frozenset({0}), frozenset(), {(0, 0): 2})
-        self.d = build_shift_digraph(tg, 2)
-        self.tg = tg
+        self.sizes = [3]
+        self.d = build_shift_digraph(self.sizes, {(0, 0): 2}, 2)
 
     def test_connected_support_passes(self):
-        model, _ = build_flow_model(self.d, self.tg, 4)
+        model, _ = build_flow_model(self.d, self.sizes, 4)
         solution = solve_feasibility(model, descending=True)
         # not necessarily connected, so check a hand-built connected support:
         index = {w: i for i, w in enumerate(self.d.windows)}
@@ -172,17 +177,17 @@ class TestConnectivityViolation:
 class TestSolveFlow:
     def test_k3_multiset_decodes_to_spread_labels(self):
         wg = k3_instance()
-        partition, reduction, digraph = uniform_pipeline(wg)
-        ms = solve_flow(digraph, reduction.type_graph, 4)
+        (kept, dropped), (sizes, ids), digraph = uniform_pipeline(wg)
+        ms = solve_flow(digraph, sizes, 4)
         assert ms is not None
         walk = euler_walk(ms, digraph)
-        labeling = walk_to_labeling(walk, digraph, reduction, 4, 3)
+        labeling = walk_to_labeling([(walk, digraph, sizes, ids)], kept, dropped, 4, 3)
         assert sorted(labeling.labels) == [0, 2, 4]
 
     def test_k3_span_three_infeasible(self):
         wg = k3_instance()
-        partition, reduction, digraph = uniform_pipeline(wg)
-        assert solve_flow(digraph, reduction.type_graph, 3) is None
+        _, (sizes, _), digraph = uniform_pipeline(wg)
+        assert solve_flow(digraph, sizes, 3) is None
 
     def test_infeasible_relaxation_is_refuted_without_search(self, monkeypatch):
         # the three copies of K3 need five positions at weight 2, which the
@@ -193,8 +198,8 @@ class TestSolveFlow:
             raise AssertionError("a probe with an infeasible relaxation was searched")
 
         monkeypatch.setattr(solver, "solve_feasibility", no_search)
-        _, reduction, digraph = uniform_pipeline(k3_instance())
-        assert solve_flow(digraph, reduction.type_graph, 3) is None
+        _, (sizes, _), digraph = uniform_pipeline(k3_instance())
+        assert solve_flow(digraph, sizes, 3) is None
 
     def test_bipartite_k22_at_wmax(self):
         wg = WeightedGraph.from_edges(
@@ -205,8 +210,7 @@ class TestSolveFlow:
 
 class TestEulerWalk:
     def setup_method(self):
-        tg = TypeGraph((3,), frozenset({0}), frozenset(), {(0, 0): 2})
-        self.d = build_shift_digraph(tg, 2)
+        self.d = build_shift_digraph([3], {(0, 0): 2}, 2)
         self.index = {w: i for i, w in enumerate(self.d.windows)}
         self.edge = {pair: i for i, pair in enumerate(self.d.edges)}
 
@@ -247,19 +251,34 @@ class TestEulerWalk:
 class TestWalkToLabeling:
     def test_explicit_decode(self):
         wg = k3_instance()
-        partition, reduction, digraph = uniform_pipeline(wg)
+        (kept, dropped), (sizes, ids), digraph = uniform_pipeline(wg)
         index = {w: i for i, w in enumerate(digraph.windows)}
         empty, up, down = 0, index[(0, 1)], index[(1, 0)]
         # encodes slices {t},_,{t},_,{t} -> labels 0, 2, 4
         walk = Walk((empty, up, down, up, down, up, down, empty))
-        labeling = walk_to_labeling(walk, digraph, reduction, 4, 3)
+        labeling = walk_to_labeling([(walk, digraph, sizes, ids)], kept, dropped, 4, 3)
         assert labeling.labels == (0, 2, 4)
 
     def test_count_mismatch_rejected(self):
         wg = k3_instance()
-        partition, reduction, digraph = uniform_pipeline(wg)
-        with pytest.raises(InternalSolverError):
-            walk_to_labeling(Walk((0,) * 8), digraph, reduction, 4, 3)
+        (kept, dropped), (sizes, ids), digraph = uniform_pipeline(wg)
+        with pytest.raises(InternalSolverError, match="occurrence counts"):
+            walk_to_labeling([(Walk((0,) * 8), digraph, sizes, ids)], kept, dropped, 4, 3)
+
+    def test_parts_decode_as_the_solve_path_does(self):
+        # TestFrontEnd.MULTI at span 3: three parts, each its own flow ILP
+        # walk over its whole digraph, decoded at once through the parts'
+        # type ids; the isolated vertices 7 and 8 are in no part
+        wg = WeightedGraph.from_edges(9, TestFrontEnd.MULTI)
+        _, (kept, dropped), parts = solver._parts(wg, "uniform", nd_partition(wg.graph))
+        walks = []
+        for sizes, weights, _, ids in parts:
+            digraph = build_shift_digraph(sizes, weights, max(weights.values()))
+            walk = euler_walk(solve_flow(digraph, sizes, 3), digraph)
+            walks.append((walk, digraph, sizes, ids))
+        assert len(walks) == 3
+        labeling = walk_to_labeling(walks, kept, dropped, 3, 9)
+        assert verify_assignment(wg, labeling).ok and labeling.labels[7:] == (0, 0)
 
     def test_dropped_vertices_copy_keeper(self):
         g = cycle_graph(4)
@@ -458,16 +477,16 @@ class TestWalkSearch:
                 for r in range(t + 1, tau)
                 if rng.random() < density
             )
-            adjacency = frozenset(pair for pair in weights if pair[0] != pair[1])
-            tg = TypeGraph((1,) * tau, frozenset(range(tau)), adjacency, weights)
-            closure = ShiftClosure(tg.sizes, tg.weights, tg.wmax)
-            slices, _ = solver._shortest_walk(tg.sizes, tg.weights, closure)
+            sizes = [1] * tau
+            closure = ShiftClosure(sizes, weights, max(weights.values()))
+            slices, _ = solver._shortest_walk(sizes, weights, closure)
             walks.append(slices)
             least = len(slices) - 1
-            assert solver._shortest_walk(tg.sizes, tg.weights, closure, least)[0] == slices
+            assert solver._shortest_walk(sizes, weights, closure, least)[0] == slices
             if least > 0:
-                assert solver._shortest_walk(tg.sizes, tg.weights, closure, least - 1)[0] is None, tg
-            wg = WeightedGraph.from_edges(tau, [(t, r, weights[(t, r)]) for t, r in adjacency])
+                assert solver._shortest_walk(sizes, weights, closure, least - 1)[0] is None, weights
+            pairs = [(t, r, w) for (t, r), w in weights.items() if t != r]
+            wg = WeightedGraph.from_edges(tau, pairs)
             labels = [next(i for i, mask in enumerate(slices) if mask >> t & 1) for t in range(tau)]
             assert verify_assignment(wg, Labeling(tuple(labels), least)).ok
             try:
@@ -475,7 +494,7 @@ class TestWalkSearch:
                 at = brute_force_ca(wg, least, guard=10**6)
             except GuardExceeded:
                 continue
-            assert not below and at is not None, tg
+            assert not below and at is not None, weights
             oracle_runs += 1
         assert oracle_runs > 80
         digest = hashlib.sha256(repr(walks).encode()).hexdigest()
@@ -659,7 +678,7 @@ class TestGuards:
         assert len(set(expanded)) == len(expanded) == stats.digraph_nodes
         monkeypatch.undo()
         windows = sum(
-            len(build_shift_digraph(part_type_graph(sizes, weights), max(weights.values())).windows)
+            len(build_shift_digraph(sizes, weights, max(weights.values())).windows)
             for sizes, weights, _, _ in solver._parts(wg, "vc", None)[2]
         )
         assert 0 < len(expanded) < windows
@@ -796,12 +815,12 @@ class TestFrontEnd:
     MULTI = [(0, 1, 3), (2, 3, 2), (4, 5, 1), (4, 6, 1), (5, 6, 1)]
 
     def test_one_uniformity_check_per_call(self, monkeypatch):
-        # the uniformity check is one condensation of the instance, and one
-        # pass that makes it reflexive and splits it into parts follows,
-        # however many parts the type graph has; preprocess_reflexive, the
-        # public wrapper, stays off the path
+        # the uniformity check is one condensation of the instance,
+        # check_uniform, and one pass that makes it reflexive and splits it
+        # into parts follows, preprocess_reflexive, however many parts the
+        # type graph has
         calls = []
-        for name in ("_condense", "_reflexive_parts", "preprocess_reflexive"):
+        for name in ("check_uniform", "preprocess_reflexive"):
             original = getattr(solver, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -819,7 +838,7 @@ class TestFrontEnd:
         ):
             calls.clear()
             solve()
-            assert calls == ["_condense", "_reflexive_parts"]
+            assert calls == ["check_uniform", "preprocess_reflexive"]
 
     def test_isolated_class_has_no_part(self):
         # a weight-2 clique class of two vertices and a class of five
@@ -952,36 +971,6 @@ class TestFrontEnd:
         assert mixed == 44
         digest = hashlib.sha256(repr(answers).encode()).hexdigest()
         assert digest == "2b708625c8816dc0d3fb09730d846115a145e30a3c17c7407773d88075a338e2"
-
-    def test_type_graphs_built_per_solve(self, monkeypatch):
-        # none: the condensation, the reflexive reduction and the split into
-        # parts hand the searches plain sizes and weights on both routes,
-        # for one part or several
-        built = []
-        original = TypeGraph.__post_init__
-
-        def counted(self):
-            built.append(self)
-            original(self)
-
-        monkeypatch.setattr(TypeGraph, "__post_init__", counted)
-        # a star of one part, and test_isolated_class_has_no_part's clique
-        # class beside an isolated class
-        for wg in (
-            WeightedGraph.from_edges(3, [(0, 1, 2), (0, 2, 2)]),
-            WeightedGraph.from_edges(7, [(0, 1, 2)]),
-        ):
-            partition = nd_partition(wg.graph)
-            assert solve_ca_uniform(wg, partition, 3) is not None
-            assert solve_ca_vc(wg, 3) is not None
-            assert minimize_span(wg, "uniform", partition)[1] is not None
-            assert minimize_span(wg, "vc")[1] is not None
-        assert built == []
-        # the public wrappers still build them: the check's and the
-        # reflexive reduction's
-        _, tg = check_uniform(wg, partition)
-        preprocess_reflexive(tg, partition)
-        assert len(built) == 2
 
     def test_vc_routes_report_the_same_decomposition(self):
         wg = WeightedGraph.from_edges(9, self.MULTI + [(0, 7, 1), (0, 8, 2)])
