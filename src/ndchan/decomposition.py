@@ -109,14 +109,6 @@ def check_uniform(wg: WeightedGraph, p: NdPartition):
     return sizes, weights, uniform
 
 
-def _inner_weights(wg: WeightedGraph, cls) -> set[int]:
-    """Weights of the edges inside a class; empty for an independent class."""
-    members = sorted(cls)
-    if len(members) < 2 or not wg.graph.has_edge(members[0], members[1]):
-        return set()
-    return {wg.weights[(u, v)] for a, u in enumerate(members) for v in members[a + 1 :]}
-
-
 def min_vertex_cover(g: Graph) -> VertexCover:
     """Exact minimum vertex cover by branching on an endpoint of an uncovered edge."""
     edges = sorted(g.edges)
@@ -174,23 +166,28 @@ def refine_uniform(wg: WeightedGraph, p: NdPartition) -> NdPartition:
     """Split classes by the weight tuple toward their neighbors until weights
     are uniform; refining a decomposition keeps the decomposition axioms.
 
-    A clique class whose inner weights differ is split into singletons
-    first, since no split by outside weights makes those uniform.
+    One pass over each member's incident edges reads the weights inside
+    its class and the signature toward the other classes.  A class whose
+    inner weights differ is split into singletons, since no split by
+    outside weights makes those uniform.
     """
     refined = []
     for cls, kind in zip(p.classes, p.kinds):
-        if len(_inner_weights(wg, cls)) > 1:
-            refined.extend((frozenset({v}), kind) for v in cls)
-            continue
         if len(cls) == 1:
             refined.append((cls, kind))
             continue
-        groups: dict[tuple, list[int]] = {}
+        inner, groups = set(), {}
         for v in sorted(cls):
-            sig = tuple(
-                sorted((u, wg.weight(v, u)) for u in wg.graph.neighbors(v) if u not in cls)
-            )
-            groups.setdefault(sig, []).append(v)
+            sig = []
+            for u in sorted(wg.graph.neighbors(v)):
+                if u in cls:
+                    inner.add(wg.weight(v, u))
+                else:
+                    sig.append((u, wg.weight(v, u)))
+            groups.setdefault(tuple(sig), []).append(v)
+        if len(inner) > 1:
+            refined.extend((frozenset({v}), kind) for v in cls)
+            continue
         for vs in groups.values():
             refined.append((frozenset(vs), kind))
     refined.sort(key=lambda item: min(item[0]))

@@ -385,45 +385,30 @@ def refute_by_certificate(model: IlpModel) -> bool:
         return False
 
     # Farkas alternative system: find y (free on =, >= 0 on <=) with
-    # A^T y + w+ - w- = 0, w+- >= 0, and  b y + ub w+ < 0.  The bound
-    # multipliers w are eliminated analytically after rationalizing y.
+    # A^T y + w+ - w- = 0, w+- >= 0, and  b y + ub w+ < 0.  The system is a
+    # cone, so boxing y in [-1, 1] (in [0, 1] on <=) keeps the LP bounded
+    # and its optimum is negative exactly when a certificate exists.  The
+    # bound multipliers w are eliminated analytically after rationalizing y.
     a, b = _sparse_system(model)
     ncon, nvar = a.shape
     ub = np.array(model.upper_bounds, dtype=float)
 
     # minimize b y + ub w+ subject to A^T y + w+ - w- = 0
-    cost = np.concatenate([b, ub, np.zeros(nvar)])
     eye = sparse.identity(nvar, format="csr")
-    a_eq = sparse.hstack([a.T, eye, -eye], format="csr")
-    bounds = [
-        (None, None) if c.relation == EQ else (0, None) for c in model.constraints
-    ] + [(0, None)] * (2 * nvar)
     res = linprog(
-        cost,
-        A_eq=a_eq,
+        np.concatenate([b, ub, np.zeros(nvar)]),
+        A_eq=sparse.hstack([a.T, eye, -eye], format="csr"),
         b_eq=np.zeros(nvar),
-        bounds=bounds,
+        bounds=[(-1, 1) if c.relation == EQ else (0, 1) for c in model.constraints]
+        + [(0, None)] * (2 * nvar),
         method="highs",
     )
-    candidate = None
-    if res.status == 0 and res.fun < -1e-7:
-        candidate = res.x[:ncon]
-    elif res.status == 3:  # unbounded: request any strictly improving point
-        res = linprog(
-            cost,
-            A_eq=sparse.vstack([a_eq, sparse.csr_matrix(cost)], format="csr"),
-            b_eq=np.concatenate([np.zeros(nvar), [-1.0]]),
-            bounds=bounds,
-            method="highs",
-        )
-        if res.status == 0:
-            candidate = res.x[:ncon]
-    if candidate is None:
+    if res.status != 0 or res.fun >= -1e-7:
         return False
 
     from fractions import Fraction
 
-    y = [Fraction(v).limit_denominator(10**9) for v in candidate]
+    y = [Fraction(v).limit_denominator(10**9) for v in res.x[:ncon]]
     for ci, c in enumerate(model.constraints):
         if c.relation == LE and y[ci] < 0:
             y[ci] = Fraction(0)

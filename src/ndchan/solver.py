@@ -29,12 +29,15 @@ before any entry point returns it.
 The flow ILP (build_flow_model, solve_flow, euler_walk) is the paper's
 formulation of the same walk as an integer edge multiset over a part's
 whole shift digraph (build_shift_digraph): Kirchhoff balance, per-type
-occurrence counts and the total walk length, with connectivity enforced
-through lazily generated cuts, put in order by an Euler walk, and
-walk_to_labeling checks each part's walk's length, end points and per-type
-counts before decoding the parts as the solve path does.  No solving entry
-point uses it; it is kept as a library route and as the independent
-reference the differential tests compare against.
+occurrence counts in every coordinate role, the total walk length and
+window capacities, with connectivity enforced through lazily generated
+cuts, put in order by an Euler walk, and walk_to_labeling checks each
+part's walk's length, end points and per-type counts before decoding the
+parts as the solve path does.  The model's size depends on the digraph,
+not on the class sizes, and refute_by_certificate proves a span
+infeasible from its linear relaxation alone.  No solving entry point uses
+it; it is kept as a library route and as the independent reference the
+differential tests compare against.
 """
 
 from __future__ import annotations
@@ -164,13 +167,21 @@ def preprocess_reflexive(sizes, weights: dict, classes):
 
 
 def build_flow_model(d: ShiftDigraph, sizes, span: int):
-    """ILP whose solutions are edge multisets of closed walks of the right shape.
+    """ILP whose solutions are edge multisets of closed walks of the right
+    shape; its linear relaxation is the lower bound refute_by_certificate
+    checks.
 
     Variables: one multiplicity per digraph edge, bounded by the walk length
-    span + z + 1.  Constraints: flow conservation at every node, per-type
-    occurrence counts (edges leaving windows whose first slice contains the
-    type must be taken exactly size(type) times), and the total length.
-    Connectivity is not encoded here; it is enforced lazily by cuts.
+    span + z + 1.  Constraints, in this order: flow conservation at every
+    node; per-type occurrence counts in coordinate role 0 (edges leaving
+    windows whose first slice holds the type are taken exactly size(type)
+    times); the total length; the same counts in roles 1 .. z - 1; at least
+    z departures from windows with an empty slice in each role, which the
+    two padding runs provide; at most _window_capacity departures from each
+    typed window; and a departure from the all-empty window, where the walk
+    starts.  Every closed walk of the right shape meets them all, since
+    in-window coordinates map to distinct label positions.  Connectivity is
+    not encoded here; solve_flow enforces it lazily by cuts.
 
     Returns the model and the edge list that variable indices refer to.
     Raises ValueError on a negative span, or on sizes for another number
@@ -180,22 +191,38 @@ def build_flow_model(d: ShiftDigraph, sizes, span: int):
         raise ValueError("span must be nonnegative")
     if len(sizes) != d.type_count:
         raise ValueError(f"{len(sizes)} class sizes for a digraph of {d.type_count} types")
-    length = span + d.window_length + 1
+    z = d.window_length
+    length = span + z + 1
     var_count = len(d.edges)
+
+    def role_counts(j):
+        return [
+            Constraint.build(
+                [(ei, 1) for ei, (src, _) in enumerate(d.edges) if d.windows[src][j] >> t & 1],
+                EQ,
+                size,
+            )
+            for t, size in enumerate(sizes)
+        ]
+
     constraints = []
     for node in range(len(d.windows)):
         terms = [(ei, 1) for ei in d.out_edges[node] if d.edges[ei][1] != node]
         terms += [(ei, -1) for ei in d.in_edges[node] if d.edges[ei][0] != node]
         if terms:
             constraints.append(Constraint.build(terms, EQ, 0))
-    for t, size in enumerate(sizes):
-        terms = [
-            (ei, 1)
-            for ei, (src, _) in enumerate(d.edges)
-            if d.windows[src][0] >> t & 1
-        ]
-        constraints.append(Constraint.build(terms, EQ, size))
+    constraints += role_counts(0)
     constraints.append(Constraint.build([(ei, 1) for ei in range(var_count)], EQ, length))
+    for j in range(1, z):
+        constraints += role_counts(j)
+    for j in range(z):
+        terms = [(ei, -1) for ei, (src, _) in enumerate(d.edges) if d.windows[src][j] == 0]
+        constraints.append(Constraint.build(terms, LE, -z))
+    for node, window in enumerate(d.windows):
+        cap = _window_capacity(window, sizes)
+        if cap >= 0 and d.out_edges[node]:
+            constraints.append(Constraint.build([(ei, 1) for ei in d.out_edges[node]], LE, cap))
+    constraints.append(Constraint.build([(ei, -1) for ei in d.out_edges[d.empty_index]], LE, -1))
     model = IlpModel(var_count, (length,) * var_count, tuple(constraints))
     return model, d.edges
 
@@ -403,56 +430,6 @@ def _pruned_digraph(d: ShiftDigraph, sizes, span: int):
     return pruned, [capacity[i] for i in nodes], edge_map
 
 
-def _strengthen_model(
-    model: IlpModel, d: ShiftDigraph, sizes, capacity, span: int
-) -> IlpModel:
-    """Add walk-implied constraints that sharpen propagation without changing
-    the acceptable multisets.
-
-    Every closed padded walk sees each type in coordinate role j exactly
-    size(t) times for every j, not only j = 1, and visits each window at
-    most its capacity; both facts follow from in-window coordinates mapping
-    to distinct label positions.  On top of that, every edge use occupies
-    one walk index within its feasible range, so edges confined to late
-    (or early) indices cannot outnumber the remaining slots.
-    """
-    z = d.window_length
-    extra = []
-
-    for j in range(1, z):
-        for t, size in enumerate(sizes):
-            terms = [
-                (ei, 1)
-                for ei, (src, _) in enumerate(d.edges)
-                if d.windows[src][j] >> t & 1
-            ]
-            extra.append(Constraint.build(terms, EQ, size))
-
-    # the two padding runs contribute z departures with an empty slice in
-    # every coordinate role, which no all-full cyclic pattern can provide
-    for j in range(z):
-        terms = [
-            (ei, -1)
-            for ei, (src, _) in enumerate(d.edges)
-            if d.windows[src][j] == 0
-        ]
-        extra.append(Constraint.build(terms, LE, -z))
-
-    for node, cap in enumerate(capacity):
-        if cap < 0:
-            continue
-        terms = [(ei, 1) for ei in d.out_edges[node]]
-        if terms:
-            extra.append(Constraint.build(terms, LE, cap))
-
-    # the walk starts at the empty window, so the window must be visited
-    extra.append(
-        Constraint.build([(ei, -1) for ei in d.out_edges[d.empty_index]], LE, -1)
-    )
-
-    return IlpModel(model.var_count, model.upper_bounds, model.constraints + tuple(extra))
-
-
 def _frontier_selector(d: ShiftDigraph):
     """Branching rule that lays the walk down from the all-empty window.
 
@@ -544,7 +521,6 @@ def solve_flow(
     """
     pruned, capacity, edge_map = _pruned_digraph(d, sizes, span)
     model, _ = build_flow_model(pruned, sizes, span)
-    model = _strengthen_model(model, pruned, sizes, capacity, span)
     selector = _frontier_selector(pruned)
     big_m = span + d.window_length + 1
     cap = CUT_ROUNDS_PER_EDGE * max(1, len(d.edges))

@@ -301,6 +301,16 @@ class TestRefineUniform:
         assert refined.classes == tuple(frozenset({v}) for v in range(wg.graph.n))
         assert check_uniform(wg, refined)[2]
 
+    def test_class_that_is_neither_kind_is_reported(self):
+        # the path 0-1-2 as one class: its first two members are adjacent,
+        # its first and last are not, so no class kind fits, and the
+        # refinement leaves that for check_uniform to report
+        wg = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        refined = refine_uniform(wg, NdPartition((frozenset({0, 1, 2}),), (CLIQUE,)))
+        assert refined.classes == (frozenset({0, 1, 2}),)
+        with pytest.raises(ValueError, match="neither a clique nor an independent set"):
+            check_uniform(wg, refined)
+
     def test_uniform_clique_class_stays_whole(self):
         wg = WeightedGraph.from_edges(
             4, [(u, v, 2) for u in range(3) for v in range(u + 1, 3)] + [(2, 3, 1)]

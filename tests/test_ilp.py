@@ -204,6 +204,24 @@ class TestRelaxationTools:
         model = IlpModel(2, (2, 2), (Constraint.build([(0, 1), (1, 1)], EQ, 3),))
         assert not refute_by_certificate(model)
 
+    def test_certificate_solves_one_lp(self, monkeypatch):
+        # the multipliers are boxed, so the Farkas LP is bounded and one
+        # solve settles both a refutation and a decline
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        solves = []
+        linprog = scipy_optimize.linprog
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy_optimize, "linprog", counted)
+        for rhs, refuted in ((9, True), (3, False)):
+            model = IlpModel(2, (2, 2), (Constraint.build([(0, 1), (1, 1)], EQ, rhs),))
+            solves.clear()
+            assert refute_by_certificate(model) is refuted
+            assert len(solves) == 1
+
     def test_relaxation_point_satisfies_bounds(self):
         pytest.importorskip("scipy")
         model = IlpModel(2, (2, 2), (Constraint.build([(0, 1), (1, 1)], EQ, 3),))

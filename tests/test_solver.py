@@ -34,7 +34,7 @@ from ndchan import (
 from ndchan.decomposition import CLIQUE, INDEPENDENT
 from ndchan import shift_digraph, solver
 from ndchan.errors import GuardExceeded, InternalSolverError
-from ndchan.ilp import EQ, solve_feasibility
+from ndchan.ilp import EQ, refute_by_certificate, solve_feasibility
 from ndchan.oracle import brute_force_ca
 from ndchan.shift_digraph import ShiftClosure
 from ndchan.solver import SolveStats, Walk
@@ -113,10 +113,11 @@ class TestBuildFlowModel:
         assert edges == d.edges
         assert model.var_count == len(d.edges)
         assert set(model.upper_bounds) == {7}
+        # one occurrence count per coordinate role
         occurrence = [
             c for c in model.constraints if c.relation == EQ and c.rhs == 3
         ]
-        assert len(occurrence) == 1
+        assert len(occurrence) == d.window_length == 2
         length = [
             c
             for c in model.constraints
@@ -138,6 +139,23 @@ class TestBuildFlowModel:
         d = build_shift_digraph([1], {(0, 0): 1}, 1)
         with pytest.raises(ValueError, match="2 class sizes for a digraph of 1 types"):
             build_flow_model(d, [1, 1], 2)
+
+
+class TestFlowBound:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_certificate_never_refutes_a_feasible_span(self, seed):
+        # the model's constraints hold for every walk, so its relaxation
+        # must stay feasible at the walk search's least span and above
+        pytest.importorskip("scipy")
+        wg, partition = uniform_instance(
+            random.Random(seed), max_types=3, max_size=4, max_weight=3
+        )
+        for sizes, weights, closure, _ in solver._parts(wg, "uniform", partition)[2]:
+            least = len(solver._shortest_walk(sizes, weights, closure, None)[0]) - 1
+            d = build_shift_digraph(sizes, weights, max(weights.values()))
+            for span in (least, least + 1):
+                assert not refute_by_certificate(build_flow_model(d, sizes, span)[0])
 
 
 class TestConnectivityViolation:

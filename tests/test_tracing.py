@@ -9,7 +9,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from ndchan import SolveStats, WeightedGraph, minimize_span, nd_partition, solve_ca_uniform
+from ndchan import (
+    SolveStats,
+    WeightedGraph,
+    build_shift_digraph,
+    minimize_span,
+    nd_partition,
+    solve_ca_uniform,
+    solver,
+)
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -55,3 +63,32 @@ def test_condensation_and_reduction_layers_are_timed(monkeypatch):
     assert names.count("check_uniform") == names.count("preprocess_reflexive") == 2
     metrics = tracer.pass_metrics(stats)
     assert metrics["decomposition.s"] > 0 and metrics["reduction.s"] > 0
+
+
+def test_flow_hooks_read_the_model_build(monkeypatch):
+    # solve_flow builds its model once per probe, on the pruned digraph, so
+    # the build's hook counts that digraph's windows; K3 at span 3 is
+    # refuted by the certificate alone where scipy is installed
+    tracing = load_tracing(monkeypatch)
+    wg = WeightedGraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)])
+    [(sizes, weights, _, _)] = solver._parts(wg, "uniform", nd_partition(wg.graph))[2]
+    d = build_shift_digraph(sizes, weights, max(weights.values()))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        metrics = []
+        for span in (4, 3):
+            tracer.reset()
+            assert (solver.solve_flow(d, sizes, span) is None) == (span == 3)
+            names = [s[0] for s in tracer.spans]
+            assert names.count("build_flow_model") == 1
+            metrics.append(tracer.pass_metrics([]))
+    finally:
+        tracer.uninstall()
+    assert all(m["solver.pruned_windows"] > 0 for m in metrics)
+    try:
+        import scipy.optimize  # noqa: F401
+    except ImportError:
+        return  # without scipy no certificate is found
+    assert metrics[1]["ilp.certificate_calls"] == 1
+    assert metrics[1]["ilp.certificate_hit_ratio"] == 1.0
