@@ -4,7 +4,6 @@ from .decomposition import (
     CLIQUE,
     INDEPENDENT,
     NdPartition,
-    VertexCover,
     check_uniform,
     min_vertex_cover,
     nd_partition,
@@ -31,9 +30,9 @@ from .ilp import (
     check_solution,
     solve_feasibility,
 )
-from .instances import InstanceFile, SolveOutcome, emit_instance, emit_result, parse_instance
+from .instances import InstanceFile, emit_instance, emit_result, parse_instance
 from .oracle import brute_force_ca, brute_force_nd
-from .reduction import DistanceConstraints, labeling_to_ca, scale_constraints
+from .reduction import DistanceConstraints, labeling_to_ca
 from .shift_digraph import ShiftDigraph, build_shift_digraph, dump_digraph
 from .solver import (
     EdgeMultiset,

@@ -15,7 +15,7 @@ from dataclasses import asdict
 from .decomposition import check_uniform, nd_partition, refine_uniform
 from .errors import GuardExceeded, InstanceFormatError, InternalSolverError
 from .graph import Labeling, verify_assignment
-from .instances import InstanceFile, SolveOutcome, emit_instance, emit_result, parse_instance
+from .instances import InstanceFile, emit_instance, emit_result, parse_instance
 from .oracle import DEFAULT_GUARD, brute_force_ca, brute_force_nd
 from .reduction import DistanceConstraints, labeling_to_ca
 from .shift_digraph import build_shift_digraph, dump_digraph
@@ -80,15 +80,10 @@ def _run(args, instance, wg, route, partition) -> int:
         labeling = solve_ca_uniform(wg, partition, span, stats=stats)
     else:
         labeling = solve_ca_vc(wg, span, stats=stats)
-    outcome = SolveOutcome(
-        labeling is not None,
-        span,
-        labeling.labels if labeling else None,
-        asdict(stats),
-        span if args.minimize else None,
-    )
-    print(emit_result(outcome))
-    return EXIT_FEASIBLE if outcome.feasible else EXIT_INFEASIBLE
+    feasible = labeling is not None
+    labels = labeling.labels if feasible else None
+    print(emit_result(feasible, span, labels, asdict(stats), span if args.minimize else None))
+    return EXIT_FEASIBLE if feasible else EXIT_INFEASIBLE
 
 
 def _cmd_solve(args) -> int:

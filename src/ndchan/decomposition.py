@@ -42,11 +42,6 @@ class NdPartition:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class VertexCover:
-    cover: frozenset[int]
-
-
 def nd_partition(g: Graph) -> NdPartition:
     """Optimal neighborhood diversity decomposition.
 
@@ -109,7 +104,7 @@ def check_uniform(wg: WeightedGraph, p: NdPartition):
     return sizes, weights, uniform
 
 
-def min_vertex_cover(g: Graph) -> VertexCover:
+def min_vertex_cover(g: Graph) -> frozenset[int]:
     """Exact minimum vertex cover by branching on an endpoint of an uncovered edge."""
     edges = sorted(g.edges)
     best = set()
@@ -139,13 +134,14 @@ def min_vertex_cover(g: Graph) -> VertexCover:
         chosen.remove(v)
 
     search()
-    return VertexCover(frozenset(best))
+    return frozenset(best)
 
 
-def vc_partition(g: Graph, u: VertexCover) -> NdPartition:
-    """Decomposition from a vertex cover: cover singletons plus the groups of
-    independent vertices sharing an exact neighborhood."""
-    cover = set(u.cover)
+def vc_partition(g: Graph, cover) -> NdPartition:
+    """Decomposition from a vertex cover, any set of vertices: cover
+    singletons plus the groups of independent vertices sharing an exact
+    neighborhood."""
+    cover = set(cover)
     if any(not 0 <= x < g.n for x in cover):
         raise ValueError("cover vertex out of range")
     for a, b in g.edges:

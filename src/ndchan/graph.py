@@ -124,9 +124,6 @@ class VerificationResult:
     violated_edges: tuple[tuple[int, int], ...]
     out_of_range: tuple[int, ...]
 
-    def __bool__(self):
-        return self.ok
-
 
 def all_pairs_distance(g: Graph) -> list[list]:
     """Hop-distance matrix via BFS from every vertex; math.inf for unreachable pairs."""

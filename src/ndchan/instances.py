@@ -38,15 +38,6 @@ class InstanceFile:
         return WeightedGraph.from_edges(self.n, self.edges)
 
 
-@dataclass
-class SolveOutcome:
-    feasible: bool
-    span: int
-    labels: tuple[int, ...] | None
-    stats: dict
-    minimized_span: int | None = None
-
-
 _STAT_KEYS = ("nd", "types", "digraph_nodes", "cuts_added", "solve_ms")
 
 
@@ -184,13 +175,14 @@ def emit_instance(instance: InstanceFile) -> str:
     return json.dumps(payload)
 
 
-def emit_result(outcome: SolveOutcome) -> str:
+def emit_result(feasible: bool, span: int, labels, stats: dict, minimized_span=None) -> str:
+    """The result object; stats are read under _STAT_KEYS, 0 where absent."""
     payload = {
-        "feasible": outcome.feasible,
-        "lambda": outcome.span,
-        "labels": list(outcome.labels) if outcome.labels is not None else None,
-        "stats": {key: outcome.stats.get(key, 0) for key in _STAT_KEYS},
+        "feasible": feasible,
+        "lambda": span,
+        "labels": list(labels) if labels is not None else None,
+        "stats": {key: stats.get(key, 0) for key in _STAT_KEYS},
     }
-    if outcome.minimized_span is not None:
-        payload["lambda_min"] = outcome.minimized_span
+    if minimized_span is not None:
+        payload["lambda_min"] = minimized_span
     return json.dumps(payload)

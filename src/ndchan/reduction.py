@@ -19,10 +19,6 @@ class DistanceConstraints:
         if any(not isinstance(p, int) or p < 1 for p in self.values):
             raise ValueError("distance constraints must be positive integers")
 
-    @property
-    def k(self) -> int:
-        return len(self.values)
-
     @classmethod
     def parse(cls, text: str) -> "DistanceConstraints":
         try:
@@ -47,9 +43,3 @@ def labeling_to_ca(g: Graph, constraints: DistanceConstraints) -> WeightedGraph:
                 weights[(u, v)] = values[d - 1]
     return WeightedGraph(Graph(g.n, frozenset(weights)), weights)
 
-
-def scale_constraints(constraints: DistanceConstraints, span: int, c: int):
-    """Scale constraints and span together; feasibility is preserved both ways."""
-    if c < 1:
-        raise ValueError("scale factor must be positive")
-    return DistanceConstraints(tuple(c * p for p in constraints.values)), c * span

@@ -150,11 +150,6 @@ def preprocess_reflexive(sizes, weights: dict, classes):
             new = adjacent[t] & ~part
             part |= new
             frontier |= new
-        if part == (1 << tau) - 1:  # one part of every type, numbered as they are
-            pw = dict(weights)
-            for t in range(tau):
-                pw.setdefault((t, t), 1)
-            return tuple(kept), tuple(dropped), [(list(map(len, kept)), pw, list(range(tau)))]
         ids = list(iter_bits(part))
         pw = {(k, k): 1 for k in range(len(ids))}  # a real loop overwrites its placeholder
         parts.append(([len(kept[t]) for t in ids], pw, ids))
@@ -183,7 +178,9 @@ def build_flow_model(d: ShiftDigraph, sizes, span: int):
     in-window coordinates map to distinct label positions.  Connectivity is
     not encoded here; solve_flow enforces it lazily by cuts.
 
-    Returns the model and the edge list that variable indices refer to.
+    Returns the model, whose variable indices are d's edge indices, and
+    each window's _window_capacity (-1 on an untyped window), which the cut
+    separators take.
     Raises ValueError on a negative span, or on sizes for another number
     of types than d has.
     """
@@ -218,13 +215,13 @@ def build_flow_model(d: ShiftDigraph, sizes, span: int):
     for j in range(z):
         terms = [(ei, -1) for ei, (src, _) in enumerate(d.edges) if d.windows[src][j] == 0]
         constraints.append(Constraint.build(terms, LE, -z))
-    for node, window in enumerate(d.windows):
-        cap = _window_capacity(window, sizes)
+    capacity = [_window_capacity(window, sizes) for window in d.windows]
+    for node, cap in enumerate(capacity):
         if cap >= 0 and d.out_edges[node]:
             constraints.append(Constraint.build([(ei, 1) for ei in d.out_edges[node]], LE, cap))
     constraints.append(Constraint.build([(ei, -1) for ei in d.out_edges[d.empty_index]], LE, -1))
     model = IlpModel(var_count, (length,) * var_count, tuple(constraints))
-    return model, d.edges
+    return model, capacity
 
 
 def _detached_components(values, d: ShiftDigraph, big_m: int, capacity=None):
@@ -404,7 +401,6 @@ def _pruned_digraph(d: ShiftDigraph, sizes, span: int):
     restriction, and cuts computed on it stay valid, so solving on it is
     equivalent; edge indices are mapped back afterwards.
     """
-    capacity = [_window_capacity(w, sizes) for w in d.windows]
     _, edge_ranges = _walk_index_ranges(d, span)
     keep_edge = [elo <= ehi for elo, ehi in edge_ranges]
     keep_node = [False] * len(d.windows)
@@ -414,7 +410,7 @@ def _pruned_digraph(d: ShiftDigraph, sizes, span: int):
             keep_node[d.edges[ei][0]] = True
             keep_node[d.edges[ei][1]] = True
     if all(keep_node) and all(keep_edge):
-        return d, capacity, list(range(len(d.edges)))
+        return d, list(range(len(d.edges)))
     nodes = [i for i, k in enumerate(keep_node) if k]
     node_map = {old: new for new, old in enumerate(nodes)}
     edges = []
@@ -427,7 +423,7 @@ def _pruned_digraph(d: ShiftDigraph, sizes, span: int):
     pruned = ShiftDigraph(
         d.type_count, d.window_length, tuple(d.windows[i] for i in nodes), tuple(edges)
     )
-    return pruned, [capacity[i] for i in nodes], edge_map
+    return pruned, edge_map
 
 
 def _frontier_selector(d: ShiftDigraph):
@@ -519,8 +515,8 @@ def solve_flow(
     with largest-value-first branching; edge indices map back to d at the
     end.
     """
-    pruned, capacity, edge_map = _pruned_digraph(d, sizes, span)
-    model, _ = build_flow_model(pruned, sizes, span)
+    pruned, edge_map = _pruned_digraph(d, sizes, span)
+    model, capacity = build_flow_model(pruned, sizes, span)
     selector = _frontier_selector(pruned)
     big_m = span + d.window_length + 1
     cap = CUT_ROUNDS_PER_EDGE * max(1, len(d.edges))

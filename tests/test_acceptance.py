@@ -21,6 +21,7 @@ from ndchan import (
     DistanceConstraints,
     Graph,
     WeightedGraph,
+    build_flow_model,
     build_shift_digraph,
     euler_walk,
     labeling_to_ca,
@@ -103,7 +104,7 @@ def vc_route_records():
             if rng.random() < 0.35
         ]
         wg = WeightedGraph.from_edges(n, wg_candidate)
-        if len(min_vertex_cover(wg.graph).cover) > 3:
+        if len(min_vertex_cover(wg.graph)) > 3:
             continue
         span = rng.randint(0, min(12, trivial_upper_bound(wg)))
         if full_digraph_exceeds(wg, "vc", None, DIGRAPH_GUARD):
@@ -256,7 +257,7 @@ def test_differential_engines_on_random_vc_and_labeling_instances(seed, span, p)
     # brute-force oracles agree, and every labeling verifies
     rng = random.Random(seed)
     wg = random_weighted_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.6), 3)
-    assume(len(min_vertex_cover(wg.graph).cover) <= 3)
+    assume(len(min_vertex_cover(wg.graph)) <= 3)
     g = random_graph(rng, rng.randint(1, 6), rng.random())
     dc = DistanceConstraints(p)
     lwg = labeling_to_ca(g, dc)
@@ -423,7 +424,7 @@ def test_least_span_on_random_uniform_and_vc_instances(seed):
     wg, partition = uniform_instance(rng, max_types=3, max_size=3, max_weight=3)
     assume(wg.graph.n <= 7)
     other = random_weighted_graph(rng, rng.randint(2, 7), 0.35, 3)
-    assume(len(min_vertex_cover(other.graph).cover) <= 3)
+    assume(len(min_vertex_cover(other.graph)) <= 3)
     cases = ((wg, "uniform", partition), (other, "vc", None))
     if any(full_digraph_exceeds(*case, DIGRAPH_GUARD) for case in cases):
         reject()
@@ -482,7 +483,7 @@ def test_criterion_6_decomposition_bounds():
             power_partition = nd_partition(power_graph(g, k))
             assert power_partition.count <= partition.count
         cover = min_vertex_cover(g)
-        vc = len(cover.cover)
+        vc = len(cover)
         assert partition.count <= 2**vc + vc
         weights = {e: rng.randint(1, 3) for e in g.edges}
         wg = WeightedGraph(g, weights)
@@ -620,7 +621,8 @@ def test_cut_separators_on_walk_supports(uniform_route_records):
             for mask in slices + [0] * (span + z + 1 - len(slices)):
                 window = window[1:] + (mask,)
                 nodes.append(window_index[window])
-            d, capacity, edge_map = solver._pruned_digraph(full, sizes, span)
+            d, edge_map = solver._pruned_digraph(full, sizes, span)
+            capacity = build_flow_model(d, sizes, span)[1]
             index = {pair: ei for ei, pair in enumerate(full.edges)}
             pruned_index = {full_ei: ei for ei, full_ei in enumerate(edge_map)}
             values = [0] * len(d.edges)

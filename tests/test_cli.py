@@ -337,6 +337,50 @@ class TestLabel:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "payload, argv, code, expected",
+    [
+        (
+            '{"n":3,"edges":[[0,1,2],[1,2,1]]}',
+            ["solve", "--lambda", "3"],
+            0,
+            '{"feasible": true, "lambda": 3, "labels": [0, 2, 0], "stats": {"nd": 3, '
+            '"types": 3, "digraph_nodes": 6, "cuts_added": 0, "solve_ms": 0}}\n',
+        ),
+        (
+            '{"n":3,"edges":[[0,1,2],[1,2,1]]}',
+            ["solve", "--lambda", "1"],
+            1,
+            '{"feasible": false, "lambda": 1, "labels": null, "stats": {"nd": 3, '
+            '"types": 3, "digraph_nodes": 5, "cuts_added": 0, "solve_ms": 0}}\n',
+        ),
+        (
+            '{"n":5,"edges":[[0,1,2],[0,2,2],[1,2,2],[2,3,1],[3,4,3]]}',
+            ["solve", "--minimize"],
+            0,
+            '{"feasible": true, "lambda": 4, "labels": [0, 2, 4, 0, 3], "stats": {"nd": 4, '
+            '"types": 4, "digraph_nodes": 65, "cuts_added": 0, "solve_ms": 0}, '
+            '"lambda_min": 4}\n',
+        ),
+        (
+            '{"n":4,"edges":[[0,1],[1,2],[2,3]],"p":[2,1]}',
+            ["label", "--minimize"],
+            0,
+            '{"feasible": true, "lambda": 3, "labels": [2, 0, 3, 1], "stats": {"nd": 4, '
+            '"types": 4, "digraph_nodes": 17, "cuts_added": 0, "solve_ms": 0}, '
+            '"lambda_min": 3}\n',
+        ),
+    ],
+)
+def test_result_stdout_is_pinned(tmp_path, capsys, payload, argv, code, expected):
+    # the result object byte for byte: field order, stats keys and values,
+    # with only the wall time masked
+    path = write_instance(tmp_path, payload)
+    got, out, _ = run(capsys, argv[:1] + ["--instance", path] + argv[1:])
+    assert got == code
+    assert re.sub(r'"solve_ms": [0-9.e-]+', '"solve_ms": 0', out) == expected
+
+
 class TestOther:
     def test_nd(self, tmp_path, capsys):
         path = write_instance(tmp_path, '{"n":4,"edges":[[0,1],[1,2],[2,3],[0,3]]}')

@@ -13,7 +13,7 @@ from ndchan import (
     refine_uniform,
     vc_partition,
 )
-from ndchan.decomposition import CLIQUE, INDEPENDENT, VertexCover
+from ndchan.decomposition import CLIQUE, INDEPENDENT
 from ndchan.oracle import brute_force_nd
 from helpers import (
     complete_graph,
@@ -212,16 +212,16 @@ class TestCondensation:
 
 class TestMinVertexCover:
     def test_path3_center(self):
-        assert min_vertex_cover(path_graph(3)).cover == frozenset({1})
+        assert min_vertex_cover(path_graph(3)) == frozenset({1})
 
     def test_k4_needs_three(self):
-        assert len(min_vertex_cover(complete_graph(4)).cover) == 3
+        assert len(min_vertex_cover(complete_graph(4))) == 3
 
     def test_c5_needs_three(self):
-        assert len(min_vertex_cover(cycle_graph(5)).cover) == 3
+        assert len(min_vertex_cover(cycle_graph(5))) == 3
 
     def test_edgeless_empty(self):
-        assert min_vertex_cover(Graph.from_edges(4, [])).cover == frozenset()
+        assert min_vertex_cover(Graph.from_edges(4, [])) == frozenset()
 
     @given(st.integers(1, 8), st.floats(0, 1), st.integers(0, 9999))
     @settings(max_examples=40, deadline=None)
@@ -229,7 +229,7 @@ class TestMinVertexCover:
         from itertools import combinations
 
         g = random_graph(random.Random(seed), n, prob)
-        cover = min_vertex_cover(g).cover
+        cover = min_vertex_cover(g)
         assert all(u in cover or v in cover for u, v in g.edges)
         for size in range(len(cover)):
             for subset in combinations(range(n), size):
@@ -240,11 +240,11 @@ class TestMinVertexCover:
 class TestVcPartition:
     def test_star_center_cover(self):
         g = star_graph(3)
-        p = vc_partition(g, VertexCover(frozenset({0})))
+        p = vc_partition(g, frozenset({0}))
         assert set(p.classes) == {frozenset({0}), frozenset({1, 2, 3})}
 
     def test_p4_inner_cover(self):
-        p = vc_partition(path_graph(4), VertexCover(frozenset({1, 2})))
+        p = vc_partition(path_graph(4), frozenset({1, 2}))
         assert set(p.classes) == {
             frozenset({0}),
             frozenset({1}),
@@ -253,12 +253,17 @@ class TestVcPartition:
         }
 
     def test_edgeless_empty_cover(self):
-        p = vc_partition(Graph.from_edges(3, []), VertexCover(frozenset()))
+        p = vc_partition(Graph.from_edges(3, []), frozenset())
         assert p.classes == (frozenset({0, 1, 2}),)
 
     def test_rejects_non_cover(self):
         with pytest.raises(ValueError, match="not covered"):
-            vc_partition(path_graph(3), VertexCover(frozenset({0})))
+            vc_partition(path_graph(3), frozenset({0}))
+
+    def test_takes_any_vertex_set_and_checks_its_range(self):
+        assert vc_partition(path_graph(3), [1]) == vc_partition(path_graph(3), {1})
+        with pytest.raises(ValueError, match="out of range"):
+            vc_partition(path_graph(3), {1, 3})
 
     @given(st.integers(1, 8), st.floats(0, 1), st.integers(0, 9999))
     @settings(max_examples=40, deadline=None)
@@ -267,13 +272,13 @@ class TestVcPartition:
         cover = min_vertex_cover(g)
         p = vc_partition(g, cover)
         condense(g, p)  # axioms
-        assert p.count <= 2 ** len(cover.cover) + len(cover.cover)
+        assert p.count <= 2 ** len(cover) + len(cover)
 
 
 class TestRefineUniform:
     def test_star_leaves_split_by_weight(self):
         wg = WeightedGraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 2)])
-        base = vc_partition(wg.graph, VertexCover(frozenset({0})))
+        base = vc_partition(wg.graph, frozenset({0}))
         refined = refine_uniform(wg, base)
         assert set(refined.classes) == {
             frozenset({0}),
@@ -283,7 +288,7 @@ class TestRefineUniform:
 
     def test_equal_weights_unchanged(self):
         wg = WeightedGraph.from_edges(4, [(0, 1, 2), (0, 2, 2), (0, 3, 2)])
-        base = vc_partition(wg.graph, VertexCover(frozenset({0})))
+        base = vc_partition(wg.graph, frozenset({0}))
         assert refine_uniform(wg, base).classes == base.classes
 
     @pytest.mark.parametrize(
@@ -339,5 +344,5 @@ class TestRefineUniform:
         cover = min_vertex_cover(wg.graph)
         refined = refine_uniform(wg, vc_partition(wg.graph, cover))
         assert check_uniform(wg, refined)[2]
-        k = len(cover.cover)
+        k = len(cover)
         assert refined.count <= k + (2**k) * wg.wmax**k

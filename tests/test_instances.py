@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ndchan import SolveOutcome, emit_instance, emit_result, parse_instance
+from ndchan import emit_instance, emit_result, parse_instance
 from ndchan.errors import InstanceFormatError
 
 
@@ -116,7 +116,7 @@ class TestRoundTrip:
 
 class TestEmitResult:
     def test_infeasible_schema(self):
-        text = emit_result(SolveOutcome(False, 3, None, {"nd": 2, "solve_ms": 7}))
+        text = emit_result(False, 3, None, {"nd": 2, "solve_ms": 7})
         payload = json.loads(text)
         assert payload == {
             "feasible": False,
@@ -126,13 +126,11 @@ class TestEmitResult:
         }
 
     def test_feasible_labels(self):
-        payload = json.loads(emit_result(SolveOutcome(True, 5, (0, 5), {})))
+        payload = json.loads(emit_result(True, 5, (0, 5), {}))
         assert payload["labels"] in ([0, 5], [5, 0])
 
     def test_minimize_adds_lambda_min(self):
-        payload = json.loads(
-            emit_result(SolveOutcome(True, 4, (0, 4), {}, minimized_span=4))
-        )
+        payload = json.loads(emit_result(True, 4, (0, 4), {}, minimized_span=4))
         assert payload["lambda_min"] == 4
 
     def test_graph_helpers(self):

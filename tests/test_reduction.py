@@ -9,7 +9,6 @@ from ndchan import (
     check_uniform,
     labeling_to_ca,
     nd_partition,
-    scale_constraints,
     verify_assignment,
 )
 from helpers import lp_labeling_valid, path_graph, random_graph
@@ -80,22 +79,6 @@ class TestLabelingToCa:
 
 
 class TestScaleConstraints:
-    def test_example(self):
-        scaled, span = scale_constraints(DistanceConstraints((2, 1)), 4, 2)
-        assert scaled.values == (4, 2) and span == 8
-
-    def test_identity(self):
-        scaled, span = scale_constraints(DistanceConstraints((1,)), 3, 1)
-        assert scaled.values == (1,) and span == 3
-
-    def test_triple(self):
-        scaled, span = scale_constraints(DistanceConstraints((3, 2)), 5, 3)
-        assert scaled.values == (9, 6) and span == 15
-
-    def test_rejects_zero_factor(self):
-        with pytest.raises(ValueError):
-            scale_constraints(DistanceConstraints((1,)), 3, 0)
-
     @given(st.integers(2, 5), st.floats(0, 1), st.integers(0, 999),
            st.lists(st.integers(1, 3), min_size=1, max_size=2),
            st.integers(0, 5), st.sampled_from((2, 3)))
@@ -103,8 +86,8 @@ class TestScaleConstraints:
     def test_scaling_preserves_brute_force_feasibility(self, n, prob, seed, p, span, c):
         from helpers import lp_feasible_brute
 
+        # constraints and span scaled together by c
         g = random_graph(random.Random(seed), n, prob)
-        scaled, scaled_span = scale_constraints(DistanceConstraints(tuple(p)), span, c)
         assert lp_feasible_brute(g, tuple(p), span) == lp_feasible_brute(
-            g, scaled.values, scaled_span
+            g, tuple(c * q for q in p), c * span
         )

@@ -109,9 +109,11 @@ class TestPreprocessReflexive:
 class TestBuildFlowModel:
     def test_single_type_counts(self):
         d = build_shift_digraph([3], {(0, 0): 2}, 2)
-        model, edges = build_flow_model(d, [3], 4)
-        assert edges == d.edges
+        model, capacity = build_flow_model(d, [3], 4)
         assert model.var_count == len(d.edges)
+        # the all-empty window is unlimited; one holding the type once may
+        # be visited 3 - 1 + 1 times
+        assert dict(zip(d.windows, capacity)) == {(0, 0): -1, (0, 1): 3, (1, 0): 3}
         assert set(model.upper_bounds) == {7}
         # one occurrence count per coordinate role
         occurrence = [

@@ -1,9 +1,12 @@
-"""The benchmark's tracer wraps library functions by name; each must exist.
+"""The benchmark's tracer wraps library functions by name, and bench/
+imports library names at set-up; each must exist.
 
 bench/run.py --trace 1 stops on a wrapped name the library no longer has,
-so a change that drops one fails here first.  The tests only read bench/.
+and every bench run stops on an import that fails, so a change that drops
+one fails here first.  The tests only read bench/.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -92,3 +95,34 @@ def test_flow_hooks_read_the_model_build(monkeypatch):
         return  # without scipy no certificate is found
     assert metrics[1]["ilp.certificate_calls"] == 1
     assert metrics[1]["ilp.certificate_hit_ratio"] == 1.0
+
+
+def bench_library_names():
+    """(module, name) for every name bench/*.py imports from ndchan or
+    reads as ndchan.<name>, found by scanning each file's syntax tree."""
+    found = set()
+    for path in sorted(TRACING.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ndchan":
+                found.update((node.module, alias.name) for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "ndchan"
+            ):
+                found.add(("ndchan", node.attr))
+    return found
+
+
+def test_every_bench_import_exists():
+    # a name the bench imports at set-up and the library no longer has
+    # stops every bench run before its first solve
+    names = bench_library_names()
+    modules = {module for module, _ in names}
+    assert {"ndchan", "ndchan.ilp", "ndchan.decomposition"} <= modules
+    missing = [
+        (module, name)
+        for module, name in sorted(names)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
