@@ -25,7 +25,6 @@ from .graph import (
 from .ilp import (
     Constraint,
     IlpModel,
-    IlpSolution,
     add_constraint,
     check_solution,
     solve_feasibility,
@@ -35,9 +34,7 @@ from .oracle import brute_force_ca, brute_force_nd
 from .reduction import DistanceConstraints, labeling_to_ca
 from .shift_digraph import ShiftDigraph, build_shift_digraph, dump_digraph
 from .solver import (
-    EdgeMultiset,
     SolveStats,
-    Walk,
     build_flow_model,
     connectivity_violation,
     euler_walk,

@@ -6,8 +6,9 @@ maximum activities, and each visit tightens the variable domains as far as
 the activity slack allows.  All arithmetic is exact Python integer
 arithmetic.  Branching picks the unfixed variable whose domain is smallest
 relative to the failure weight of its constraints (dom/wdeg; ties to the
-lowest index) and tries values in ascending order, or descending on
-request, so results are deterministic for a fixed model and options.
+lowest index) and tries values largest first, or smallest first on
+domains wider than a given width, so results are deterministic for a
+fixed model and options.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ class IlpModel:
             _check_vars(c, self.var_count)
 
 
-@dataclass(frozen=True)
-class IlpSolution:
-    values: tuple[int, ...]
-
-
 def _check_vars(c: Constraint, var_count: int):
     for var, _ in c.terms:
         if not 0 <= var < var_count:
@@ -93,26 +89,23 @@ def solve_feasibility(
     model: IlpModel,
     *,
     max_nodes: int | None = None,
-    descending: bool = False,
-    phase: tuple[int, ...] | None = None,
     selector=None,
     wide_ascending: int | None = None,
     stats_out: dict | None = None,
 ):
-    """Find any integer point satisfying the model, or None when infeasible.
+    """Find any integer point satisfying the model, as its values tuple,
+    or None when infeasible.
 
-    max_nodes guards runaway searches; exceeding it raises GuardExceeded
-    rather than returning a wrong answer.  descending=True flips the value
-    order to largest-first, which suits models dominated by small-rhs
-    covering equalities.  selector picks the branch variable dynamically
-    from the current bounds (falling back to dom/wdeg when it returns
-    None).  phase supplies preferred first values per variable, e.g. a
-    previous solution of a related model.  wide_ascending keeps the
-    descending order only for domains at most that wide and goes ascending
-    on wider ones, which suits models whose wide variables are slack-like
-    and get pinned by propagation anyway.  stats_out receives a node count
-    under "nodes" when provided.  None of the ordering options affect which
-    answers are possible, only the search order.
+    Values are tried largest first, which suits models dominated by
+    small-rhs covering equalities.  max_nodes guards runaway searches;
+    exceeding it raises GuardExceeded rather than returning a wrong answer.
+    selector picks the branch variable dynamically from the current bounds
+    (falling back to dom/wdeg when it returns None).  wide_ascending keeps
+    the largest-first order only for domains at most that wide and goes
+    smallest first on wider ones, which suits models whose wide variables
+    are slack-like and get pinned by propagation anyway.  stats_out
+    receives a node count under "nodes" when provided.  Neither ordering
+    option affects which answers are possible, only the search order.
     """
     nvar = model.var_count
     lo = [0] * nvar
@@ -267,26 +260,19 @@ def solve_feasibility(
                 best_den = var_weight[j]
         return best_j
 
-    def finish() -> IlpSolution:
+    def finish() -> tuple[int, ...]:
         values = tuple(lo)
         if not check_solution(model, values):
             raise InternalSolverError("search produced a non-solution")
         record()
-        return IlpSolution(values)
-
-    def value_order(j) -> list[int]:
-        down = descending
-        if down and wide_ascending is not None and hi[j] - lo[j] > wide_ascending:
-            down = False
-        values = list(range(hi[j], lo[j] - 1, -1) if down else range(lo[j], hi[j] + 1))
-        if phase is not None:
-            pv = phase[j]
-            if lo[j] <= pv <= hi[j] and values[0] != pv:
-                values.remove(pv)
-                values.insert(0, pv)
         return values
 
-    stack: list[list] = []  # frames [var, value list, next index, trail mark]
+    def value_order(j) -> range:
+        if wide_ascending is not None and hi[j] - lo[j] > wide_ascending:
+            return range(lo[j], hi[j] + 1)
+        return range(hi[j], lo[j] - 1, -1)
+
+    stack: list[list] = []  # frames [var, value order, next index, trail mark]
     while True:
         j = select()
         if j < 0:

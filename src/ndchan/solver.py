@@ -86,29 +86,6 @@ class SolveStats:
     solve_ms: float = 0.0
 
 
-@dataclass(frozen=True)
-class EdgeMultiset:
-    """Chosen multiplicities per digraph edge; zero entries are omitted."""
-
-    counts: dict
-
-    def __post_init__(self):
-        if any(c < 1 for c in self.counts.values()):
-            raise ValueError("multiplicities must be positive")
-        object.__setattr__(self, "counts", dict(self.counts))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass(frozen=True)
-class Walk:
-    """Closed walk in the shift digraph as a node index sequence."""
-
-    nodes: tuple[int, ...]
-
-
 def preprocess_reflexive(sizes, weights: dict, classes):
     """The reflexive reduction and the split into connected parts, in one
     pass over check_uniform's sizes and weights, which it leaves as they
@@ -509,7 +486,9 @@ def solve_flow(
     stats: SolveStats | None = None,
 ):
     """Solve the flow model, adding connectivity cuts until the support is
-    one component through the all-empty window.  None means no multiset exists.
+    one component through the all-empty window.  Returns the edge multiset
+    as {index of an edge of d: multiplicity}, zero multiplicities left out,
+    or None when no multiset exists.
 
     The model is built on the edges a walk of this span can use and solved
     with largest-value-first branching; edge indices map back to d at the
@@ -541,28 +520,20 @@ def solve_flow(
         if stats is not None:
             stats.cuts_added += len(cuts)
 
-    previous = None
     while True:
         # a budgeted pass settles easy rounds; refutation-heavy rounds go to
         # the certificate check and then the walk-frontier search
         try:
-            solution = solve_feasibility(
-                model, descending=True, phase=previous, max_nodes=3000
-            )
+            values = solve_feasibility(model, max_nodes=3000)
         except GuardExceeded:
             if refute_by_certificate(model):
                 return None
-            solution = solve_feasibility(
-                model, descending=True, selector=selector, wide_ascending=3
-            )
-        if solution is None:
+            values = solve_feasibility(model, selector=selector, wide_ascending=3)
+        if values is None:
             return None
-        cuts = _all_violated_cuts(solution.values, pruned, big_m, capacity)
+        cuts = _all_violated_cuts(values, pruned, big_m, capacity)
         if not cuts:
-            return EdgeMultiset(
-                {edge_map[ei]: v for ei, v in enumerate(solution.values) if v > 0}
-            )
-        previous = solution.values
+            return {edge_map[ei]: v for ei, v in enumerate(values) if v > 0}
         for cut in cuts:
             model = add_constraint(model, cut)
         rounds += 1
@@ -574,15 +545,22 @@ def solve_flow(
             )
 
 
-def euler_walk(ms: EdgeMultiset, d: ShiftDigraph) -> Walk:
-    """Closed walk from the all-empty window traversing each edge exactly
-    its multiplicity (Hierholzer); the multiset must be balanced and connected."""
-    if not ms.counts:
-        return Walk((d.empty_index,))
+def euler_walk(counts: dict, d: ShiftDigraph) -> tuple[int, ...]:
+    """Closed walk from the all-empty window, as its node indices,
+    traversing each edge exactly its multiplicity (Hierholzer).
+
+    counts maps edge indices of d to multiplicities, as solve_flow returns
+    them; each must be at least 1, and the multiset must be balanced and
+    connected.
+    """
+    if any(mult < 1 for mult in counts.values()):
+        raise ValueError("multiplicities must be positive")
+    if not counts:
+        return (d.empty_index,)
 
     balance: dict[int, int] = {}
     touched: set[int] = set()
-    for ei, mult in ms.counts.items():
+    for ei, mult in counts.items():
         a, b = d.edges[ei]
         balance[a] = balance.get(a, 0) + mult
         balance[b] = balance.get(b, 0) - mult
@@ -594,9 +572,9 @@ def euler_walk(ms: EdgeMultiset, d: ShiftDigraph) -> Walk:
         raise InternalSolverError("edge multiset misses the all-empty window")
 
     succ: dict[int, list[list[int]]] = {}
-    for ei in sorted(ms.counts):
+    for ei in sorted(counts):
         a, b = d.edges[ei]
-        succ.setdefault(a, []).append([b, ms.counts[ei]])
+        succ.setdefault(a, []).append([b, counts[ei]])
     cursor = {node: 0 for node in succ}
 
     stack = [d.empty_index]
@@ -616,19 +594,20 @@ def euler_walk(ms: EdgeMultiset, d: ShiftDigraph) -> Walk:
             circuit.append(stack.pop())
     circuit.reverse()
 
-    if len(circuit) != ms.total + 1 or circuit[0] != d.empty_index or circuit[-1] != d.empty_index:
+    total = sum(counts.values())
+    if len(circuit) != total + 1 or circuit[0] != d.empty_index or circuit[-1] != d.empty_index:
         raise InternalSolverError("multiset support is not an Eulerian circuit at the all-empty window")
-    return Walk(tuple(circuit))
+    return tuple(circuit)
 
 
-def _walk_slices(walk: Walk, d: ShiftDigraph, sizes, span: int) -> list[int]:
-    """Slices at label positions 0..span of a closed walk, once its length,
-    end points and per-type counts are checked.
+def _walk_slices(nodes, d: ShiftDigraph, sizes, span: int) -> list[int]:
+    """Slices at label positions 0..span of a closed walk, given as its
+    node indices, once its length, end points and per-type counts are
+    checked.
 
     The walk node at index z + i carries label position i in its first slice.
     """
     z = d.window_length
-    nodes = walk.nodes
     if len(nodes) != span + z + 2:
         raise InternalSolverError(
             f"walk has {len(nodes)} nodes, expected {span + z + 2}"
@@ -649,12 +628,12 @@ def walk_to_labeling(parts, kept, dropped, span: int, vertex_count: int) -> Labe
     """Labels from one closed walk per part, decoded as the solve path
     decodes its parts' slices.
 
-    A part comes as (walk, its shift digraph, its sizes, its type ids), as
-    preprocess_reflexive numbers them, and kept and dropped are that
-    reduction's.  Each walk's length, end points and per-type counts are
-    checked against span and the part's sizes first.
+    A part comes as (its walk's node indices, its shift digraph, its
+    sizes, its type ids), as preprocess_reflexive numbers them, and kept
+    and dropped are that reduction's.  Each walk's length, end points and
+    per-type counts are checked against span and the part's sizes first.
     """
-    walks = [(_walk_slices(walk, d, sizes, span), ids) for walk, d, sizes, ids in parts]
+    walks = [(_walk_slices(nodes, d, sizes, span), ids) for nodes, d, sizes, ids in parts]
     return _decode(walks, kept, dropped, span, vertex_count)
 
 

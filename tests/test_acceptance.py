@@ -710,9 +710,9 @@ def test_criterion_9_ilp_against_box_enumeration():
         assert (got is None) == (expected is None), (model,)
         if got is not None:
             total_ok = all(
-                sum(coef * got.values[var] for var, coef in c.terms) == c.rhs
+                sum(coef * got[var] for var, coef in c.terms) == c.rhs
                 if c.relation == EQ
-                else sum(coef * got.values[var] for var, coef in c.terms) <= c.rhs
+                else sum(coef * got[var] for var, coef in c.terms) <= c.rhs
                 for c in model.constraints
             )
             assert total_ok

@@ -81,7 +81,7 @@ class TestSolveFeasibility:
         )
         solution = solve_feasibility(model)
         assert solution is not None
-        assert check_solution(model, solution.values)
+        assert check_solution(model, solution)
 
     def test_contradiction(self):
         model = IlpModel(
@@ -98,7 +98,12 @@ class TestSolveFeasibility:
         assert solve_feasibility(IlpModel(1, (-1,))) is None
 
     def test_no_variables(self):
-        assert solve_feasibility(IlpModel(0, ())).values == ()
+        assert solve_feasibility(IlpModel(0, ())) == ()
+
+    def test_values_go_largest_first_but_ascend_on_wide_domains(self):
+        model = IlpModel(2, (3, 1))
+        assert solve_feasibility(model) == (3, 1)
+        assert solve_feasibility(model, wide_ascending=1) == (0, 1)
 
     def test_deterministic(self):
         rng = random.Random(3)
@@ -124,7 +129,7 @@ class TestSolveFeasibility:
         got = solve_feasibility(model)
         assert (got is None) == (expected is None)
         if got is not None:
-            assert check_solution(model, got.values)
+            assert check_solution(model, got)
 
     @given(st.integers(0, 99999))
     @settings(max_examples=60, deadline=None)
@@ -133,9 +138,7 @@ class TestSolveFeasibility:
         model = random_model(rng)
         baseline = solve_feasibility(model) is not None
         variants = [
-            dict(descending=True),
-            dict(descending=True, wide_ascending=1),
-            dict(phase=tuple(min(1, ub) for ub in model.upper_bounds)),
+            dict(wide_ascending=1),
             dict(selector=lambda lo, hi: next(
                 (j for j in range(len(lo)) if hi[j] > lo[j]), None
             )),
@@ -144,7 +147,7 @@ class TestSolveFeasibility:
             got = solve_feasibility(model, **kwargs)
             assert (got is not None) == baseline
             if got is not None:
-                assert check_solution(model, got.values)
+                assert check_solution(model, got)
 
 
 class TestAddConstraint:
