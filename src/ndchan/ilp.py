@@ -6,9 +6,8 @@ maximum activities, and each visit tightens the variable domains as far as
 the activity slack allows.  All arithmetic is exact Python integer
 arithmetic.  Branching picks the unfixed variable whose domain is smallest
 relative to the failure weight of its constraints (dom/wdeg; ties to the
-lowest index) and tries values largest first, or smallest first on
-domains wider than a given width, so results are deterministic for a
-fixed model and options.
+lowest index) and tries values largest first, so results are
+deterministic for a fixed model and options.
 """
 
 from __future__ import annotations
@@ -90,7 +89,6 @@ def solve_feasibility(
     *,
     max_nodes: int | None = None,
     selector=None,
-    wide_ascending: int | None = None,
     stats_out: dict | None = None,
 ):
     """Find any integer point satisfying the model, as its values tuple,
@@ -100,12 +98,9 @@ def solve_feasibility(
     small-rhs covering equalities.  max_nodes guards runaway searches;
     exceeding it raises GuardExceeded rather than returning a wrong answer.
     selector picks the branch variable dynamically from the current bounds
-    (falling back to dom/wdeg when it returns None).  wide_ascending keeps
-    the largest-first order only for domains at most that wide and goes
-    smallest first on wider ones, which suits models whose wide variables
-    are slack-like and get pinned by propagation anyway.  stats_out
-    receives a node count under "nodes" when provided.  Neither ordering
-    option affects which answers are possible, only the search order.
+    (falling back to dom/wdeg when it returns None); it changes only the
+    search order, not which answers are possible.  stats_out receives a
+    node count under "nodes" when provided.
     """
     nvar = model.var_count
     lo = [0] * nvar
@@ -267,17 +262,12 @@ def solve_feasibility(
         record()
         return values
 
-    def value_order(j) -> range:
-        if wide_ascending is not None and hi[j] - lo[j] > wide_ascending:
-            return range(lo[j], hi[j] + 1)
-        return range(hi[j], lo[j] - 1, -1)
-
-    stack: list[list] = []  # frames [var, value order, next index, trail mark]
+    stack: list[list] = []  # frames [var, its values largest first, next index, trail mark]
     while True:
         j = select()
         if j < 0:
             return finish()
-        stack.append([j, value_order(j), 0, len(trail)])
+        stack.append([j, range(hi[j], lo[j] - 1, -1), 0, len(trail)])
         while stack:
             frame = stack[-1]
             backtrack_to(frame[3])

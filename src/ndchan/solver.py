@@ -13,18 +13,19 @@ shift digraph with window length z = wmax, holding only the windows
 within the class sizes.  A span-lambda labeling of a part is a closed
 walk of lambda + z + 1 edges through the all-empty window whose per-type
 counts match the class sizes, and _shortest_walk returns the shortest
-one's slices, one per label position; later positions are empty.  A part of one type is a single clique class,
-whose walk is known in closed form.  Any other part gets one exact
-engine, a breadth-first search over (window, per-type counts), one int per
-state, which works out the types a window allows when it first leaves it
-and numbers no windows.  Its count code holds a placed bit per type of
-class size 1 and, above those bits, a mixed-radix digit per larger type,
-decoded when a state first holds the digits; where every class has size 1,
-as on every part of the vertex-cover route, the code is just the mask of
-types placed.  A least span is the largest of the parts' least spans, 0
-with no part.  One decode maps every part's slices through its type ids
-onto the instance's vertices, and verify_assignment checks the labeling
-before any entry point returns it.
+one's slices, one per label position; later positions are empty.  A part
+of one type is a single clique class, whose walk is known in closed form.
+Any other part gets one exact engine, a breadth-first search over (window,
+per-type counts), one int per state, which tests the goal as each state
+enters, works out the types a window allows when it first leaves it or a
+state entering it may close the walk, and numbers no windows.  Its count
+code holds a placed bit per type of class size 1 and, above those bits, a
+mixed-radix digit per larger type, decoded when a state first holds the
+digits; where every class has size 1, as on every part of the vertex-cover
+route, the code is just the mask of types placed.  A least span is the
+largest of the parts' least spans, 0 with no part.  One decode maps every
+part's slices through its type ids onto the instance's vertices, and
+verify_assignment checks the labeling before any entry point returns it.
 
 The flow ILP (build_flow_model, solve_flow, euler_walk) is the paper's
 formulation of the same walk as an integer edge multiset over a part's
@@ -81,7 +82,8 @@ class SolveStats:
 
     nd: int | None = None
     types: int | None = None
-    digraph_nodes: int = 0  # windows the walk searches expanded; none on one-type parts
+    # windows whose allowed slices the walk searches worked out; none on one-type parts
+    digraph_nodes: int = 0
     cuts_added: int = 0
     solve_ms: float = 0.0
 
@@ -528,7 +530,7 @@ def solve_flow(
         except GuardExceeded:
             if refute_by_certificate(model):
                 return None
-            values = solve_feasibility(model, selector=selector, wide_ascending=3)
+            values = solve_feasibility(model, selector=selector)
         if values is None:
             return None
         cuts = _all_violated_cuts(values, pruned, big_m, capacity)
@@ -706,9 +708,10 @@ def _shortest_walk(sizes, weights: dict, closure, span=None, max_windows=None):
     """Slices shifted in by a shortest walk from the all-empty window whose
     per-type counts reach the class sizes, one per label position (their
     count minus 1 is the part's least span, and under a span a part with no
-    walk within it gives None), and the number of windows expanded.  A part
-    comes as its sizes and reflexive weights, as preprocess_reflexive gives
-    them, and its ShiftClosure, None for a part of one type.
+    walk within it gives None), and the number of windows whose allowed
+    types it worked out.  A part comes as its sizes and reflexive weights,
+    as preprocess_reflexive gives them, and its ShiftClosure, None for a
+    part of one type.
 
     A part of one type is one class: a clique of s vertices whose pairs all
     carry the loop weight w (a loopless class with no neighbour gets no
@@ -728,6 +731,17 @@ def _shortest_walk(sizes, weights: dict, closure, span=None, max_windows=None):
     up after span + 1 steps, and skips a state whose remaining copies need
     more label positions than are left.
 
+    The goal is tested as each state enters, the root included: a state
+    closes the walk when its counts are one independent slice short of the
+    class sizes, its window allows that slice, and the layer after it is
+    still searched.  A table built once from the root's moves, every
+    independent slice, maps each count code one slice short to its slice.
+    A state after k steps is tested only if k + 1 slices as full as the
+    fullest one could hold every copy.  Every state of the layers before
+    was tested as it entered, so the first state to pass closes a shortest
+    walk, and the search stops before building the rest of its layer, the
+    widest.
+
     A state is one int, window << bits | count code, bits being the bit
     length of the full code.  In the count code a type of class size 1 is
     bit t of the low tau bits, set once it is placed, and the types above
@@ -737,10 +751,10 @@ def _shortest_walk(sizes, weights: dict, closure, span=None, max_windows=None):
     left out of the need: each needs one position, and one is always left
     inside the loop.  A window's kept slices hold no type past the counts,
     so the closure's bars alone give the types a new slice may hold; more
-    than max_windows expanded windows raise GuardExceeded.  A state's moves
-    are the independent sets of the allowed types not at their class size,
-    each the sum of its types' terms 1 << bits + t | step, fullest first:
-    the first reaches the class sizes if any does.  The allowed types per
+    than max_windows windows worked out, on expansion or on entry, raise
+    GuardExceeded.  A state's moves are the independent sets of the allowed
+    types not at their class size, each the sum of its types' terms
+    1 << bits + t | step, fullest first.  The allowed types per
     window, the moves per set of free types and the decode per digit code
     are memoised for the call.
     """
@@ -766,15 +780,41 @@ def _shortest_walk(sizes, weights: dict, closure, span=None, max_windows=None):
     ]
     codes = (1 << bits) - 1
     keep = (closure.window_mask ^ newest) << bits  # a window's z - 1 older slices, shifted
-    info_of, allowed_of, moves_of = {}, {}, {}
+    info_of, allowed_of = {}, {}
+    moves_of = {newest: _moves(newest, lifted, bits)}  # the root's: every independent slice
+    closing = {goal - (move & codes): move >> bits for move in moves_of[newest]}
+    widest, total = (moves_of[newest][0] >> bits).bit_count(), sum(sizes)
+
+    def allowed_after(window):
+        allowed = allowed_of.get(window)
+        if allowed is None:
+            if max_windows is not None and len(allowed_of) >= max_windows:
+                raise GuardExceeded(f"window count exceeds guard of {max_windows}")
+            allowed = allowed_of[window] = closure.allowed(window)
+        return allowed
+
+    def closed(state):
+        # the walk's slices when one slice the window allows closes it
+        last_slice = closing[state & codes]
+        if last_slice & ~allowed_after(state >> bits):
+            return None
+        slices = [last_slice]
+        while state:
+            slices.append(state >> bits & newest)
+            state = parent[state]
+        slices.reverse()
+        return slices
 
     last = float("inf") if span is None else span + 1
     parent = {0: None}  # the all-empty window with no type counted
+    if widest >= total and (slices := closed(0)):  # then the root's code is in the table
+        return slices, len(allowed_of)
     layer = [0]
     steps = 0
     while layer and steps < last:
         left = last - steps  # label positions from the one placed now
         steps += 1  # building the layer of walks with this many steps
+        test = steps < last and (steps + 1) * widest >= total
         next_layer = []
         for state in layer:
             code = state & codes
@@ -783,23 +823,10 @@ def _shortest_walk(sizes, weights: dict, closure, span=None, max_windows=None):
                 need_full = info_of[code >> tau] = decode(code >> tau)
             if span is not None and need_full >> tau > left:
                 continue
-            window = state >> bits
-            allowed = allowed_of.get(window)
-            if allowed is None:
-                if max_windows is not None and len(allowed_of) >= max_windows:
-                    raise GuardExceeded(f"expanded window count exceeds guard of {max_windows}")
-                allowed = allowed_of[window] = closure.allowed(window)
-            free = allowed & ~(need_full | code)
+            free = allowed_after(state >> bits) & ~(need_full | code)
             moves = moves_of.get(free)
             if moves is None:
                 moves = moves_of[free] = _moves(free, lifted, bits)
-            if code + (moves[0] & codes) == goal:
-                slices = [moves[0] >> bits]
-                while state:
-                    slices.append(state >> bits & newest)
-                    state = parent[state]
-                slices.reverse()
-                return slices, len(allowed_of)
             head = state << tau & keep | code
             for move in moves:
                 key = head + move
@@ -807,6 +834,8 @@ def _shortest_walk(sizes, weights: dict, closure, span=None, max_windows=None):
                     continue
                 parent[key] = state
                 next_layer.append(key)
+                if test and (key & codes) in closing and (slices := closed(key)):
+                    return slices, len(allowed_of)
         layer = next_layer
     if span is None:
         raise InternalSolverError("no walk reaches the class sizes at any span")
@@ -854,7 +883,7 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
 
     Every labeling returned has passed verify_assignment on wg; one that
     fails raises InternalSolverError.  Fills nd and types of stats, adds the
-    windows the walk searches expanded to digraph_nodes, and adds the call's
+    windows the walk searches worked out to digraph_nodes, and adds the call's
     wall time, from the route's partition on, to solve_ms.
     """
     if span is not None and span < 0:
@@ -867,10 +896,10 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
 
     minimize = span is None
     labeling = None
-    walks, expanded = [], 0
+    walks, worked_out = [], 0
     for sizes, weights, closure, type_ids in parts:
         slices, windows = _shortest_walk(sizes, weights, closure, span, max_digraph_nodes)
-        expanded += windows
+        worked_out += windows
         if slices is None:
             break  # this part has no labeling within the span
         walks.append((slices, type_ids))
@@ -886,7 +915,7 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
                 f"out of range {verdict.out_of_range}"
             )
     if stats is not None:
-        stats.digraph_nodes += expanded
+        stats.digraph_nodes += worked_out
         stats.solve_ms = round(stats.solve_ms + (time.perf_counter() - start) * 1000, 3)
     return (span, labeling) if minimize else labeling
 

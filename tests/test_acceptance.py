@@ -370,12 +370,13 @@ def test_walk_search_does_not_depend_on_successor_order(monkeypatch):
 
 
 def test_answers_pinned():
-    """Least spans, labels and windows expanded over the labeling fixtures
-    on both routes, and the decisions at each least span and one below,
-    hashed into one digest.  A change to the walk search that moves any
-    label, verdict or expanded-window count, such as another move order,
-    changes the digest."""
-    answers = []
+    """Least spans and labels over the labeling fixtures on both routes, and
+    the decisions at each least span and one below, hashed into one digest,
+    and the windows each solve worked out into another.  A change to the
+    walk search that moves any label or verdict, such as another move
+    order, changes the first; one that works out other windows changes the
+    second."""
+    answers, windows = [], []
     for name, g in FIXTURE_GRAPHS:
         for p in FIXTURE_CONSTRAINTS:
             wg = labeling_to_ca(g, DistanceConstraints(p))
@@ -383,17 +384,21 @@ def test_answers_pinned():
             for route, part in (("uniform", partition), ("vc", None)):
                 stats = SolveStats()
                 least, labeling = minimize_span(wg, route, part, stats=stats)
-                answers.append((name, p, route, least, labeling.labels, stats.digraph_nodes))
+                answers.append((name, p, route, least, labeling.labels))
+                windows.append(stats.digraph_nodes)
                 for span in (least, least - 1)[: 1 + (least > 0)]:
                     stats = SolveStats()
                     if route == "uniform":
                         labeling = solve_ca_uniform(wg, partition, span, stats=stats)
                     else:
                         labeling = solve_ca_vc(wg, span, stats=stats)
-                    answers.append((span, labeling and labeling.labels, stats.digraph_nodes))
+                    answers.append((span, labeling and labeling.labels))
+                    windows.append(stats.digraph_nodes)
     assert len(answers) == 312
     digest = hashlib.sha256(repr(answers).encode()).hexdigest()
-    assert digest == "b86723a4de99eb385beb2ff2d9df868045cf61891e8272e76b303dfcf5441811"
+    assert digest == "68e5af47ade277c4bafc29acc9cf4be93d416868551790387473a809358ec5aa"
+    digest = hashlib.sha256(repr(windows).encode()).hexdigest()
+    assert digest == "bad100291fffa8ec7e02320b855ea3f29142cf68d5573a19a90e06ecd03614ae"
     _passed("answers pinned", f"{len(answers)} solves")
 
 

@@ -100,10 +100,8 @@ class TestSolveFeasibility:
     def test_no_variables(self):
         assert solve_feasibility(IlpModel(0, ())) == ()
 
-    def test_values_go_largest_first_but_ascend_on_wide_domains(self):
-        model = IlpModel(2, (3, 1))
-        assert solve_feasibility(model) == (3, 1)
-        assert solve_feasibility(model, wide_ascending=1) == (0, 1)
+    def test_values_go_largest_first(self):
+        assert solve_feasibility(IlpModel(2, (3, 1))) == (3, 1)
 
     def test_deterministic(self):
         rng = random.Random(3)
@@ -137,17 +135,12 @@ class TestSolveFeasibility:
         rng = random.Random(seed)
         model = random_model(rng)
         baseline = solve_feasibility(model) is not None
-        variants = [
-            dict(wide_ascending=1),
-            dict(selector=lambda lo, hi: next(
-                (j for j in range(len(lo)) if hi[j] > lo[j]), None
-            )),
-        ]
-        for kwargs in variants:
-            got = solve_feasibility(model, **kwargs)
-            assert (got is not None) == baseline
-            if got is not None:
-                assert check_solution(model, got)
+        got = solve_feasibility(
+            model, selector=lambda lo, hi: next((j for j in range(len(lo)) if hi[j] > lo[j]), None)
+        )
+        assert (got is not None) == baseline
+        if got is not None:
+            assert check_solution(model, got)
 
 
 class TestAddConstraint:

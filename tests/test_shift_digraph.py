@@ -194,11 +194,11 @@ class TestBuildShiftDigraph:
 
 class TestOnDemandSuccessors:
     def test_expanded_windows_match_the_full_digraph(self, monkeypatch):
-        # every window the walk search expands (an int code in window_code's
-        # layout) is a window of build_shift_digraph, expanded once per
-        # search, and the slices of the types its bars allow, less those
-        # that take a type past its class size, are that window's out-edges
-        # in order; the moves made per set of free types are its independent
+        # every window the walk search works out (an int code in
+        # window_code's layout) is a window of build_shift_digraph, worked
+        # out once per search, and the slices of the types its bars allow,
+        # less those that take a type past its class size, are that
+        # window's out-edges in order; the moves made per set of free types are its independent
         # sets, fullest first, each adding its types' steps to the count code
         rng = random.Random(12)
         expanded = 0

@@ -655,20 +655,28 @@ class TestGuards:
         assert solve_labeling(g, DistanceConstraints((3, 2)), 5) is None
 
     def test_window_count_guard(self):
-        # the guard counts the windows the walk search expands, on two
-        # clique classes (count digits) and on K3's cover partition (three
-        # classes of size 1, placed bits only); K3's twin partition is one
-        # class of size 3, answered in closed form with no window
+        # the guard counts the windows the walk search works out, on two
+        # clique classes (count digits), on K3's cover partition (three
+        # classes of size 1, placed bits only) and on the minimize-vc bench
+        # witness c4-43, whose last window is worked out by the goal test
+        # of the state that closes the walk, which is never expanded; K3's
+        # twin partition is one class of size 3, answered in closed form
+        # with no window
         wg = k3_instance()
         partition = nd_partition(wg.graph)
         assert solve_ca_uniform(wg, partition, 4, max_digraph_nodes=0) is not None
         assert minimize_span(wg, "uniform", partition, max_digraph_nodes=0)[0] == 4
         cliques, clique_partition = two_clique_classes()
+        c4_43 = WeightedGraph.from_edges(
+            6, [(0, 3, 1), (0, 4, 1), (0, 5, 2), (1, 4, 1), (1, 5, 2), (2, 3, 3), (2, 5, 2)]
+        )
         for solve in (
             lambda **kw: solve_ca_uniform(cliques, clique_partition, 12, **kw),
             lambda **kw: minimize_span(cliques, "uniform", clique_partition, **kw),
             lambda **kw: solve_ca_vc(wg, 4, **kw),
             lambda **kw: minimize_span(wg, "vc", **kw),
+            lambda **kw: solve_ca_vc(c4_43, 3, **kw),
+            lambda **kw: minimize_span(c4_43, "vc", **kw),
         ):
             stats = SolveStats()
             solve(stats=stats)
@@ -680,8 +688,9 @@ class TestGuards:
     def test_search_expands_fewer_windows_than_the_digraph_has(self, monkeypatch):
         # a minimize-vc bench witness (criterion 4's draw 176): every class
         # of the cover partition has size 1, so the count code is the mask
-        # of types placed; the search expands a window only when it first
-        # leaves it, and never builds the whole digraph
+        # of types placed; the search works out a window's allowed types
+        # once, when it first leaves it or a state entering it may close the
+        # walk, and never builds the whole digraph
         wg = WeightedGraph.from_edges(
             7, [(0, 5, 2), (1, 4, 1), (1, 5, 2), (1, 6, 2), (2, 4, 1), (2, 6, 2), (3, 6, 1)]
         )
@@ -707,6 +716,33 @@ class TestGuards:
             for sizes, weights, _, _ in solver._parts(wg, "vc", None)[2]
         )
         assert 0 < len(expanded) < windows
+
+    def test_goal_is_tested_as_each_state_enters(self):
+        # a seeded 14-vertex bipartite graph whose cover partition is one
+        # part of 14 size-1 types.  The goal is tested as each state enters,
+        # so a search that finds its walk stops before building its last
+        # and widest layer and works out under 1,500 windows.  One below
+        # the least span no state closes the walk, and the refutation works
+        # out exactly the windows of the states it expands, 21,061
+        wg = WeightedGraph.from_edges(
+            14,
+            [
+                (0, 9, 2), (0, 11, 2), (0, 13, 1), (1, 8, 1), (1, 10, 3), (2, 7, 3), (2, 8, 3),
+                (2, 9, 3), (2, 10, 2), (2, 11, 3), (3, 7, 3), (3, 8, 3), (3, 10, 2), (4, 9, 3),
+                (4, 10, 1), (4, 11, 3), (4, 12, 1), (5, 7, 1), (5, 11, 2), (6, 13, 3),
+            ],
+        )
+        labels = (0, 0, 0, 0, 0, 0, 0, 3, 3, 3, 3, 3, 1, 3)
+        stats = SolveStats()
+        span, labeling = minimize_span(wg, "vc", stats=stats)
+        assert (span, labeling.labels, stats.types) == (3, labels, 14)
+        assert stats.digraph_nodes < 1500
+        stats = SolveStats()
+        assert solve_ca_vc(wg, 3, stats=stats).labels == labels
+        assert stats.digraph_nodes < 1500
+        stats = SolveStats()
+        assert solve_ca_vc(wg, 2, stats=stats) is None
+        assert stats.digraph_nodes == 21061
 
 
 class TestSolveCaVc:
@@ -968,12 +1004,13 @@ class TestFrontEnd:
 
     def test_isolated_classes_pinned(self):
         # 100 draws of uniform_instance with at least one class no edge
-        # touches, 44 of them beside edges: on both routes the least span,
-        # its labels and the windows expanded, and the decisions at the
-        # least span and one below.  The digest was taken while every such
-        # class was still a part of its own, answered in closed form
+        # touches, 44 of them beside edges: on both routes the least span
+        # and its labels, and the decisions at the least span and one
+        # below, in one digest, and the windows each solve worked out in
+        # another.  The answers' digest was taken while every such class
+        # was still a part of its own, answered in closed form
         rng = random.Random(2121)
-        answers, mixed = [], 0
+        answers, windows, mixed = [], [], 0
         while len(answers) < 100:
             wg, partition = uniform_instance(rng, max_types=4)
             adjacency = wg.graph.adjacency
@@ -987,15 +1024,19 @@ class TestFrontEnd:
             ):
                 stats = SolveStats()
                 least, labeling = minimize_span(wg, route, given, stats=stats)
-                record.append((least, labeling.labels, stats.digraph_nodes))
+                record.append((least, labeling.labels))
+                windows.append(stats.digraph_nodes)
                 for span in range(max(least - 1, 0), least + 1):
                     stats = SolveStats()
                     decided = decide(span, stats=stats)
-                    record.append((span, decided and decided.labels, stats.digraph_nodes))
+                    record.append((span, decided and decided.labels))
+                    windows.append(stats.digraph_nodes)
             answers.append(record)
         assert mixed == 44
         digest = hashlib.sha256(repr(answers).encode()).hexdigest()
-        assert digest == "2b708625c8816dc0d3fb09730d846115a145e30a3c17c7407773d88075a338e2"
+        assert digest == "5df6ca6367361657b54eef7e03f02f8fcf1e4d21a614947b3378136813111d81"
+        digest = hashlib.sha256(repr(windows).encode()).hexdigest()
+        assert digest == "8cde00d5c8e3458274b4fe31a742182816fafe4996b5102c5beb068e0d2a9bb9"
 
     def test_vc_routes_report_the_same_decomposition(self):
         wg = WeightedGraph.from_edges(9, self.MULTI + [(0, 7, 1), (0, 8, 2)])
