@@ -78,30 +78,37 @@ def check_uniform(wg: WeightedGraph, p: NdPartition):
     class of size s is a clique or an independent set exactly when C(s, 2)
     or no edges lie inside it, and two classes are all-or-none exactly
     when s_i * s_j or no edges join them.
+
+    One loop over the classes gives the sizes and each vertex's class, a
+    dict filled a class at a time; the classes are disjoint, so they
+    partition the vertices when the dict holds n keys, the least 0 or more
+    and the largest under n.  One loop over the class pairs' edge counts
+    tests every axiom, and the error message is worked out only when one
+    fails.
     """
     n = wg.graph.n
-    sizes = [len(cls) for cls in p.classes]
-    # the classes are disjoint, so they cover the vertices if they add up to n
-    if sum(sizes) != n or any(min(cls) < 0 or max(cls) >= n for cls in p.classes):
-        raise ValueError("classes do not partition the vertex set")
-    class_of = [0] * n
+    sizes, class_of = [], {}
     for ci, cls in enumerate(p.classes):
-        for v in cls:
-            class_of[v] = ci
+        sizes.append(len(cls))
+        class_of.update(dict.fromkeys(cls, ci))
+    if len(class_of) != n or n and (min(class_of) < 0 or max(class_of) >= n):
+        raise ValueError("classes do not partition the vertex set")
     counts, weights, uniform = {}, {}, True  # per class pair: edges, first weight
     for (u, v), w in wg.weights.items():
         i, j = class_of[u], class_of[v]
         pair = (i, j) if i <= j else (j, i)
         counts[pair] = counts.get(pair, 0) + 1
         uniform &= weights.setdefault(pair, w) == w
+    for (i, j), c in counts.items():
+        if c != (sizes[i] * (sizes[i] - 1) // 2 if i == j else sizes[i] * sizes[j]):
+            break
+    else:
+        return sizes, weights, uniform
     bad = [i for (i, j), c in counts.items() if i == j and c != sizes[i] * (sizes[i] - 1) // 2]
     if bad:
         raise ValueError(f"class {min(bad)} induces neither a clique nor an independent set")
-    bad = [(i, j) for (i, j), c in counts.items() if i != j and c != sizes[i] * sizes[j]]
-    if bad:
-        i, j = min(bad)
-        raise ValueError(f"edges between classes {i} and {j} are not all-or-none")
-    return sizes, weights, uniform
+    i, j = min((i, j) for (i, j), c in counts.items() if i != j and c != sizes[i] * sizes[j])
+    raise ValueError(f"edges between classes {i} and {j} are not all-or-none")
 
 
 def min_vertex_cover(g: Graph) -> frozenset[int]:

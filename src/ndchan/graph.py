@@ -125,6 +125,9 @@ class VerificationResult:
     out_of_range: tuple[int, ...]
 
 
+_VERIFIED = VerificationResult(True, (), ())
+
+
 def all_pairs_distance(g: Graph) -> list[list]:
     """Hop-distance matrix via BFS from every vertex; math.inf for unreachable pairs."""
     dist = [[INF] * g.n for _ in range(g.n)]
@@ -184,19 +187,24 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def verify_assignment(wg: WeightedGraph, labeling: Labeling) -> VerificationResult:
-    """Check |l(u) - l(v)| >= w(u, v) on every edge and that labels stay in [0, span]."""
+    """Check |l(u) - l(v)| >= w(u, v) on every edge and that labels stay in [0, span].
+
+    One scan collects the violated edges and min and max bound the labels,
+    so a labeling that passes gets the one shared passing result.  Only a
+    failing one has its violated edges sorted and its out-of-range
+    vertices listed, in ascending order.
+    """
     labels = labeling.labels
     if len(labels) != wg.graph.n:
         raise ValueError(
             f"labeling covers {len(labels)} vertices, instance has {wg.graph.n}"
         )
-    out_of_range = tuple(
-        v for v, lab in enumerate(labels) if not 0 <= lab <= labeling.span
-    )
-    violated = tuple(
-        sorted((u, v) for (u, v), w in wg.weights.items() if abs(labels[u] - labels[v]) < w)
-    )
-    return VerificationResult(not violated and not out_of_range, violated, out_of_range)
+    span = labeling.span
+    violated = [(u, v) for (u, v), w in wg.weights.items() if abs(labels[u] - labels[v]) < w]
+    if not violated and (not labels or min(labels) >= 0 and max(labels) <= span):
+        return _VERIFIED
+    out_of_range = tuple(v for v, lab in enumerate(labels) if not 0 <= lab <= span)
+    return VerificationResult(False, tuple(sorted(violated)), out_of_range)
 
 
 def trivial_upper_bound(wg: WeightedGraph) -> int:

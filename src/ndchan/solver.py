@@ -94,14 +94,17 @@ def preprocess_reflexive(sizes, weights: dict, classes):
     were; classes are the partition's, one per type.
 
     A loopless class shrinks to its least vertex, kept, and its other
-    vertices are dropped.  The parts are the connected components of the
-    types some edge touches, over a bitmask adjacency; no edge joins two, so
-    each is solved on its own.  A part comes as (its sizes, its weights,
-    its type ids in ascending order, which its sizes and weights number
-    0, 1, ...), every type given a loop: a shrunk type gets a weight-1 one
-    (a singleton never repeats, so any weight works).  A type no edge
-    touches gets no part: its vertices are unconstrained, and label 0 serves
-    them all.  Returns (kept, dropped, parts).
+    vertices are dropped; a class of one vertex keeps it as it is, with no
+    sort.  The parts are the connected components of the types some edge
+    touches, over a bitmask adjacency, each grown from the least type no
+    part holds yet, and one bitmask holds the types already in a part; no
+    edge joins two parts, so each is solved on its own.  A part comes as
+    (its sizes, its weights, its type ids in ascending order, which its
+    sizes and weights number 0, 1, ...), every type given a loop: a shrunk
+    type gets a weight-1 one (a singleton never repeats, so any weight
+    works).  A type no edge touches gets no part: its vertices are
+    unconstrained, and label 0 serves them all.  Returns (kept, dropped,
+    parts).
     """
     tau = len(sizes)
     if len(classes) != tau:
@@ -112,15 +115,21 @@ def preprocess_reflexive(sizes, weights: dict, classes):
         adjacent[j] |= 1 << i
     kept, dropped = [], []
     for t, cls in enumerate(classes):
-        members = tuple(sorted(cls))
-        if len(members) != sizes[t]:
+        size = sizes[t]
+        if len(cls) != size:
             raise ValueError(f"class {t} size mismatch")
-        cut = sizes[t] if adjacent[t] >> t & 1 else 1
+        if size == 1:
+            kept.append(tuple(cls))
+            dropped.append(())
+            continue
+        members = tuple(sorted(cls))
+        cut = size if adjacent[t] >> t & 1 else 1
         kept.append(members[:cut])
         dropped.append(members[cut:])
     parts, part_of = [], [None] * tau  # per type: its part's weights, its place
+    placed = 0  # the types already in a part
     for first, edges in enumerate(adjacent):
-        if part_of[first] is not None or not edges:
+        if not edges or placed >> first & 1:
             continue
         part = frontier = 1 << first
         while frontier:
@@ -129,6 +138,7 @@ def preprocess_reflexive(sizes, weights: dict, classes):
             new = adjacent[t] & ~part
             part |= new
             frontier |= new
+        placed |= part
         ids = list(iter_bits(part))
         pw = {(k, k): 1 for k in range(len(ids))}  # a real loop overwrites its placeholder
         parts.append(([len(kept[t]) for t in ids], pw, ids))

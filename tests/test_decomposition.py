@@ -115,6 +115,52 @@ class TestCheckUniform:
         wg = WeightedGraph(g, {e: 2 for e in g.edges})
         assert check_uniform(wg, nd_partition(g)) == ([3], {(0, 0): 2}, True)
 
+    def test_edgeless_graph_condenses_to_no_pairs(self):
+        wg = WeightedGraph(Graph(5, frozenset()), {})
+        p = NdPartition((frozenset({0, 3}), frozenset({1}), frozenset({2, 4})), (INDEPENDENT,) * 3)
+        assert check_uniform(wg, p) == ([2, 1, 2], {}, True)
+
+    @pytest.mark.parametrize(
+        "n, edges, classes, message",
+        [
+            # a vertex out of range, above and below, with the sizes adding up to n
+            (3, [], [{0, 1}, {5}], "classes do not partition the vertex set"),
+            (3, [], [{-1, 0}, {1}], "classes do not partition the vertex set"),
+            # classes that miss a vertex
+            (4, [(0, 1)], [{0}, {1}, {2}], "classes do not partition the vertex set"),
+            # class 1 holds one edge of three, and class 2 is fine
+            (
+                5,
+                [(1, 2), (3, 4)],
+                [{0}, {1, 2, 3}, {4}],
+                "class 1 induces neither a clique nor an independent set",
+            ),
+            # class pairs (0, 1) and (1, 2) are partly joined, class 2
+            # holds one edge of three: the class message comes first
+            (
+                6,
+                [(0, 2), (2, 3), (3, 4)],
+                [{0, 1}, {2}, {3, 4, 5}],
+                "class 2 induces neither a clique nor an independent set",
+            ),
+            # pairs (1, 2) and (0, 1) are partly joined, (1, 2) counted
+            # first: the least pair is named
+            (
+                5,
+                [(3, 4), (0, 2), (1, 4)],
+                [{0, 1}, {2, 4}, {3}],
+                "edges between classes 0 and 1 are not all-or-none",
+            ),
+        ],
+    )
+    def test_error_messages(self, n, edges, classes, message):
+        # raised with exactly these words, which the CLI prints
+        wg = WeightedGraph.from_edges(n, [(u, v, 1) for u, v in edges])
+        p = NdPartition(tuple(frozenset(c) for c in classes), (INDEPENDENT,) * len(classes))
+        with pytest.raises(ValueError) as info:
+            check_uniform(wg, p)
+        assert str(info.value) == message
+
 
 
 def reference_condensation(wg, p):

@@ -13,6 +13,7 @@ from ndchan import (
     trivial_upper_bound,
     verify_assignment,
 )
+from ndchan.graph import VerificationResult
 from helpers import bfs_distances, complete_graph, path_graph, random_graph
 
 INF = math.inf
@@ -146,6 +147,53 @@ class TestVerifyAssignment:
         )
         labels = tuple(i * wg.wmax for i in range(n))
         assert verify_assignment(wg, Labeling(labels, trivial_upper_bound(wg))).ok
+
+    def test_failure_report_is_sorted(self):
+        # the weights come in no sorted order, three edges break and two
+        # labels leave [0, 3]: the report lists both in ascending order
+        weights = {(2, 3): 4, (0, 3): 1, (1, 2): 3, (0, 1): 2, (0, 2): 1}
+        wg = WeightedGraph(Graph(4, frozenset(weights)), weights)
+        verdict = verify_assignment(wg, Labeling((4, 3, 2, -1), 3))
+        assert verdict == VerificationResult(False, ((0, 1), (1, 2), (2, 3)), (0, 3))
+
+    def test_pass_reports_nothing(self):
+        weights = {(2, 3): 2, (0, 1): 2, (0, 2): 1}
+        wg = WeightedGraph(Graph(4, frozenset(weights)), weights)
+        assert verify_assignment(wg, Labeling((3, 1, 0, 2), 3)) == VerificationResult(True, (), ())
+        empty = WeightedGraph(Graph(0, frozenset()), {})
+        assert verify_assignment(empty, Labeling((), 0)) == VerificationResult(True, (), ())
+
+    @given(
+        st.integers(0, 7),
+        st.floats(0, 1),
+        st.integers(0, 9999),
+        st.integers(0, 8),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_plain_scan(self, n, p, seed, span, wmax):
+        # random labelings, some out of range, against a scan of every
+        # vertex and edge that builds the full report every time
+        import random
+
+        rng = random.Random(seed)
+        edges = list(random_graph(rng, n, p).edges)
+        rng.shuffle(edges)
+        weights = {e: rng.randint(1, wmax) for e in edges}
+        wg = WeightedGraph(Graph(n, frozenset(weights)), weights)
+        labeling = Labeling(tuple(rng.randint(-2, span + 2) for _ in range(n)), span)
+        assert verify_assignment(wg, labeling) == reference_verification(wg, labeling)
+
+
+def reference_verification(wg, labeling):
+    """verify_assignment as a plain scan: every vertex's range and every
+    edge's gap, the violations sorted."""
+    labels = labeling.labels
+    out_of_range = tuple(v for v, lab in enumerate(labels) if not 0 <= lab <= labeling.span)
+    violated = tuple(
+        sorted((u, v) for (u, v), w in wg.weights.items() if abs(labels[u] - labels[v]) < w)
+    )
+    return VerificationResult(not violated and not out_of_range, violated, out_of_range)
 
 
 class TestTrivialUpperBound:
