@@ -1,10 +1,11 @@
 """Shift-register digraph over windows of consecutive label-slice type sets.
 
-A window is a z-tuple (T1, ..., Tz) of type subsets standing for z consecutive
-label positions.  It is valid when every weighted type pair respects the
-in-window separations: for an edge (t, r) with t in Ti and r in Tj the
-positions must satisfy |i - j| >= w(t, r).  For loops (t == r) only distinct
-positions are constrained, since one slice never needs the same type twice.
+A window is z type sets (slices) for z consecutive label positions, one int
+over tau types with slice i (0 the oldest) at bits (z-1-i)*tau.  It is
+valid when every weighted type pair respects the in-window separations: for
+an edge (t, r) with t in slice i and r in slice j, |i - j| >= w(t, r).
+For loops (t == r) only distinct positions are constrained, since one
+slice never needs the same type twice.
 Only windows that hold each type in at most its class size many coordinates
 are built: a labeling uses each type exactly its class size many times, so
 no walk can visit any other window.  Directed edges connect windows that
@@ -17,9 +18,9 @@ after a window; independent_sets lists the slices of a set of types.  The
 walk search and build_shift_digraph both step with these two, and
 build_shift_digraph adds the class-size bars on top and runs the step to
 closure, numbering windows in breadth-first order and grouping edges by
-source window in slice-mask order.
-A window is one int in window_code's layout (slice i at bits (z-1-i)*tau),
-so a shift is a left shift and a bar one AND per type.
+source window in slice-mask order.  The search, the digraph, the flow
+model and the dump share that int form: a shift is a left shift and a bar
+one AND per type.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ def iter_bits(mask: int):
 
 @dataclass(frozen=True)
 class ShiftDigraph:
-    """Materialized window digraph; immutable and shareable once built."""
+    """Materialized window digraph; immutable and shareable once built.
+    windows[node] is the window's int code, slice i at bits
+    (window_length - 1 - i) * type_count."""
 
     type_count: int
     window_length: int
-    windows: tuple[tuple[int, ...], ...]
+    windows: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
     @property
@@ -69,13 +72,6 @@ class ShiftDigraph:
         for ei, (_, dst) in enumerate(self.edges):
             inc[dst].append(ei)
         return tuple(tuple(es) for es in inc)
-
-    def window_code(self, node: int) -> int:
-        """Fixed-width encoding, earlier positions in higher bits."""
-        code = 0
-        for mask in self.windows[node]:
-            code = (code << self.type_count) | mask
-        return code
 
 
 def independent_sets(free: int, lifted) -> list[int]:
@@ -169,7 +165,6 @@ def build_shift_digraph(
     if missing:
         raise ValueError(f"type {missing[0]} has no loop; apply reflexivity preprocessing")
     closure = ShiftClosure(sizes, weights, z)
-    slice_mask = closure.slice_mask
     units = [(clash, 1 << t) for t, clash in enumerate(closure.clash)]
     keep = sum(1 << d * tau for d in range(z - 1))
     size_bars = [(1 << r, keep << r, s) for r, s in enumerate(sizes) if s < z]
@@ -193,12 +188,7 @@ def build_shift_digraph(
             edges.append((si, di))
     if edges[0] != (0, 0):
         raise InternalSolverError("all-empty window lost its self-loop")
-    return ShiftDigraph(
-        tau,
-        z,
-        tuple(tuple(code >> (z - 1 - i) * tau & slice_mask for i in range(z)) for code in windows),
-        tuple(edges),
-    )
+    return ShiftDigraph(tau, z, tuple(windows), tuple(edges))
 
 
 def dump_digraph(d: ShiftDigraph) -> str:
@@ -208,5 +198,5 @@ def dump_digraph(d: ShiftDigraph) -> str:
         f"nodes={len(d.windows)} edges={len(d.edges)}"
     ]
     for src, dst in d.edges:
-        lines.append(f"{d.window_code(src):#x} -> {d.window_code(dst):#x}")
+        lines.append(f"{d.windows[src]:#x} -> {d.windows[dst]:#x}")
     return "\n".join(lines)

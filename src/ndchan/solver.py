@@ -177,14 +177,15 @@ def build_flow_model(d: ShiftDigraph, sizes, span: int):
         raise ValueError("span must be nonnegative")
     if len(sizes) != d.type_count:
         raise ValueError(f"{len(sizes)} class sizes for a digraph of {d.type_count} types")
-    z = d.window_length
+    z, tau = d.window_length, d.type_count
     length = span + z + 1
     var_count = len(d.edges)
 
     def role_counts(j):
+        bits = (z - 1 - j) * tau
         return [
             Constraint.build(
-                [(ei, 1) for ei, (src, _) in enumerate(d.edges) if d.windows[src][j] >> t & 1],
+                [(ei, 1) for ei, (src, _) in enumerate(d.edges) if d.windows[src] >> bits + t & 1],
                 EQ,
                 size,
             )
@@ -202,9 +203,11 @@ def build_flow_model(d: ShiftDigraph, sizes, span: int):
     for j in range(1, z):
         constraints += role_counts(j)
     for j in range(z):
-        terms = [(ei, -1) for ei, (src, _) in enumerate(d.edges) if d.windows[src][j] == 0]
+        role = (1 << tau) - 1 << (z - 1 - j) * tau
+        terms = [(ei, -1) for ei, (src, _) in enumerate(d.edges) if not d.windows[src] & role]
         constraints.append(Constraint.build(terms, LE, -z))
-    capacity = [_window_capacity(window, sizes) for window in d.windows]
+    column = sum(1 << k * tau for k in range(z))
+    capacity = [_window_capacity(window, sizes, column) for window in d.windows]
     for node, cap in enumerate(capacity):
         if cap >= 0 and d.out_edges[node]:
             constraints.append(Constraint.build([(ei, 1) for ei in d.out_edges[node]], LE, cap))
@@ -312,8 +315,9 @@ def _all_violated_cuts(values, d: ShiftDigraph, big_m: int, capacity=None, per_e
     return cuts
 
 
-def _window_capacity(window, sizes) -> int:
-    """How often a walk may visit this window.
+def _window_capacity(window: int, sizes, column: int) -> int:
+    """How often a walk may visit this window, given type 0's bits in
+    every slice as column.
 
     k visits at indices I with a type in coordinate set J cover the label
     positions I + J, and |I + J| >= |I| + |J| - 1 on integers, so a type
@@ -321,39 +325,37 @@ def _window_capacity(window, sizes) -> int:
     visits share positions, which is why this is not size // c).  The
     digraph holds no window with c over size(t), so this is at least 1.
     """
-    counts: dict[int, int] = {}
-    for mask in window:
-        for t in iter_bits(mask):
-            counts[t] = counts.get(t, 0) + 1
-    if not counts:
+    if not window:
         return -1  # untyped windows are unlimited
-    return min(sizes[t] - c + 1 for t, c in counts.items())
+    return min(
+        size - (window >> t & column).bit_count() + 1
+        for t, size in enumerate(sizes)
+        if window >> t & column
+    )
 
 
 def _walk_index_ranges(d: ShiftDigraph, span: int):
-    """Feasible walk-index interval per node and per edge.
+    """Feasible walk-index interval per edge.
 
     A walk node at index i covers padded label positions i .. i+z-1, and
     types only occur at positions z+1 .. z+span+1, so every typed coordinate
     pins the index into an interval.  Index 1 and the final index belong to
     the all-empty window alone, and a node needs predecessors and successors
     whose intervals line up; iterating that to a fixpoint tightens the
-    intervals along the graph.  Returns (node_ranges, edge_ranges) with
-    empty ranges marked as (1, 0).
+    intervals along the graph.  Empty ranges come as (lo, hi) with lo > hi.
     """
-    z = d.window_length
+    z, tau = d.window_length, d.type_count
     length = span + z + 1
     last = length + 1
     lo = [1] * len(d.windows)
     hi = [last] * len(d.windows)
     for node, window in enumerate(d.windows):
-        if node != d.empty_index:
-            lo[node] = 2
-            hi[node] = last - 1
-        for jj in range(z):
-            if window[jj]:
-                lo[node] = max(lo[node], z + 1 - jj)
-                hi[node] = min(hi[node], z + span + 1 - jj)
+        if window:
+            # a typed slice k slices older than the newest holds position
+            # i + z - 1 - k, so z + 1 <= i + z - 1 - k <= z + span + 1; the
+            # oldest typed slice bounds i from below, the newest from above
+            lo[node] = (window.bit_length() - 1) // tau + 2
+            hi[node] = ((window & -window).bit_length() - 1) // tau + span + 2
 
     changed = True
     while changed:
@@ -379,7 +381,7 @@ def _walk_index_ranges(d: ShiftDigraph, span: int):
         elo = max(lo[a], lo[b] - 1, 1)
         ehi = min(hi[a], hi[b] - 1, length)
         edge_ranges.append((elo, ehi))
-    return list(zip(lo, hi)), edge_ranges
+    return edge_ranges
 
 
 def _pruned_digraph(d: ShiftDigraph, sizes, span: int):
@@ -390,8 +392,7 @@ def _pruned_digraph(d: ShiftDigraph, sizes, span: int):
     restriction, and cuts computed on it stay valid, so solving on it is
     equivalent; edge indices are mapped back afterwards.
     """
-    _, edge_ranges = _walk_index_ranges(d, span)
-    keep_edge = [elo <= ehi for elo, ehi in edge_ranges]
+    keep_edge = [elo <= ehi for elo, ehi in _walk_index_ranges(d, span)]
     keep_node = [False] * len(d.windows)
     keep_node[d.empty_index] = True
     for ei, ok in enumerate(keep_edge):
@@ -627,13 +628,14 @@ def _walk_slices(nodes, d: ShiftDigraph, sizes, span: int) -> list[int]:
     if nodes[0] != d.empty_index or nodes[-1] != d.empty_index:
         raise InternalSolverError("walk does not start and end at the all-empty window")
 
+    oldest = (z - 1) * d.type_count
     counts = [0] * len(sizes)
     for node in nodes[:-1]:
-        for t in iter_bits(d.windows[node][0]):
+        for t in iter_bits(d.windows[node] >> oldest):
             counts[t] += 1
     if counts != list(sizes):
         raise InternalSolverError("per-type occurrence counts do not match class sizes")
-    return [d.windows[node][0] for node in nodes[z : z + span + 1]]
+    return [d.windows[node] >> oldest for node in nodes[z : z + span + 1]]
 
 
 def walk_to_labeling(parts, kept, dropped, span: int, vertex_count: int) -> Labeling:
@@ -896,8 +898,6 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
     windows the walk searches worked out to digraph_nodes, and adds the call's
     wall time, from the route's partition on, to solve_ms.
     """
-    if span is not None and span < 0:
-        raise ValueError("span must be nonnegative")
     start = time.perf_counter()
     base, (kept, dropped), parts = _parts(wg, route, partition)
     if stats is not None:
@@ -926,8 +926,15 @@ def _solve(wg, route, partition, span, stats, max_digraph_nodes):
             )
     if stats is not None:
         stats.digraph_nodes += worked_out
-        stats.solve_ms = round(stats.solve_ms + (time.perf_counter() - start) * 1000, 3)
+        stats.solve_ms += (time.perf_counter() - start) * 1000
     return (span, labeling) if minimize else labeling
+
+
+def _decision_span(span) -> int:
+    """The span of a decision, once checked to be an int of at least 0."""
+    if not isinstance(span, int) or span < 0:
+        raise ValueError(f"span must be a nonnegative int, not {span!r}")
+    return span
 
 
 def solve_ca_uniform(
@@ -943,10 +950,10 @@ def solve_ca_uniform(
     Connected parts of the type graph are searched independently, and the
     labeling is decoded from all of them at once.
 
-    Raises NotUniformError, a ValueError, when the weights are not uniform
-    with respect to the partition.
+    Raises ValueError on a span that is no int of at least 0, and
+    NotUniformError, a ValueError, on weights not uniform on the partition.
     """
-    return _solve(wg, "uniform", partition, span, stats, max_digraph_nodes)
+    return _solve(wg, "uniform", partition, _decision_span(span), stats, max_digraph_nodes)
 
 
 def solve_ca_vc(
@@ -957,8 +964,9 @@ def solve_ca_vc(
     max_digraph_nodes: int | None = None,
 ):
     """Decide channel assignment via the vertex-cover decomposition with
-    weight refinement; works on arbitrary weighted instances."""
-    return _solve(wg, "vc", None, span, stats, max_digraph_nodes)
+    weight refinement; works on arbitrary weighted instances.  A span that
+    is no int of at least 0 raises ValueError."""
+    return _solve(wg, "vc", None, _decision_span(span), stats, max_digraph_nodes)
 
 
 def minimize_span(

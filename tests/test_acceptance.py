@@ -533,9 +533,10 @@ def test_criterion_7_walk_sequence_duality(
 def test_criterion_8_lazy_cut_sanity():
     # a hand-built two-component multiset violates a generated cut
     digraph = build_shift_digraph([3], {(0, 0): 2}, 2)
+    # windows as codes of one type: slice 0 in the high bit
     index = {w: i for i, w in enumerate(digraph.windows)}
     edge = {pair: i for i, pair in enumerate(digraph.edges)}
-    up, down = index[(0, 1)], index[(1, 0)]
+    up, down = index[0b01], index[0b10]
     values = [0] * len(digraph.edges)
     values[edge[(up, down)]] = 1
     values[edge[(down, up)]] = 1
@@ -619,12 +620,12 @@ def test_cut_separators_on_walk_supports(uniform_route_records):
             assert slices is not None
             # the closed walk of span + z + 1 steps that shifts in these
             # slices and then empty ones, as windows of the built digraph
-            z = full.window_length
+            z, tau = full.window_length, full.type_count
             window_index = {w: i for i, w in enumerate(full.windows)}
-            window = (0,) * z
+            window = 0
             nodes = [window_index[window]]
             for mask in slices + [0] * (span + z + 1 - len(slices)):
-                window = window[1:] + (mask,)
+                window = (window << tau | mask) & (1 << z * tau) - 1
                 nodes.append(window_index[window])
             d, edge_map = solver._pruned_digraph(full, sizes, span)
             capacity = build_flow_model(d, sizes, span)[1]

@@ -64,8 +64,15 @@ def within_sizes(window, sizes):
     return all(sum(t in s for s in window) <= size for t, size in enumerate(sizes))
 
 
+def slice_masks(d, node):
+    """A window's slices, oldest first, read from its code: slice i at
+    bits (z - 1 - i) * tau."""
+    tau, z, code = d.type_count, d.window_length, d.windows[node]
+    return tuple(code >> (z - 1 - i) * tau & (1 << tau) - 1 for i in range(z))
+
+
 def as_sets(d, node):
-    return tuple(frozenset(iter_bits(mask)) for mask in d.windows[node])
+    return tuple(frozenset(iter_bits(mask)) for mask in slice_masks(d, node))
 
 
 class TestBuildShiftDigraph:
@@ -92,7 +99,8 @@ class TestBuildShiftDigraph:
 
     def test_empty_window_first_with_self_loop(self):
         d = build_shift_digraph(*two_adjacent_types(2), 2)
-        assert d.windows[d.empty_index] == (0, 0)
+        assert d.windows[d.empty_index] == 0
+        assert slice_masks(d, d.empty_index) == (0, 0)
         assert (0, 0) in d.edges
 
     def test_empty_type_graph_single_node(self):
@@ -173,7 +181,7 @@ class TestBuildShiftDigraph:
             sources = [src for src, _ in d.edges]
             assert sources == sorted(sources)
             for src, group in itertools.groupby(d.edges, key=lambda edge: edge[0]):
-                masks = [d.windows[dst][-1] for _, dst in group]
+                masks = [slice_masks(d, dst)[-1] for _, dst in group]
                 assert masks == sorted(set(masks)), src
             reached = [d.empty_index]
             for _, dst in d.edges:
@@ -188,14 +196,15 @@ class TestBuildShiftDigraph:
         weights = {pair: 1 for pair in pairs}
         weights.update({(t, t): 1 for t in range(tau)})
         d = build_shift_digraph((1,) * tau, weights, 1)
-        assert [w[0] for w in d.windows] == [0] + [1 << t for t in range(tau)]
+        # z = 1: a window's code is its one slice
+        assert list(d.windows) == [0] + [1 << t for t in range(tau)]
         assert len(d.edges) == (tau + 1) ** 2
 
 
 class TestOnDemandSuccessors:
     def test_expanded_windows_match_the_full_digraph(self, monkeypatch):
-        # every window the walk search works out (an int code in
-        # window_code's layout) is a window of build_shift_digraph, worked
+        # every window the walk search works out (an int code, as the
+        # digraph holds its windows) is a window of build_shift_digraph, worked
         # out once per search, and the slices of the types its bars allow,
         # less those that take a type past its class size, are that
         # window's out-edges in order; the moves made per set of free types are its independent
@@ -235,7 +244,7 @@ class TestOnDemandSuccessors:
                 for span in range(least + 2):
                     assert (search(span) is None) == (span < least)
             d = build_shift_digraph(sizes, weights, z)
-            index = {d.window_code(node): node for node in range(len(d.windows))}
+            index = {code: node for node, code in enumerate(d.windows)}
             units = [(clash, 1 << t) for t, clash in enumerate(closure.clash)] if closure else []
             for code, allowed_types in allowed_of.items():
                 node = index[code]
@@ -245,7 +254,7 @@ class TestOnDemandSuccessors:
                     for m in independent_sets(allowed_types, units)
                     if within_sizes(kept + (frozenset(iter_bits(m)),), sizes)
                 ]
-                assert slices == [d.windows[d.edges[ei][1]][-1] for ei in d.out_edges[node]]
+                assert slices == [slice_masks(d, d.edges[ei][1])[-1] for ei in d.out_edges[node]]
             # the count code: a size-1 type's bit t, then the other types'
             # mixed-radix digits; a move holds its mask past the full code
             tau, steps, place = len(sizes), [], 1

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,8 +112,8 @@ class TestBuildFlowModel:
         model, capacity = build_flow_model(d, [3], 4)
         assert model.var_count == len(d.edges)
         # the all-empty window is unlimited; one holding the type once may
-        # be visited 3 - 1 + 1 times
-        assert dict(zip(d.windows, capacity)) == {(0, 0): -1, (0, 1): 3, (1, 0): 3}
+        # be visited 3 - 1 + 1 times (windows as codes, slice 0 in the high bit)
+        assert dict(zip(d.windows, capacity)) == {0b00: -1, 0b01: 3, 0b10: 3}
         assert set(model.upper_bounds) == {7}
         # one occurrence count per coordinate role
         occurrence = [
@@ -141,6 +142,32 @@ class TestBuildFlowModel:
         with pytest.raises(ValueError, match="2 class sizes for a digraph of 1 types"):
             build_flow_model(d, [1, 1], 2)
 
+    def test_models_pinned(self):
+        # every part's model and window capacities at spans least - 1 to
+        # least + 1, on K3 (weight 2), P4 under L(2,1), C6 under L(3,2),
+        # K2,2 under L(2,1) and minimize-vc's witness 45, in one digest.
+        # The rows name edges, never windows, so a slip in how the model
+        # reads a window's slices changes it
+        k22 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        labeled = [
+            (labeling_to_ca(g, DistanceConstraints(p)), nd_partition(g))
+            for g, p in ((path_graph(4), (2, 1)), (cycle_graph(6), (3, 2)), (k22, (2, 1)))
+        ]
+        witness = WeightedGraph.from_edges(5, [(0, 4, 3), (1, 3, 2), (1, 4, 3), (2, 4, 2)])
+        cases = [("uniform", k3_instance(), nd_partition(k3_instance().graph))]
+        cases += [("uniform", wg, partition) for wg, partition in labeled]
+        cases.append(("vc", witness, None))
+        models = []
+        for route, wg, partition in cases:
+            least, _ = minimize_span(wg, route, partition)
+            for sizes, weights, _, _ in solver._parts(wg, route, partition)[2]:
+                d = build_shift_digraph(sizes, weights, max(weights.values()))
+                for span in range(max(least - 1, 0), least + 2):
+                    model, capacity = build_flow_model(d, sizes, span)
+                    models.append((model.var_count, model.upper_bounds, model.constraints, capacity))
+        digest = hashlib.sha256(repr(models).encode()).hexdigest()
+        assert digest == "cd35d190228f62ba6082027828dea3ef55f37bf659b268b0d879258018249b15"
+
 
 class TestFlowBound:
     @given(st.integers(0, 10**6))
@@ -161,6 +188,7 @@ class TestFlowBound:
 
 class TestConnectivityViolation:
     def setup_method(self):
+        # windows as codes of one type: slice 0 in the high bit
         self.sizes = [3]
         self.d = build_shift_digraph(self.sizes, {(0, 0): 2}, 2)
 
@@ -170,7 +198,7 @@ class TestConnectivityViolation:
         # the solution is not necessarily connected, so check a hand-built connected support:
         index = {w: i for i, w in enumerate(self.d.windows)}
         e = {pair: i for i, pair in enumerate(self.d.edges)}
-        empty, up, down = index[(0, 0)], index[(0, 1)], index[(1, 0)]
+        empty, up, down = index[0b00], index[0b01], index[0b10]
         values = [0] * len(self.d.edges)
         values[e[(empty, up)]] = 1
         values[e[(up, down)]] = 1
@@ -180,7 +208,7 @@ class TestConnectivityViolation:
     def test_detached_cycle_yields_violated_cut(self):
         index = {w: i for i, w in enumerate(self.d.windows)}
         e = {pair: i for i, pair in enumerate(self.d.edges)}
-        up, down = index[(0, 1)], index[(1, 0)]
+        up, down = index[0b01], index[0b10]
         values = [0] * len(self.d.edges)
         values[e[(up, down)]] = 1
         values[e[(down, up)]] = 1
@@ -229,6 +257,7 @@ class TestSolveFlow:
 
 class TestEulerWalk:
     def setup_method(self):
+        # windows as codes of one type: slice 0 in the high bit
         self.d = build_shift_digraph([3], {(0, 0): 2}, 2)
         self.index = {w: i for i, w in enumerate(self.d.windows)}
         self.edge = {pair: i for i, pair in enumerate(self.d.edges)}
@@ -238,7 +267,7 @@ class TestEulerWalk:
         assert euler_walk({loop: 1}, self.d) == (0, 0)
 
     def test_three_cycle(self):
-        empty, up, down = 0, self.index[(0, 1)], self.index[(1, 0)]
+        empty, up, down = 0, self.index[0b01], self.index[0b10]
         counts = {
             self.edge[(empty, up)]: 1,
             self.edge[(up, down)]: 1,
@@ -251,7 +280,7 @@ class TestEulerWalk:
 
     @pytest.mark.parametrize("mult", [0, -1])
     def test_multiplicity_below_one_rejected(self, mult):
-        empty, up, down = 0, self.index[(0, 1)], self.index[(1, 0)]
+        empty, up, down = 0, self.index[0b01], self.index[0b10]
         counts = {
             self.edge[(empty, up)]: 1,
             self.edge[(up, down)]: 1,
@@ -262,12 +291,12 @@ class TestEulerWalk:
             euler_walk(counts, self.d)
 
     def test_unbalanced_rejected(self):
-        up = self.index[(0, 1)]
+        up = self.index[0b01]
         with pytest.raises(InternalSolverError, match="conservation"):
             euler_walk({self.edge[(0, up)]: 1}, self.d)
 
     def test_support_missing_empty_window_rejected(self):
-        up, down = self.index[(0, 1)], self.index[(1, 0)]
+        up, down = self.index[0b01], self.index[0b10]
         counts = {self.edge[(up, down)]: 1, self.edge[(down, up)]: 1}
         with pytest.raises(InternalSolverError, match="empty"):
             euler_walk(counts, self.d)
@@ -278,7 +307,7 @@ class TestWalkToLabeling:
         wg = k3_instance()
         (kept, dropped), (sizes, ids), digraph = uniform_pipeline(wg)
         index = {w: i for i, w in enumerate(digraph.windows)}
-        empty, up, down = 0, index[(0, 1)], index[(1, 0)]
+        empty, up, down = 0, index[0b01], index[0b10]
         # encodes slices {t},_,{t},_,{t} -> labels 0, 2, 4
         walk = (empty, up, down, up, down, up, down, empty)
         labeling = walk_to_labeling([(walk, digraph, sizes, ids)], kept, dropped, 4, 3)
@@ -336,6 +365,13 @@ class TestSolveCaUniform:
         with pytest.raises(ValueError):
             solve_ca_uniform(wg, nd_partition(wg.graph), -1)
 
+    @pytest.mark.parametrize("span", [None, 2.5, 4.0, "4"])
+    def test_rejects_a_span_that_is_no_int(self, span):
+        # None would minimize, and a float could come back as the span
+        wg = k3_instance()
+        with pytest.raises(ValueError, match="span must be a nonnegative int"):
+            solve_ca_uniform(wg, nd_partition(wg.graph), span)
+
     def test_disconnected_components_merge(self):
         # two separate heavy edges plus an isolated vertex
         wg = WeightedGraph.from_edges(5, [(0, 1, 3), (2, 3, 2)])
@@ -367,6 +403,22 @@ class TestSolveCaUniform:
         solve_ca_uniform(wg, partition, 12, stats=stats)
         assert stats.nd == 2 and stats.types == 2
         assert stats.digraph_nodes > 0
+
+    def test_solve_ms_sums_unrounded_milliseconds(self, monkeypatch):
+        # two solves on one SolveStats, timed by a fake clock, add their
+        # wall times exactly as measured, with no rounding between them
+        ticks = [10.0, 10.0001234, 20.0, 20.0005678]
+        clock = iter(ticks)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=clock.__next__))
+        wg = k3_instance()
+        stats = SolveStats()
+        for _ in range(2):
+            solve_ca_uniform(wg, nd_partition(wg.graph), 4, stats=stats)
+        expected = 0.0
+        expected += (ticks[1] - ticks[0]) * 1000
+        expected += (ticks[3] - ticks[2]) * 1000
+        assert stats.solve_ms == expected
+        assert round(stats.solve_ms, 3) != stats.solve_ms
 
 
 class TestWalkSearch:
@@ -746,6 +798,11 @@ class TestGuards:
 
 
 class TestSolveCaVc:
+    @pytest.mark.parametrize("span", [None, 2.5, -1])
+    def test_rejects_a_span_that_is_no_nonnegative_int(self, span):
+        with pytest.raises(ValueError, match="span must be a nonnegative int"):
+            solve_ca_vc(k3_instance(), span)
+
     def test_weighted_star(self):
         wg = WeightedGraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 2)])
         labeling = solve_ca_vc(wg, 2)
@@ -810,6 +867,11 @@ class TestMinimizeSpan:
 
 
 class TestSolveLabeling:
+    @pytest.mark.parametrize("span", [None, 2.5, -1])
+    def test_rejects_a_span_that_is_no_nonnegative_int(self, span):
+        with pytest.raises(ValueError, match="span must be a nonnegative int"):
+            solve_labeling(path_graph(4), DistanceConstraints((2, 1)), span)
+
     def test_star_l21_span_four(self):
         # the reduced star has a weight-1 clique class whose doubled window
         # must be visited twice; regression for the visit-capacity bound
